@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .symcore import SymmetricState, _as_angles, binomial_sqrt
+from .symcore import LayerTerms, SymmetricState, _as_angles, binomial_sqrt
 
 MAX_DENSE_QUBITS = 24
 
@@ -105,6 +105,14 @@ def lift(state: SymmetricState) -> DenseState:
     return DenseState(n, amps)
 
 
+def _weight_sums(amps: np.ndarray, n: int) -> np.ndarray:
+    """Sum of the amplitudes of each Hamming weight 0..n."""
+    w = hamming_weights(n)
+    return np.bincount(w, weights=amps.real, minlength=n + 1) + 1j * np.bincount(
+        w, weights=amps.imag, minlength=n + 1
+    )
+
+
 def project_symmetric(state: DenseState) -> tuple[SymmetricState, float]:
     """Project onto the symmetric subspace.
 
@@ -114,10 +122,7 @@ def project_symmetric(state: DenseState) -> tuple[SymmetricState, float]:
     """
     n = state.n
     w = hamming_weights(n)
-    sums = np.bincount(w, weights=state.amps.real, minlength=n + 1) + 1j * np.bincount(
-        w, weights=state.amps.imag, minlength=n + 1
-    )
-    comps = sums / binomial_sqrt(n)
+    comps = _weight_sums(state.amps, n) / binomial_sqrt(n)
     sym_norm = np.linalg.norm(comps)
     if sym_norm < 1e-12:
         raise ValueError("input has no symmetric component (residual norm 1)")
@@ -176,14 +181,12 @@ def apply_noise_events(amps: np.ndarray, n: int, events) -> np.ndarray:
     if len(qubits) == 0:
         return amps
     amps = amps.copy()
-    if phis is None:
-        for q in qubits:
-            view = amps.reshape(1 << (n - 1 - q), 2, 1 << q)
+    for i, q in enumerate(qubits):
+        view = amps.reshape(1 << (n - 1 - q), 2, 1 << q)
+        if phis is None:
             view[:, [0, 1], :] = view[:, [1, 0], :]
-    else:
-        idx = np.arange(amps.size)
-        for q, phi in zip(qubits, phis):
-            amps *= np.where((idx >> q) & 1, np.exp(1j * phi), 1.0)
+        else:
+            view[:, 1, :] *= np.exp(1j * phis[i])
     return amps
 
 
@@ -219,6 +222,35 @@ def apply_layer_dense(
         amps = apply_x_rotation(amps, beta, q, n)
         amps = apply_noise_events(amps, n, slots[1 + q])
     return amps
+
+
+def layer_terms_dense(amps: np.ndarray, n: int, slots) -> LayerTerms:
+    """Split the target amplitude of one noisy layer by its gamma dependence.
+
+    slots are the layer's pre-sampled noise events, as for apply_layer_dense.
+    Tracing <0| back through the layer keeps it a product bra, so the result
+    has the noiseless form of symcore.LayerTerms with other coefficients.
+    Phase kicks fix |0>: a kick on qubit q reaches <0| only when it precedes
+    X_q, i.e. slot 0, or with single-qubit granularity slot s in 1..q, which
+    follows X_{s-1}.  It then multiplies the weight sums by e^{i phi.x}.  X
+    flips commute with the X rotations, so all of a layer's flips act as one
+    mask f applied before the mixer: the sums group amplitudes by their
+    distance from f, and the |0...0> term carries weight |f|.
+    """
+    rest = amps.copy()
+    rest[0] = 0.0
+    if slots[0][1] is None:
+        flips = np.zeros(n, dtype=bool)
+        for qubits, _ in slots:
+            flips[qubits] ^= True
+        events, a_weight = (np.flatnonzero(flips), None), int(flips.sum())
+    else:
+        phis = np.zeros(n)
+        for s, (qubits, kicks) in enumerate(slots if len(slots) == n + 1 else slots[:1]):
+            ahead = qubits >= s
+            phis[qubits[ahead]] += kicks[ahead]
+        events, a_weight = (np.flatnonzero(phis), phis[phis != 0.0]), 0
+    return LayerTerms(amps[0], a_weight, _weight_sums(apply_noise_events(rest, n, events), n))
 
 
 def run_schedule_dense(

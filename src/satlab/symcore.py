@@ -20,16 +20,20 @@ from scipy.special import gammaln
 NORM_TOL = 1e-8
 
 
+@lru_cache(maxsize=None)
 def binomial_sqrt(n: int) -> np.ndarray:
-    """sqrt(C(n, k)) for k = 0..n.
+    """sqrt(C(n, k)) for k = 0..n (cached, read-only).
 
     Exact integer binomials up to n = 50, log-gamma beyond that so large n
     cannot overflow.
     """
     if n <= 50:
-        return np.sqrt(np.array([math.comb(n, k) for k in range(n + 1)], dtype=float))
-    k = np.arange(n + 1, dtype=float)
-    return np.exp(0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)))
+        out = np.sqrt(np.array([math.comb(n, k) for k in range(n + 1)], dtype=float))
+    else:
+        k = np.arange(n + 1, dtype=float)
+        out = np.exp(0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)))
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,32 +159,71 @@ def overlap(state: SymmetricState) -> float:
     return float(abs(state.amps[0]) ** 2)
 
 
-def _layer_terms(state: SymmetricState, betas: np.ndarray):
-    """Target amplitude of one extra layer, split by gamma dependence.
+@dataclass(frozen=True, eq=False)
+class LayerTerms:
+    """Target amplitude of one more layer, split by its gamma dependence.
 
-    <0|mixer(beta) phase(gamma)|psi> = A * exp(-i*gamma) + B(beta) with
-    A = A_0 cos^n(beta) and
-    B = sum_{k>=1} cos^{n-k}(beta) (-i sin(beta))^k A_k sqrt(C(n,k)).
-    The polynomial form stays finite at beta = pi/2 where the tangent form of
-    the same expression has a removable singularity.
+    The phase separator rephases only |0...0>, and <0|mixer(beta) is the
+    product bra of cos(beta)<0| - i sin(beta)<1| over the qubits, so
+        <0|layer(gamma, beta)|psi> = A(beta) exp(-i*gamma) + B(beta),
+        A = a cos^{n-m}(beta) (-i sin(beta))^m,
+        B = sum_{k=0..n} cos^{n-k}(beta) (-i sin(beta))^k sums[k],
+    where m = a_weight.  Noiselessly a = A_0, m = 0 and sums[k] collects the
+    amplitudes of weight k >= 1 (A_k sqrt(C(n,k))); coherent noise changes
+    only these coefficients.  The polynomial form stays finite at beta = pi/2
+    where the tangent form of the same expression has a removable singularity.
     """
-    n = state.n
-    cb = np.cos(betas)
-    sb = np.sin(betas)
-    coeff = state.amps[1:] * binomial_sqrt(n)[1:]
-    ks = np.arange(1, n + 1)[:, None]
-    b_sum = np.sum(cb[None, :] ** (n - ks) * (-1j * sb[None, :]) ** ks * coeff[:, None], axis=0)
-    return state.amps[0] * cb**n, b_sum
+
+    a: complex
+    a_weight: int
+    sums: np.ndarray
+
+    def split(self, betas) -> tuple[np.ndarray, np.ndarray]:
+        """(A, B) at each beta."""
+        betas = np.atleast_1d(np.asarray(betas, dtype=float))
+        n, m = self.sums.size - 1, self.a_weight
+        cb = np.cos(betas)
+        sb = np.sin(betas)
+        a_term = self.a * cb ** (n - m)
+        # only bit flips give m > 0 or sums[0] != 0; without them, skipping
+        # the sine factor and that row keeps the noiseless cost and rounding
+        lo = 1
+        if m:
+            a_term = a_term * (-1j * sb) ** m
+            lo = 0
+        ks = np.arange(lo, n + 1)[:, None]
+        terms = cb[None, :] ** (n - ks) * (-1j * sb[None, :]) ** ks * self.sums[lo:, None]
+        return a_term, terms.sum(axis=0)
+
+    def curve(self, betas) -> np.ndarray:
+        """max over gamma of the target amplitude modulus, for each beta.
+
+        For complex A and B, max_gamma |A exp(-i*gamma) + B| = |A| + |B|.
+        """
+        a_term, b_term = self.split(betas)
+        return np.abs(a_term) + np.abs(b_term)
+
+    def best_gamma(self, beta: float) -> tuple[float, float]:
+        """(g, gamma_star): the curve at beta and a gamma attaining it, as
+        described for gamma_eliminated_overlap."""
+        a_term, b_term = self.split(float(beta))
+        a, b = complex(a_term[0]), complex(b_term[0])
+        g = abs(a) + abs(b)
+        if abs(a) == 0.0 or abs(b) == 0.0:
+            return g, 0.0
+        return g, float((np.angle(a) - np.angle(b)) % (2.0 * math.pi))
+
+
+def layer_terms(state: SymmetricState) -> LayerTerms:
+    """Noiseless one-layer terms of a symmetric state."""
+    sums = state.amps * binomial_sqrt(state.n)
+    sums[0] = 0.0
+    return LayerTerms(state.amps[0], 0, sums)
 
 
 def gamma_eliminated_curve(state: SymmetricState, betas) -> np.ndarray:
-    """max over gamma of |<0|mixer(beta) phase(gamma)|psi>| for each beta.
-
-    For complex A and B, max_gamma |A exp(-i*gamma) + B| = |A| + |B|.
-    """
-    betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    a_term, b_term = _layer_terms(state, betas)
-    return np.abs(a_term) + np.abs(b_term)
+    """max over gamma of |<0|mixer(beta) phase(gamma)|psi>| for each beta."""
+    return layer_terms(state).curve(betas)
 
 
 def gamma_eliminated_overlap(state: SymmetricState, beta: float) -> tuple[float, float]:
@@ -190,13 +233,7 @@ def gamma_eliminated_overlap(state: SymmetricState, beta: float) -> tuple[float,
     amplitude modulus, and gamma_star attains it by aligning the phases of the
     two terms.  When either term vanishes every gamma ties and 0 is returned.
     """
-    a_term, b_term = _layer_terms(state, np.array([float(beta)]))
-    a, b = complex(a_term[0]), complex(b_term[0])
-    g = abs(a) + abs(b)
-    if abs(a) == 0.0 or abs(b) == 0.0:
-        return g, 0.0
-    gamma_star = (np.angle(a) - np.angle(b)) % (2.0 * math.pi)
-    return g, float(gamma_star)
+    return layer_terms(state).best_gamma(beta)
 
 
 def saturation_derivatives(state: SymmetricState) -> tuple[float, float]:

@@ -1,8 +1,8 @@
 """Trainers maximizing the target overlap: greedy layerwise, global, cutoff, noisy.
 
-The layerwise family exploits the closed-form gamma elimination, so each
-layer's inner optimization is one-dimensional over the mixer angle.  The noisy
-trainer cannot (noise breaks permutation symmetry) and searches both angles.
+Every layerwise trainer, noisy or not, exploits the closed-form gamma
+elimination, so each layer's inner optimization is one-dimensional over the
+mixer angle.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq, minimize
@@ -105,21 +106,22 @@ def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, floa
     return x, f(x), evals + 1
 
 
-def _best_beta(state: SymmetricState, settings: OptimizerSettings) -> tuple[float, float, int]:
-    """Maximize the gamma-eliminated amplitude over beta in [0, pi).
+def _best_beta(curve, settings: OptimizerSettings) -> tuple[float, float, int]:
+    """Maximize a gamma-eliminated amplitude curve over beta in [0, pi).
 
-    Dense grid, golden-section refinement in the winning cell, then a mirror
-    candidate near pi - beta (exactly degenerate for real amplitude vectors)
-    and the beta = 0 snap.  Ties resolve toward the smaller beta.
+    curve maps an array of betas to the curve's values.  Dense grid,
+    golden-section refinement in the winning cell, then a mirror candidate
+    near pi - beta (exactly degenerate for real amplitude vectors) and the
+    beta = 0 snap.  Ties resolve toward the smaller beta.
     """
     m = settings.beta_grid_points
     grid = np.linspace(0.0, math.pi, m, endpoint=False)
-    vals = symcore.gamma_eliminated_curve(state, grid)
+    vals = curve(grid)
     i = int(np.argmax(vals))
     cell = math.pi / m
 
     def f(b: float) -> float:
-        return float(symcore.gamma_eliminated_curve(state, b)[0])
+        return float(curve(b)[0])
 
     evals = m
     best_b, best_g, e = golden_section_max(
@@ -143,7 +145,8 @@ def _best_beta(state: SymmetricState, settings: OptimizerSettings) -> tuple[floa
 
 def _layerwise_step(state: SymmetricState, settings: OptimizerSettings):
     """One greedy layer: best beta, aligned gamma, successor state."""
-    beta, g, evals = _best_beta(state, settings)
+    curve = partial(symcore.gamma_eliminated_curve, state)
+    beta, g, evals = _best_beta(curve, settings)
     _, gamma = symcore.gamma_eliminated_overlap(state, beta)
     nxt = symcore.apply_mixer(symcore.apply_phase_separator(state, gamma), beta)
     return LayerAngles(gamma, beta), g, nxt, evals + 1
@@ -192,16 +195,20 @@ def train_cutoff(
         if fraction >= 1.0:
             angles, g, state, evals = _layerwise_step(state, settings)
         else:
-            beta_star, g_star, evals = _best_beta(state, settings)
+            curve = partial(symcore.gamma_eliminated_curve, state)
+            beta_star, g_star, evals = _best_beta(curve, settings)
             o_prev = symcore.overlap(state)
             o_max = g_star**2
             if beta_star == 0.0 or o_max - o_prev <= 1e-14:
                 beta = beta_star
             else:
                 o_t = o_prev + fraction * (o_max - o_prev)
+                calls = 0
 
                 def shortfall(b: float) -> float:
-                    return float(symcore.gamma_eliminated_curve(state, b)[0]) ** 2 - o_t
+                    nonlocal calls
+                    calls += 1
+                    return float(curve(b)[0]) ** 2 - o_t
 
                 roots = []
                 if shortfall(0.0) <= 0.0:
@@ -214,7 +221,7 @@ def train_cutoff(
                         roots.append(brentq(shortfall, prev, x, xtol=1e-13))
                         break
                     prev = x
-                evals += 1050
+                evals += calls
                 beta = float(roots[rng.integers(len(roots))]) if roots else beta_star
             g, gamma = symcore.gamma_eliminated_overlap(state, beta)
             angles = LayerAngles(gamma, beta)
@@ -304,28 +311,6 @@ def train_global(
     return trace
 
 
-def _pattern_search(objective, x0, steps, tol: float, max_evals: int = 4000):
-    """Deterministic compass search maximizing objective(gamma, beta)."""
-    x = np.array(x0, dtype=float)
-    fx = objective(x[0], x[1])
-    evals = 1
-    step = np.array(steps, dtype=float)
-    while step.max() > tol and evals < max_evals:
-        improved = False
-        for dim in (0, 1):
-            for sign in (1.0, -1.0):
-                cand = x.copy()
-                cand[dim] += sign * step[dim]
-                fc = objective(cand[0], cand[1])
-                evals += 1
-                if fc > fx + 1e-15:
-                    x, fx = cand, fc
-                    improved = True
-        if not improved:
-            step *= 0.5
-    return x, fx, evals
-
-
 def train_layerwise_noisy(
     n: int,
     max_depth: int,
@@ -337,10 +322,11 @@ def train_layerwise_noisy(
 
     When a layer is appended its noise events are sampled once and frozen, so
     the layer is optimized against a fixed systematic error; earlier layers
-    keep their own frozen noise.  The objective is the dense-simulator target
-    overlap, searched over both angles by coarse grid plus compass pattern
-    search, seeded with the gamma-eliminated suggestion computed from the
-    symmetric projection of the current state (exact when noise is absent).
+    keep their own frozen noise.  The target amplitude of the noisy layer
+    still splits as A(beta) exp(-i*gamma) + B(beta) (densecore.layer_terms_dense),
+    so gamma is eliminated in closed form and beta found by the same 1-D search
+    as in the noiseless trainers.  The recorded overlap is that of the dense
+    simulation of the chosen layer.
     """
     if n < 1 or max_depth < 1:
         raise ValueError("n and max_depth must be >= 1")
@@ -354,35 +340,10 @@ def train_layerwise_noisy(
     for depth in range(1, max_depth + 1):
         t0 = time.perf_counter()
         slots = densecore.sample_layer_noise(n, noise, rng)
-        evals = [0]
-
-        def objective(gamma: float, beta: float) -> float:
-            evals[0] += 1
-            out = densecore.apply_layer_dense(prefix, n, gamma, beta, slots)
-            return float(abs(out[0]) ** 2)
-
-        candidates = []
-        sym_state, _residual = densecore.project_symmetric(densecore.DenseState(n, prefix))
-        beta_s, _, e = _best_beta(sym_state, settings)
-        evals[0] += e
-        _, gamma_s = symcore.gamma_eliminated_overlap(sym_state, beta_s)
-        candidates.append((objective(gamma_s, beta_s), (gamma_s, beta_s)))
-
-        best_grid = (-1.0, (0.0, 0.0))
-        for gamma in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
-            for beta in np.linspace(0.0, math.pi, 12, endpoint=False):
-                val = objective(gamma, beta)
-                if val > best_grid[0]:
-                    best_grid = (val, (float(gamma), float(beta)))
-        candidates.append(best_grid)
-
-        x0 = max(candidates, key=lambda c: c[0])[1]
-        x, fx, _ = _pattern_search(objective, x0, steps=(0.35, 0.25), tol=1e-7)
-        baseline = objective(0.0, 0.0)
-        if baseline >= fx:
-            x, fx = np.zeros(2), baseline
-
-        angles = LayerAngles(float(x[0]), float(x[1]))
+        terms = densecore.layer_terms_dense(prefix, n, slots)
+        beta, _, evals = _best_beta(terms.curve, settings)
+        _, gamma = terms.best_gamma(beta)
+        angles = LayerAngles(gamma, beta)
         prefix = densecore.apply_layer_dense(prefix, n, angles.gamma, angles.beta, slots)
         trace.records.append(
             LayerRecord(
@@ -391,7 +352,7 @@ def train_layerwise_noisy(
                 float(abs(prefix[0]) ** 2),
                 float(abs(prefix[0])),
                 time.perf_counter() - t0,
-                evals[0],
+                evals + 1,
             )
         )
     trace.status = _finish_status(trace)

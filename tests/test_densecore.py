@@ -192,6 +192,21 @@ def test_phase_events_leave_target_amplitude():
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_phase_events_match_basis_state_formula():
+    # amp(x) picks up exp(i phi_q) for every hit qubit q set in x; the kicks
+    # act in place on strided views, so allow a few ulps of rounding
+    rand = np.random.default_rng(29)
+    for n in (1, 3, 6):
+        amps = rand.normal(size=1 << n) + 1j * rand.normal(size=1 << n)
+        amps /= np.linalg.norm(amps)
+        qubits = np.flatnonzero(rand.random(n) < 0.6)
+        phis = rand.normal(size=qubits.size)
+        idx = np.arange(1 << n)
+        phase = sum(phi * ((idx >> q) & 1) for q, phi in zip(qubits, phis))
+        out = apply_noise_events(amps, n, (qubits, phis))
+        assert np.max(np.abs(out - amps * np.exp(1j * phase))) < 1e-15
+
+
 def test_bitflip_events_swap_amplitudes():
     amps = np.zeros(4, dtype=complex)
     amps[0] = 1.0

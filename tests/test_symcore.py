@@ -221,7 +221,7 @@ def test_one_layer_amplitude_recursion():
         s = random_symmetric_state(n, rand)
         gamma, beta = rand.uniform(0, 2 * np.pi), rand.uniform(0, np.pi)
         composed = apply_mixer(apply_phase_separator(s, gamma), beta).amps[0]
-        a_term, b_term = symcore._layer_terms(s, np.array([beta]))
+        a_term, b_term = symcore.layer_terms(s).split(beta)
         direct = a_term[0] * np.exp(-1j * gamma) + b_term[0]
         assert composed == pytest.approx(direct, abs=1e-10)
 

@@ -1,7 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from satlab import symcore
+from satlab import densecore, symcore
 from satlab.densecore import NoiseConfig
 from satlab.training import (
     OptimizerSettings,
@@ -64,7 +66,7 @@ def test_depth_one_matches_exhaustive_grid():
     gammas = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
     betas = np.linspace(0, np.pi, 4096, endpoint=False)
     state = symcore.plus_state(n)
-    a_term, b_term = symcore._layer_terms(state, betas)
+    a_term, b_term = symcore.layer_terms(state).split(betas)
     grid = np.abs(a_term[None, :] * np.exp(-1j * gammas)[:, None] + b_term[None, :]) ** 2
     assert trace.overlaps()[0] >= grid.max() - 1e-5
     assert gl.overlaps()[0] >= grid.max() - 1e-5
@@ -96,7 +98,7 @@ def test_cutoff_hits_interpolated_target():
     for record in trace.records:
         from satlab.training import _best_beta
 
-        _, g_star, _ = _best_beta(state, settings)
+        _, g_star, _ = _best_beta(partial(symcore.gamma_eliminated_curve, state), settings)
         o_prev = symcore.overlap(state)
         o_max = g_star**2
         target = o_prev + fraction * (o_max - o_prev)
@@ -126,6 +128,27 @@ def test_cutoff_desaturates_past_plateau():
         final = train_cutoff(4, 8, 0.9, rng=rng).overlaps()[-1]
         wins += final > plateau
     assert wins >= 4  # at least 10 percent of runs
+
+
+def test_cutoff_records_counted_evaluations(monkeypatch):
+    # every recorded evaluation is one beta at which the curve was computed
+    points = [0]
+    curve, overlap = symcore.gamma_eliminated_curve, symcore.gamma_eliminated_overlap
+
+    def counted_curve(state, betas):
+        points[0] += np.size(betas)
+        return curve(state, betas)
+
+    def counted_overlap(state, beta):
+        points[0] += 1
+        return overlap(state, beta)
+
+    monkeypatch.setattr(symcore, "gamma_eliminated_curve", counted_curve)
+    monkeypatch.setattr(symcore, "gamma_eliminated_overlap", counted_overlap)
+    for seed in range(3):
+        points[0] = 0
+        trace = train_cutoff(4, 8, 0.8, rng=np.random.default_rng(seed))
+        assert sum(r.evaluations for r in trace.records) == points[0]
 
 
 def test_cutoff_rejects_bad_fraction():
@@ -200,6 +223,52 @@ def test_noisy_run_beats_plateau_for_some_trial():
         rng = np.random.default_rng(np.random.SeedSequence((5, trial)))
         finals.append(train_layerwise_noisy(4, 4, noise, rng=rng).overlaps()[-1])
     assert max(finals) > plateau
+
+
+@pytest.mark.parametrize("kind", ["phase", "bitflip"])
+@pytest.mark.parametrize("granularity", ["layer", "single_qubit"])
+def test_noisy_layer_terms_match_dense_layer(granularity, kind):
+    rand = np.random.default_rng(31)
+    for n in range(1, 6):
+        for p in (0.0, 0.3, 0.7):
+            noise = NoiseConfig(p, granularity=granularity, kind=kind)
+            for _ in range(6):
+                psi = rand.normal(size=1 << n) + 1j * rand.normal(size=1 << n)
+                psi /= np.linalg.norm(psi)
+                slots = densecore.sample_layer_noise(n, noise, rand)
+                gamma, beta = rand.uniform(0, 2 * np.pi), rand.uniform(0, np.pi)
+                a_term, b_term = densecore.layer_terms_dense(psi, n, slots).split(beta)
+                direct = densecore.apply_layer_dense(psi, n, gamma, beta, slots)[0]
+                assert abs(a_term[0] * np.exp(-1j * gamma) + b_term[0] - direct) < 1e-12
+
+
+@pytest.mark.parametrize("granularity", ["layer", "single_qubit"])
+@pytest.mark.parametrize("p", [0.1, 0.3])
+def test_noisy_layers_reach_dense_grid_maximum(p, granularity):
+    # each layer is optimal against its frozen noise: no point of a (gamma,
+    # beta) grid on the dense objective beats the trained angles.  The dense
+    # target amplitude is u exp(-i gamma) + v, read off at gamma = 0 and pi.
+    n = 4
+    noise = NoiseConfig(p, granularity=granularity)
+    phases = np.exp(-1j * np.linspace(0, 2 * np.pi, 64, endpoint=False))
+    betas = np.linspace(0, np.pi, 48, endpoint=False)
+    for trial in range(4):
+        key = np.random.SeedSequence((11, trial))
+        trace = train_layerwise_noisy(n, n, noise, rng=np.random.default_rng(key))
+        rng = np.random.default_rng(key)
+        prefix = densecore.plus_state_dense(n)
+        for record in trace.records:
+            slots = densecore.sample_layer_noise(n, noise, rng)
+            best = 0.0
+            for b in betas:
+                at0 = densecore.apply_layer_dense(prefix, n, 0.0, b, slots)[0]
+                at_pi = densecore.apply_layer_dense(prefix, n, np.pi, b, slots)[0]
+                u, v = (at0 - at_pi) / 2, (at0 + at_pi) / 2
+                best = max(best, np.max(np.abs(u * phases + v) ** 2))
+            assert record.overlap >= best - 1e-12
+            prefix = densecore.apply_layer_dense(
+                prefix, n, record.angles.gamma, record.angles.beta, slots
+            )
 
 
 def test_settings_validation():
