@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -135,7 +134,7 @@ def trainability_probe(
     (0, 0).
     """
     settings = settings or OptimizerSettings()
-    beta, g, _ = _best_beta(partial(symcore.gamma_eliminated_curve, state), settings)
+    beta, g, _ = _best_beta(symcore.layer_terms(state), settings)
     gain = g**2 - symcore.overlap(state)
     if beta == 0.0 or gain <= 0.0:
         return 0.0, 0.0

@@ -8,7 +8,7 @@ import sys
 import click
 
 from .densecore import ResourceCapError
-from .harness import ConfigError, ExperimentConfig, run_experiment
+from .harness import KNEE_EPS_SAT, ConfigError, ExperimentConfig, run_experiment
 
 
 def _merge_config(ctx: click.Context, kind: str, flags: dict) -> ExperimentConfig:
@@ -69,7 +69,7 @@ def cli():
 @cli.command()
 @click.option("--n-min", type=int, default=3, show_default=True)
 @click.option("--n-max", type=int, default=10, show_default=True)
-@click.option("--eps-sat", type=float, default=1e-4, show_default=True,
+@click.option("--eps-sat", type=float, default=KNEE_EPS_SAT, show_default=True,
               help="Improvement threshold for saturation detection.")
 @_common
 @click.pass_context

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .symcore import LayerTerms, SymmetricState, _as_angles, binomial_sqrt
+from .symcore import LayerTerms, SymmetricState, _as_angles, binomial_sqrt, checked_amplitudes
 
 MAX_DENSE_QUBITS = 24
 
@@ -40,14 +40,7 @@ class DenseState:
         if self.n < 1:
             raise ValueError(f"qubit count must be >= 1, got {self.n}")
         _check_cap(self.n)
-        amps = np.asarray(self.amps, dtype=complex).copy()
-        if amps.shape != (1 << self.n,):
-            raise ValueError(f"expected {1 << self.n} amplitudes, got shape {amps.shape}")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-8:
-            raise ValueError(f"state not normalized: |amps| = {norm!r}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "amps", checked_amplitudes(self.amps, 1 << self.n))
 
 
 @dataclass(frozen=True)

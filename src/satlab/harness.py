@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
@@ -61,6 +62,12 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.eps_sat) and self.eps_sat >= 0.0):
+            raise ConfigError(f"eps_sat must be finite and >= 0, got {self.eps_sat}")
+        if self.out and not os.path.isdir(os.path.dirname(os.path.abspath(self.out))):
+            raise ConfigError(f"output directory of {self.out} does not exist")
         if self.kind in ("saturation", "betas"):
             if self.n_min is None:
                 self.n_min = {"saturation": 3, "betas": 4}[self.kind]

@@ -10,7 +10,7 @@ the whole circuit lives in the (n+1)-dimensional span of the Dicke states
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -36,6 +36,24 @@ def binomial_sqrt(n: int) -> np.ndarray:
     return out
 
 
+def checked_amplitudes(amps, size: int) -> np.ndarray:
+    """Read-only complex copy of a state vector of the given size.
+
+    Rejects a wrong shape, non-finite entries and a norm off 1 by more than
+    NORM_TOL.
+    """
+    amps = np.asarray(amps, dtype=complex).copy()
+    if amps.shape != (size,):
+        raise ValueError(f"expected {size} amplitudes, got shape {amps.shape}")
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("state has non-finite amplitudes")
+    norm = np.linalg.norm(amps)
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"state not normalized: |amps| = {norm!r}")
+    amps.setflags(write=False)
+    return amps
+
+
 @dataclass(frozen=True, eq=False)
 class SymmetricState:
     """Normalized state in the symmetric subspace: amplitudes A_0..A_n."""
@@ -46,17 +64,10 @@ class SymmetricState:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"qubit count must be >= 1, got {self.n}")
-        amps = np.asarray(self.amps, dtype=complex).copy()
-        if amps.shape != (self.n + 1,):
-            raise ValueError(f"expected {self.n + 1} amplitudes, got shape {amps.shape}")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state not normalized: |amps| = {norm!r}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "amps", checked_amplitudes(self.amps, self.n + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayerAngles:
     """One layer's phase-separator angle gamma and mixer angle beta.
 
@@ -108,6 +119,10 @@ class MixerGenerator:
         eigenvectors.setflags(write=False)
         self.eigenvalues = eigenvalues
         self.eigenvectors = eigenvectors
+        # the exact spectrum, matching the columns of eigenvectors
+        frequencies = np.arange(-n, n + 1, 2, dtype=float)
+        frequencies.setflags(write=False)
+        self.frequencies = frequencies
 
     def evolve(self, amps: np.ndarray, beta: float) -> np.ndarray:
         """Apply exp(-i*beta*H) to a Dicke amplitude vector."""
@@ -170,30 +185,51 @@ class LayerTerms:
         B = sum_{k=0..n} cos^{n-k}(beta) (-i sin(beta))^k sums[k],
     where m = a_weight.  Noiselessly a = A_0, m = 0 and sums[k] collects the
     amplitudes of weight k >= 1 (A_k sqrt(C(n,k))); coherent noise changes
-    only these coefficients.  The polynomial form stays finite at beta = pi/2
-    where the tangent form of the same expression has a removable singularity.
+    only these coefficients.
+
+    Both terms are evaluated in their Fourier form.  With V the mixer's
+    eigenvectors and lambda_l = -n + 2l its eigenvalues,
+    cos^{n-k}(beta) (-i sin(beta))^k sqrt(C(n,k)) = <0|mixer(beta)|e_k>
+    = sum_l V[0,l] V[k,l] exp(-i lambda_l beta), so
+        A = sum_l coefs[0, l] exp(-i lambda_l beta),
+        coefs[0] = a / sqrt(C(n,m)) * V[0] * V[m],
+        B = sum_l coefs[1, l] exp(-i lambda_l beta),
+        coefs[1] = V[0] * (V^T (sums / sqrt(C(n,k)))).
+    A scalar beta then costs O(n).  On the grid beta_j = pi j / M the common
+    factor exp(i n beta_j) drops out of the moduli, and what is left is one
+    length-M FFT of the coefficients (folded modulo M when n + 1 > M).  At
+    beta = 0 the mixer is the identity, and A(0) = a [m = 0], B(0) = sums[0]
+    are returned exactly, so the beta = 0 snap and the gamma = 0 tie rule
+    compare exact values.  Elsewhere the terms carry the componentwise error
+    of the computed eigenvectors, as MixerGenerator.evolve does.
     """
 
     a: complex
     a_weight: int
     sums: np.ndarray
+    coefs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n, m = self.sums.size - 1, self.a_weight
+        v = mixer(n).eigenvectors
+        root = binomial_sqrt(n)
+        coefs = np.empty((2, n + 1), dtype=complex)
+        coefs[0] = (self.a / root[m]) * v[0] * v[m]
+        coefs[1] = v[0] * (v.T @ (self.sums / root))
+        object.__setattr__(self, "coefs", coefs)
+
+    def _at_zero(self) -> tuple[complex, complex]:
+        return (self.a if self.a_weight == 0 else 0.0), self.sums[0]
 
     def split(self, betas) -> tuple[np.ndarray, np.ndarray]:
         """(A, B) at each beta."""
         betas = np.atleast_1d(np.asarray(betas, dtype=float))
-        n, m = self.sums.size - 1, self.a_weight
-        cb = np.cos(betas)
-        sb = np.sin(betas)
-        a_term = self.a * cb ** (n - m)
-        # only bit flips give m > 0 or sums[0] != 0; without them, skipping
-        # the sine factor and that row keeps the noiseless cost and rounding
-        lo = 1
-        if m:
-            a_term = a_term * (-1j * sb) ** m
-            lo = 0
-        ks = np.arange(lo, n + 1)[:, None]
-        terms = cb[None, :] ** (n - ks) * (-1j * sb[None, :]) ** ks * self.sums[lo:, None]
-        return a_term, terms.sum(axis=0)
+        freqs = mixer(self.sums.size - 1).frequencies
+        a_term, b_term = self.coefs @ np.exp(-1j * np.multiply.outer(freqs, betas))
+        zero = betas == 0.0
+        if zero.any():
+            a_term[zero], b_term[zero] = self._at_zero()
+        return a_term, b_term
 
     def curve(self, betas) -> np.ndarray:
         """max over gamma of the target amplitude modulus, for each beta.
@@ -202,6 +238,26 @@ class LayerTerms:
         """
         a_term, b_term = self.split(betas)
         return np.abs(a_term) + np.abs(b_term)
+
+    def value(self, beta: float) -> float:
+        """The curve at one beta as a float: the scalar path of curve, O(n)."""
+        if beta == 0.0:
+            a_term, b_term = self._at_zero()
+        else:
+            freqs = mixer(self.sums.size - 1).frequencies
+            a_term, b_term = self.coefs @ np.exp(freqs * (-1j * beta))
+        return float(abs(a_term) + abs(b_term))
+
+    def grid(self, points: int) -> np.ndarray:
+        """The curve at beta_j = pi j / points for j = 0..points-1, by one FFT."""
+        size = self.coefs.shape[1]
+        folded = np.zeros((2, -(-size // points) * points), dtype=complex)
+        folded[:, :size] = self.coefs
+        spectra = np.fft.fft(folded.reshape(2, -1, points).sum(axis=1), axis=1)
+        vals = np.abs(spectra).sum(axis=0)
+        a0, b0 = self._at_zero()
+        vals[0] = abs(a0) + abs(b0)
+        return vals
 
     def best_gamma(self, beta: float) -> tuple[float, float]:
         """(g, gamma_star): the curve at beta and a gamma attaining it, as

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq, minimize
@@ -39,7 +38,7 @@ class OptimizerSettings:
             raise ValueError("global optimizer settings must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayerRecord:
     depth: int
     angles: LayerAngles
@@ -106,30 +105,26 @@ def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, floa
     return x, f(x), evals + 1
 
 
-def _best_beta(curve, settings: OptimizerSettings) -> tuple[float, float, int]:
-    """Maximize a gamma-eliminated amplitude curve over beta in [0, pi).
+def _best_beta(terms: symcore.LayerTerms, settings: OptimizerSettings) -> tuple[float, float, int]:
+    """Maximize a layer's gamma-eliminated amplitude curve over beta in [0, pi).
 
-    curve maps an array of betas to the curve's values.  Dense grid,
-    golden-section refinement in the winning cell, then a mirror candidate
-    near pi - beta (exactly degenerate for real amplitude vectors) and the
-    beta = 0 snap.  Ties resolve toward the smaller beta.
+    Dense grid, golden-section refinement in the winning cell, then a mirror
+    candidate near pi - beta (exactly degenerate for real amplitude vectors)
+    and the beta = 0 snap.  Ties resolve toward the smaller beta.  The count
+    returned is the number of betas at which the curve was computed.
     """
     m = settings.beta_grid_points
-    grid = np.linspace(0.0, math.pi, m, endpoint=False)
-    vals = curve(grid)
-    i = int(np.argmax(vals))
     cell = math.pi / m
-
-    def f(b: float) -> float:
-        return float(curve(b)[0])
+    peak = int(np.argmax(terms.grid(m))) * cell
+    f = terms.value
 
     evals = m
     best_b, best_g, e = golden_section_max(
-        f, max(grid[i] - cell, 0.0), min(grid[i] + cell, math.pi), settings.refine_tolerance
+        f, max(peak - cell, 0.0), min(peak + cell, math.pi), settings.refine_tolerance
     )
     evals += e
-    if i > 0:
-        center = math.pi - grid[i]
+    if peak > 0.0:
+        center = math.pi - peak
         mb, mg, e = golden_section_max(
             f, max(center - cell, 0.0), min(center + cell, math.pi), settings.refine_tolerance
         )
@@ -145,9 +140,9 @@ def _best_beta(curve, settings: OptimizerSettings) -> tuple[float, float, int]:
 
 def _layerwise_step(state: SymmetricState, settings: OptimizerSettings):
     """One greedy layer: best beta, aligned gamma, successor state."""
-    curve = partial(symcore.gamma_eliminated_curve, state)
-    beta, g, evals = _best_beta(curve, settings)
-    _, gamma = symcore.gamma_eliminated_overlap(state, beta)
+    terms = symcore.layer_terms(state)
+    beta, g, evals = _best_beta(terms, settings)
+    _, gamma = terms.best_gamma(beta)
     nxt = symcore.apply_mixer(symcore.apply_phase_separator(state, gamma), beta)
     return LayerAngles(gamma, beta), g, nxt, evals + 1
 
@@ -195,8 +190,8 @@ def train_cutoff(
         if fraction >= 1.0:
             angles, g, state, evals = _layerwise_step(state, settings)
         else:
-            curve = partial(symcore.gamma_eliminated_curve, state)
-            beta_star, g_star, evals = _best_beta(curve, settings)
+            terms = symcore.layer_terms(state)
+            beta_star, g_star, evals = _best_beta(terms, settings)
             o_prev = symcore.overlap(state)
             o_max = g_star**2
             if beta_star == 0.0 or o_max - o_prev <= 1e-14:
@@ -208,7 +203,7 @@ def train_cutoff(
                 def shortfall(b: float) -> float:
                     nonlocal calls
                     calls += 1
-                    return float(curve(b)[0]) ** 2 - o_t
+                    return terms.value(b) ** 2 - o_t
 
                 roots = []
                 if shortfall(0.0) <= 0.0:
@@ -223,7 +218,7 @@ def train_cutoff(
                     prev = x
                 evals += calls
                 beta = float(roots[rng.integers(len(roots))]) if roots else beta_star
-            g, gamma = symcore.gamma_eliminated_overlap(state, beta)
+            g, gamma = terms.best_gamma(beta)
             angles = LayerAngles(gamma, beta)
             state = symcore.apply_mixer(symcore.apply_phase_separator(state, gamma), beta)
             evals += 1
@@ -341,7 +336,7 @@ def train_layerwise_noisy(
         t0 = time.perf_counter()
         slots = densecore.sample_layer_noise(n, noise, rng)
         terms = densecore.layer_terms_dense(prefix, n, slots)
-        beta, _, evals = _best_beta(terms.curve, settings)
+        beta, _, evals = _best_beta(terms, settings)
         _, gamma = terms.best_gamma(beta)
         angles = LayerAngles(gamma, beta)
         prefix = densecore.apply_layer_dense(prefix, n, angles.gamma, angles.beta, slots)

@@ -8,11 +8,13 @@ from satlab.densecore import (
     ResourceCapError,
     apply_noise_events,
     hamming_weights,
+    layer_terms_dense,
     lift,
     overlap_dense,
     plus_state_dense,
     project_symmetric,
     run_schedule_dense,
+    sample_layer_noise,
     sample_noise_slot,
 )
 from satlab.symcore import LayerAngles, SymmetricState, plus_state, random_symmetric_state, run_schedule
@@ -259,3 +261,35 @@ def test_noise_config_validation():
 
 def test_hamming_weights_small():
     assert list(hamming_weights(3)) == [0, 1, 1, 2, 1, 2, 2, 3]
+
+
+def test_dense_state_rejects_non_finite_amplitudes():
+    amps = np.zeros(4, dtype=complex)
+    amps[0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        DenseState(2, amps)
+
+
+@pytest.mark.parametrize("kind", ["phase", "bitflip"])
+@pytest.mark.parametrize("granularity", ["layer", "single_qubit"])
+def test_noisy_layer_fft_grid_matches_direct_curve(granularity, kind):
+    # bit flips give a_weight > 0 and sums[0] != 0, the terms that the
+    # noiseless split never has; beta = 0 stays exact for both
+    rand = np.random.default_rng(37)
+    n = 5
+    noise = NoiseConfig(0.5, granularity=granularity, kind=kind)
+    flipped = 0
+    for _ in range(8):
+        psi = rand.normal(size=1 << n) + 1j * rand.normal(size=1 << n)
+        psi /= np.linalg.norm(psi)
+        terms = layer_terms_dense(psi, n, sample_layer_noise(n, noise, rand))
+        if terms.a_weight > 0:
+            flipped += 1
+            assert terms.sums[0] != 0.0
+        for m in (2, 3, 2048):
+            betas = np.linspace(0, np.pi, m, endpoint=False)
+            assert np.max(np.abs(terms.grid(m) - terms.curve(betas))) < 1e-13
+        a_term, b_term = terms.split(0.0)
+        assert a_term[0] == (psi[0] if terms.a_weight == 0 else 0.0)
+        assert b_term[0] == terms.sums[0]
+    assert (flipped > 0) == (kind == "bitflip")

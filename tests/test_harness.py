@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from satlab import cli
 from satlab.cli import main
 from satlab.harness import (
     ConfigError,
@@ -240,3 +241,24 @@ def test_cli_exit_codes(tmp_path):
 def test_cli_resource_cap_exit_code():
     # a dense simulation beyond the qubit cap surfaces as exit code 2
     assert main(["noise", "--n", "25", "--trials", "1", "--p-grid", "0.1"]) == 2
+
+
+@pytest.fixture
+def no_compute(monkeypatch):
+    # bad input must be refused before any experiment runs
+    monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("experiment ran"))
+
+
+@pytest.mark.parametrize("kind", ["cutoff", "noise"])
+def test_cli_rejects_negative_seed(kind, no_compute):
+    assert main([kind, "--seed=-1"]) == 1
+
+
+def test_cli_rejects_missing_output_directory(tmp_path, no_compute):
+    out = tmp_path / "missing" / "out.csv"
+    assert main(["saturation", "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-1e-4"])
+def test_cli_rejects_bad_eps_sat(eps, no_compute):
+    assert main(["saturation", f"--eps-sat={eps}"]) == 1

@@ -226,6 +226,31 @@ def test_one_layer_amplitude_recursion():
         assert composed == pytest.approx(direct, abs=1e-10)
 
 
+# ------------------------------------------------------------ spectral form
+
+@pytest.mark.parametrize("n", [1, 5, 40])
+def test_fft_grid_matches_direct_curve(n):
+    # m = 2, 3 fold the n + 1 frequencies modulo m once n + 1 > m
+    rand = np.random.default_rng(40 + n)
+    states = [plus_state(n), random_symmetric_state(n, rand), run_schedule(n, random_schedule(n, 3, rand))]
+    for s in states:
+        terms = symcore.layer_terms(s)
+        for m in (2, 3, 64, 2048):
+            betas = np.linspace(0, np.pi, m, endpoint=False)
+            assert np.max(np.abs(terms.grid(m) - terms.curve(betas))) < 1e-13
+        betas = rand.uniform(0, np.pi, 16)
+        scalar = np.array([terms.value(b) for b in betas])
+        assert np.max(np.abs(scalar - terms.curve(betas))) < 1e-14
+
+
+def test_layer_terms_exact_at_beta_zero():
+    s = random_symmetric_state(6, np.random.default_rng(12))
+    terms = symcore.layer_terms(s)
+    a_term, b_term = terms.split([0.0, 0.25])
+    assert a_term[0] == s.amps[0] and b_term[0] == 0.0
+    assert terms.value(0.0) == terms.grid(16)[0] == abs(s.amps[0])
+
+
 # ------------------------------------------------------------- derivatives
 
 def test_derivatives_on_target_state():
@@ -296,3 +321,9 @@ def test_state_validation():
         SymmetricState(3, np.array([1.0, 0, 0]))  # wrong length
     with pytest.raises(ValueError):
         SymmetricState(2, np.array([1.0, 1.0, 0]))  # not normalized
+
+
+def test_state_rejects_non_finite_amplitudes():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            SymmetricState(2, np.array([bad, 1.0, 0.0]))

@@ -1,7 +1,6 @@
-from functools import partial
-
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from satlab import densecore, symcore
 from satlab.densecore import NoiseConfig
@@ -72,6 +71,26 @@ def test_depth_one_matches_exhaustive_grid():
     assert gl.overlaps()[0] >= grid.max() - 1e-5
 
 
+def depth_one_oracle(n):
+    # max over beta of (|cos^n b| + |e^{-inb} - cos^n b|)^2 / 2^n: a fine
+    # grid, then a bounded scalar search around its best point
+    def g(b):
+        c = np.cos(b) ** n
+        return np.abs(c) + np.abs(np.exp(-1j * n * b) - c)
+
+    betas = np.linspace(0, np.pi, 200001)
+    b = betas[np.argmax(g(betas))]
+    h = betas[1]
+    res = minimize_scalar(lambda x: -g(x), bounds=(max(b - h, 0.0), b + h), method="bounded",
+                          options={"xatol": 1e-13})
+    return max(g(b), -res.fun) ** 2 / 2.0**n
+
+
+@pytest.mark.parametrize("n", [2, 5, 10, 20, 40, 60, 80])
+def test_depth_one_matches_closed_form(n):
+    assert train_layerwise(n, 1).overlaps()[0] == pytest.approx(depth_one_oracle(n), rel=1e-4)
+
+
 def test_layerwise_deterministic():
     a = train_layerwise(5, 7)
     b = train_layerwise(5, 7)
@@ -98,7 +117,7 @@ def test_cutoff_hits_interpolated_target():
     for record in trace.records:
         from satlab.training import _best_beta
 
-        _, g_star, _ = _best_beta(partial(symcore.gamma_eliminated_curve, state), settings)
+        _, g_star, _ = _best_beta(symcore.layer_terms(state), settings)
         o_prev = symcore.overlap(state)
         o_max = g_star**2
         target = o_prev + fraction * (o_max - o_prev)
@@ -131,20 +150,27 @@ def test_cutoff_desaturates_past_plateau():
 
 
 def test_cutoff_records_counted_evaluations(monkeypatch):
-    # every recorded evaluation is one beta at which the curve was computed
+    # every recorded evaluation is one beta at which the layer terms computed
+    # the curve: the grid's points, then one per scalar call
     points = [0]
-    curve, overlap = symcore.gamma_eliminated_curve, symcore.gamma_eliminated_overlap
+    terms = symcore.LayerTerms
+    grid, value, split = terms.grid, terms.value, terms.split
 
-    def counted_curve(state, betas):
-        points[0] += np.size(betas)
-        return curve(state, betas)
+    def counted_grid(self, m):
+        points[0] += m
+        return grid(self, m)
 
-    def counted_overlap(state, beta):
+    def counted_value(self, beta):
         points[0] += 1
-        return overlap(state, beta)
+        return value(self, beta)
 
-    monkeypatch.setattr(symcore, "gamma_eliminated_curve", counted_curve)
-    monkeypatch.setattr(symcore, "gamma_eliminated_overlap", counted_overlap)
+    def counted_split(self, betas):
+        points[0] += np.size(betas)
+        return split(self, betas)
+
+    monkeypatch.setattr(terms, "grid", counted_grid)
+    monkeypatch.setattr(terms, "value", counted_value)
+    monkeypatch.setattr(terms, "split", counted_split)
     for seed in range(3):
         points[0] = 0
         trace = train_cutoff(4, 8, 0.8, rng=np.random.default_rng(seed))
