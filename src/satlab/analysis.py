@@ -9,10 +9,13 @@ import numpy as np
 
 from . import symcore
 from .symcore import SymmetricState, binomial_sqrt
-from .training import OptimizerSettings, TrainingTrace, _best_beta
-
-DEFAULT_EPS_SAT = 1e-8
-DEFAULT_EPS_ONE = 1e-9
+from .training import (
+    DEFAULT_EPS_ONE,
+    DEFAULT_EPS_SAT,
+    OptimizerSettings,
+    TrainingTrace,
+    _best_beta,
+)
 
 
 @dataclass(frozen=True)

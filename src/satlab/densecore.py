@@ -58,7 +58,6 @@ class NoiseConfig:
 
     p_noise: float
     phase_stddev: float = 1.0
-    seed: int = 0
     granularity: str = "layer"
     kind: str = "phase"
 
@@ -255,11 +254,12 @@ def run_schedule_dense(
     """Run the full circuit from |+>^n with optional coherent noise.
 
     Noise events are drawn from rng in a fixed order, so identical
-    (schedule, noise, rng state) give bit-identical output.
+    (schedule, noise, rng state) give bit-identical output.  rng is required
+    with noise.
     """
     _check_cap(n)
     if noise is not None and rng is None:
-        rng = np.random.default_rng(noise.seed)
+        raise ValueError("noisy run_schedule_dense draws its noise from rng; pass a numpy Generator")
     amps = plus_state_dense(n)
     for layer in schedule:
         angles = _as_angles(layer)

@@ -56,6 +56,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        # bool is an int subclass, and a float n fails deep in the compute
+        for name in ("n", "n_min", "n_max", "depth", "trials", "seed", "workers"):
+            value = getattr(self, name)
+            defaulted = value is None and name in ("n", "n_min", "n_max", "depth")
+            if type(value) is not int and not defaulted:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.fmt!r}")
         if self.trials < 1:

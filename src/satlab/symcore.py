@@ -109,11 +109,6 @@ class MixerGenerator:
         self.n = n
         k = np.arange(n)
         off = np.sqrt((k + 1.0) * (n - k))
-        matrix = np.zeros((n + 1, n + 1))
-        matrix[k, k + 1] = off
-        matrix[k + 1, k] = off
-        matrix.setflags(write=False)
-        self.matrix = matrix
         eigenvalues, eigenvectors = eigh_tridiagonal(np.zeros(n + 1), off)
         eigenvalues.setflags(write=False)
         eigenvectors.setflags(write=False)

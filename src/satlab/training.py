@@ -16,26 +16,31 @@ from scipy.optimize import brentq, minimize
 
 from . import densecore, symcore
 from .densecore import NoiseConfig
-from .symcore import LayerAngles, SymmetricState
+from .symcore import LayerAngles
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# width of the bracket at which golden-section refinement of beta stops
+REFINE_TOLERANCE = 1e-10
+# Nelder-Mead iteration cap per restart of train_global (twice as many evaluations)
+GLOBAL_MAX_ITERATIONS = 2000
+# A trace has reached the target once its overlap is within DEFAULT_EPS_ONE of
+# 1, and a layer gaining at most DEFAULT_EPS_SAT has saturated.  These are the
+# trace status thresholds and analysis.detect_saturation's defaults.
+DEFAULT_EPS_ONE = 1e-9
+DEFAULT_EPS_SAT = 1e-8
 
 
 @dataclass(frozen=True)
 class OptimizerSettings:
     beta_grid_points: int = 2048
-    refine_tolerance: float = 1e-10
     global_restarts: int = 32
-    global_max_iterations: int = 2000
     seed: int = 0
 
     def __post_init__(self):
         if self.beta_grid_points < 2:
             raise ValueError("beta_grid_points must be >= 2")
-        if self.refine_tolerance <= 0:
-            raise ValueError("refine_tolerance must be positive")
-        if self.global_restarts < 1 or self.global_max_iterations < 1:
-            raise ValueError("global optimizer settings must be positive")
+        if self.global_restarts < 1:
+            raise ValueError("global_restarts must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,9 +82,9 @@ class TrainingTrace:
 
 
 def _finish_status(trace: TrainingTrace) -> str:
-    if trace.depth and trace.records[-1].overlap >= 1.0 - 1e-9:
+    if trace.depth and trace.records[-1].overlap >= 1.0 - DEFAULT_EPS_ONE:
         return "overlap_one"
-    if trace.depth >= 2 and trace.improvements()[-1] <= 1e-8:
+    if trace.depth >= 2 and trace.improvements()[-1] <= DEFAULT_EPS_SAT:
         return "saturated"
     return "depth_limit"
 
@@ -120,13 +125,13 @@ def _best_beta(terms: symcore.LayerTerms, settings: OptimizerSettings) -> tuple[
 
     evals = m
     best_b, best_g, e = golden_section_max(
-        f, max(peak - cell, 0.0), min(peak + cell, math.pi), settings.refine_tolerance
+        f, max(peak - cell, 0.0), min(peak + cell, math.pi), REFINE_TOLERANCE
     )
     evals += e
     if peak > 0.0:
         center = math.pi - peak
         mb, mg, e = golden_section_max(
-            f, max(center - cell, 0.0), min(center + cell, math.pi), settings.refine_tolerance
+            f, max(center - cell, 0.0), min(center + cell, math.pi), REFINE_TOLERANCE
         )
         evals += e
         if mg >= best_g - 1e-12 and mb < best_b:
@@ -138,30 +143,53 @@ def _best_beta(terms: symcore.LayerTerms, settings: OptimizerSettings) -> tuple[
     return best_b, best_g, evals
 
 
-def _layerwise_step(state: SymmetricState, settings: OptimizerSettings):
-    """One greedy layer: best beta, aligned gamma, successor state."""
-    terms = symcore.layer_terms(state)
+def _layer_step(
+    terms: symcore.LayerTerms,
+    overlap: float,
+    fraction: float,
+    settings: OptimizerSettings,
+    rng: np.random.Generator | None,
+) -> tuple[LayerAngles, float, int]:
+    """Angles of one new layer: (angles, curve value at them, evaluations).
+
+    The layer aims at overlap + fraction * (O_max - overlap), O_max being the
+    best overlap one layer reaches.  fraction = 1 takes the maximizing beta and
+    never draws from rng.  Below 1, betas reaching the target are found by root
+    bisection on either side of the maximizer and one side is chosen uniformly
+    from rng; a layer that cannot gain, or whose maximizer is beta = 0, keeps
+    the maximizer.  gamma then aligns the two terms at the chosen beta.  The
+    count is the number of betas at which the curve was computed.
+    """
     beta, g, evals = _best_beta(terms, settings)
-    _, gamma = terms.best_gamma(beta)
-    nxt = symcore.apply_mixer(symcore.apply_phase_separator(state, gamma), beta)
-    return LayerAngles(gamma, beta), g, nxt, evals + 1
+    gain = g**2 - overlap
+    if fraction < 1.0 and beta != 0.0 and gain > 1e-14:
+        target = overlap + fraction * gain
+
+        def shortfall(b: float) -> float:
+            nonlocal evals
+            evals += 1
+            return terms.value(b) ** 2 - target
+
+        roots = []
+        if shortfall(0.0) <= 0.0:
+            roots.append(brentq(shortfall, 0.0, beta, xtol=1e-13))
+        step = (math.pi - beta) / 512.0
+        prev = beta
+        for j in range(1, 513):
+            x = beta + j * step
+            if shortfall(x) <= 0.0:
+                roots.append(brentq(shortfall, prev, x, xtol=1e-13))
+                break
+            prev = x
+        if roots:
+            beta = float(roots[rng.integers(len(roots))])
+    g, gamma = terms.best_gamma(beta)
+    return LayerAngles(gamma, beta), g, evals + 1
 
 
 def train_layerwise(n: int, max_depth: int, settings: OptimizerSettings | None = None) -> TrainingTrace:
     """Greedy layerwise training: optimize one layer at a time, freeze the rest."""
-    if n < 1 or max_depth < 1:
-        raise ValueError("n and max_depth must be >= 1")
-    settings = settings or OptimizerSettings()
-    state = symcore.plus_state(n)
-    trace = TrainingTrace(n)
-    for depth in range(1, max_depth + 1):
-        t0 = time.perf_counter()
-        angles, g, state, evals = _layerwise_step(state, settings)
-        trace.records.append(
-            LayerRecord(depth, angles, symcore.overlap(state), g, time.perf_counter() - t0, evals)
-        )
-    trace.status = _finish_status(trace)
-    return trace
+    return train_cutoff(n, max_depth, 1.0, settings)
 
 
 def train_cutoff(
@@ -173,55 +201,26 @@ def train_cutoff(
 ) -> TrainingTrace:
     """Layerwise training limited to a fraction of each layer's maximal gain.
 
-    Per layer the target overlap is O_prev + fraction * (O_max - O_prev);
-    angles achieving it are found by root bisection on either side of the
-    maximizing beta, one side chosen uniformly at random.  fraction = 1 takes
-    the same code path as train_layerwise and never draws from rng.
+    Per layer the target overlap is O_prev + fraction * (O_max - O_prev), met
+    as described for _layer_step.  Greedy layerwise training is the case
+    fraction = 1, which draws nothing and needs no rng; below 1 rng is
+    required.
     """
+    if n < 1 or max_depth < 1:
+        raise ValueError("n and max_depth must be >= 1")
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    if fraction < 1.0 and rng is None:
+        raise ValueError("train_cutoff below fraction 1 draws from rng; pass a numpy Generator")
     settings = settings or OptimizerSettings()
-    if rng is None:
-        rng = np.random.default_rng(settings.seed)
     state = symcore.plus_state(n)
     trace = TrainingTrace(n)
     for depth in range(1, max_depth + 1):
         t0 = time.perf_counter()
-        if fraction >= 1.0:
-            angles, g, state, evals = _layerwise_step(state, settings)
-        else:
-            terms = symcore.layer_terms(state)
-            beta_star, g_star, evals = _best_beta(terms, settings)
-            o_prev = symcore.overlap(state)
-            o_max = g_star**2
-            if beta_star == 0.0 or o_max - o_prev <= 1e-14:
-                beta = beta_star
-            else:
-                o_t = o_prev + fraction * (o_max - o_prev)
-                calls = 0
-
-                def shortfall(b: float) -> float:
-                    nonlocal calls
-                    calls += 1
-                    return terms.value(b) ** 2 - o_t
-
-                roots = []
-                if shortfall(0.0) <= 0.0:
-                    roots.append(brentq(shortfall, 0.0, beta_star, xtol=1e-13))
-                step = (math.pi - beta_star) / 512.0
-                prev = beta_star
-                for j in range(1, 513):
-                    x = beta_star + j * step
-                    if shortfall(x) <= 0.0:
-                        roots.append(brentq(shortfall, prev, x, xtol=1e-13))
-                        break
-                    prev = x
-                evals += calls
-                beta = float(roots[rng.integers(len(roots))]) if roots else beta_star
-            g, gamma = terms.best_gamma(beta)
-            angles = LayerAngles(gamma, beta)
-            state = symcore.apply_mixer(symcore.apply_phase_separator(state, gamma), beta)
-            evals += 1
+        angles, g, evals = _layer_step(
+            symcore.layer_terms(state), symcore.overlap(state), fraction, settings, rng
+        )
+        state = symcore.apply_mixer(symcore.apply_phase_separator(state, angles.gamma), angles.beta)
         trace.records.append(
             LayerRecord(depth, angles, symcore.overlap(state), g, time.perf_counter() - t0, evals)
         )
@@ -280,8 +279,8 @@ def train_global(
             x0,
             method="Nelder-Mead",
             options={
-                "maxiter": settings.global_max_iterations,
-                "maxfev": 2 * settings.global_max_iterations,
+                "maxiter": GLOBAL_MAX_ITERATIONS,
+                "maxfev": 2 * GLOBAL_MAX_ITERATIONS,
                 "xatol": 1e-10,
                 "fatol": 1e-12,
             },
@@ -319,16 +318,16 @@ def train_layerwise_noisy(
     the layer is optimized against a fixed systematic error; earlier layers
     keep their own frozen noise.  The target amplitude of the noisy layer
     still splits as A(beta) exp(-i*gamma) + B(beta) (densecore.layer_terms_dense),
-    so gamma is eliminated in closed form and beta found by the same 1-D search
-    as in the noiseless trainers.  The recorded overlap is that of the dense
-    simulation of the chosen layer.
+    so the layer takes the noiseless trainers' _layer_step at fraction 1.  The
+    recorded overlap is that of the dense simulation of the chosen layer.  The
+    noise is drawn from rng, which is required.
     """
     if n < 1 or max_depth < 1:
         raise ValueError("n and max_depth must be >= 1")
     densecore._check_cap(n)
-    settings = settings or OptimizerSettings()
     if rng is None:
-        rng = np.random.default_rng(noise.seed)
+        raise ValueError("train_layerwise_noisy draws its noise from rng; pass a numpy Generator")
+    settings = settings or OptimizerSettings()
 
     prefix = densecore.plus_state_dense(n)
     trace = TrainingTrace(n)
@@ -336,19 +335,11 @@ def train_layerwise_noisy(
         t0 = time.perf_counter()
         slots = densecore.sample_layer_noise(n, noise, rng)
         terms = densecore.layer_terms_dense(prefix, n, slots)
-        beta, _, evals = _best_beta(terms, settings)
-        _, gamma = terms.best_gamma(beta)
-        angles = LayerAngles(gamma, beta)
+        angles, _, evals = _layer_step(terms, abs(prefix[0]) ** 2, 1.0, settings, rng)
         prefix = densecore.apply_layer_dense(prefix, n, angles.gamma, angles.beta, slots)
+        amp = abs(prefix[0])
         trace.records.append(
-            LayerRecord(
-                depth,
-                angles,
-                float(abs(prefix[0]) ** 2),
-                float(abs(prefix[0])),
-                time.perf_counter() - t0,
-                evals + 1,
-            )
+            LayerRecord(depth, angles, float(amp**2), float(amp), time.perf_counter() - t0, evals)
         )
     trace.status = _finish_status(trace)
     return trace

@@ -74,7 +74,13 @@ def test_mixer_matrix_against_dense_projection():
             idx = np.arange(dim)
             hx[idx ^ (1 << q), idx] += 1.0
         projected = dicke.T @ hx @ dicke
-        worst = max(worst, float(np.max(np.abs(projected - symcore.mixer(n).matrix))))
+        k = np.arange(n)
+        off = np.sqrt((k + 1.0) * (n - k))
+        matrix = np.diag(off, 1) + np.diag(off, -1)
+        gen = symcore.mixer(n)
+        generated = gen.eigenvectors @ np.diag(gen.eigenvalues) @ gen.eigenvectors.T
+        for reference in (matrix, generated):
+            worst = max(worst, float(np.max(np.abs(projected - reference))))
     report("mixer matrix vs Dicke-projected dense operator (n<=6)", worst < 1e-12, f"max |diff| = {worst:.2e}")
 
 

@@ -76,7 +76,7 @@ def test_project_rejects_fully_asymmetric():
 
 
 def test_noisy_run_leaves_symmetric_subspace():
-    noise = NoiseConfig(p_noise=0.5, seed=3)
+    noise = NoiseConfig(p_noise=0.5)
     rand = np.random.default_rng(3)
     schedule = random_schedule(4, 4, np.random.default_rng(5))
     out = run_schedule_dense(4, schedule, noise, rand)
@@ -96,7 +96,7 @@ def test_noiseless_run_matches_lifted_symcore(n):
 
 def test_full_probability_zero_variance_noise_is_identity():
     schedule = random_schedule(3, 3, np.random.default_rng(11))
-    noise = NoiseConfig(p_noise=1.0, phase_stddev=0.0, seed=1)
+    noise = NoiseConfig(p_noise=1.0, phase_stddev=0.0)
     out = run_schedule_dense(3, schedule, noise, np.random.default_rng(1))
     ref = run_schedule_dense(3, schedule)
     assert np.allclose(out.amps, ref.amps, atol=1e-12)
@@ -109,7 +109,7 @@ def test_noiseless_symmetry_preservation():
 
 
 def test_noisy_run_stays_normalized():
-    noise = NoiseConfig(p_noise=0.7, seed=2)
+    noise = NoiseConfig(p_noise=0.7)
     schedule = random_schedule(4, 5, np.random.default_rng(13))
     out = run_schedule_dense(4, schedule, noise, np.random.default_rng(2))
     assert np.linalg.norm(out.amps) == pytest.approx(1.0, abs=1e-10)
@@ -117,8 +117,8 @@ def test_noisy_run_stays_normalized():
 
 def test_single_qubit_granularity_runs_and_differs():
     schedule = random_schedule(3, 3, np.random.default_rng(14))
-    coarse = NoiseConfig(p_noise=0.8, seed=4, granularity="layer")
-    fine = NoiseConfig(p_noise=0.8, seed=4, granularity="single_qubit")
+    coarse = NoiseConfig(p_noise=0.8, granularity="layer")
+    fine = NoiseConfig(p_noise=0.8, granularity="single_qubit")
     out_coarse = run_schedule_dense(3, schedule, coarse, np.random.default_rng(4))
     out_fine = run_schedule_dense(3, schedule, fine, np.random.default_rng(4))
     assert not np.allclose(out_coarse.amps, out_fine.amps)
@@ -126,7 +126,7 @@ def test_single_qubit_granularity_runs_and_differs():
 
 def test_determinism_bit_identical():
     schedule = random_schedule(4, 4, np.random.default_rng(15))
-    noise = NoiseConfig(p_noise=0.4, seed=9)
+    noise = NoiseConfig(p_noise=0.4)
     a = run_schedule_dense(4, schedule, noise, np.random.default_rng(9))
     b = run_schedule_dense(4, schedule, noise, np.random.default_rng(9))
     assert np.array_equal(a.amps, b.amps)

@@ -262,3 +262,20 @@ def test_cli_rejects_missing_output_directory(tmp_path, no_compute):
 @pytest.mark.parametrize("eps", ["nan", "inf", "-1e-4"])
 def test_cli_rejects_bad_eps_sat(eps, no_compute):
     assert main(["saturation", f"--eps-sat={eps}"]) == 1
+
+
+@pytest.mark.parametrize(
+    "kind, values",
+    [
+        ("compare", {"n": 3.5}),
+        ("saturation", {"n_max": 4.0}),
+        ("noise", {"workers": 2.5}),
+        ("conditions", {"n": True}),
+        ("cutoff", {"trials": "5"}),
+    ],
+    ids=["n-float", "n_max-float", "workers-float", "n-bool", "trials-string"],
+)
+def test_cli_rejects_non_integer_config_values(tmp_path, kind, values, no_compute):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(values))
+    assert main([kind, "--config", str(cfg)]) == 1

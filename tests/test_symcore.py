@@ -76,12 +76,16 @@ def test_phase_separator_matches_dense_diagonal():
 # -------------------------------------------------------------------- mixer
 
 def test_mixer_matrix_entries():
+    # the cached eigendecomposition reproduces the tridiagonal generator with
+    # off-diagonal entries sqrt((k+1)(n-k)) and a zero diagonal
     gen = mixer(5)
+    matrix = gen.eigenvectors @ np.diag(gen.eigenvalues) @ gen.eigenvectors.T
     for k in range(5):
         expected = math.sqrt((k + 1) * (5 - k))
-        assert gen.matrix[k, k + 1] == pytest.approx(expected)
-        assert gen.matrix[k + 1, k] == pytest.approx(expected)
-    assert np.all(np.diag(gen.matrix) == 0)
+        assert matrix[k, k + 1] == pytest.approx(expected)
+        assert matrix[k + 1, k] == pytest.approx(expected)
+    assert np.allclose(np.diag(matrix), 0.0, atol=1e-12)
+    assert np.allclose(np.triu(matrix, 2), 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

@@ -149,7 +149,19 @@ def test_cutoff_desaturates_past_plateau():
     assert wins >= 4  # at least 10 percent of runs
 
 
-def test_cutoff_records_counted_evaluations(monkeypatch):
+@pytest.mark.parametrize(
+    "train",
+    [
+        pytest.param(lambda rng: train_cutoff(4, 8, 0.8, rng=rng), id="cutoff-0.8"),
+        pytest.param(lambda rng: train_layerwise(4, 8), id="layerwise"),
+        pytest.param(lambda rng: train_layerwise_noisy(4, 4, NoiseConfig(0.3), rng=rng), id="noisy-layer"),
+        pytest.param(
+            lambda rng: train_layerwise_noisy(4, 4, NoiseConfig(0.3, granularity="single_qubit"), rng=rng),
+            id="noisy-single_qubit",
+        ),
+    ],
+)
+def test_trainer_records_counted_evaluations(monkeypatch, train):
     # every recorded evaluation is one beta at which the layer terms computed
     # the curve: the grid's points, then one per scalar call
     points = [0]
@@ -173,8 +185,19 @@ def test_cutoff_records_counted_evaluations(monkeypatch):
     monkeypatch.setattr(terms, "split", counted_split)
     for seed in range(3):
         points[0] = 0
-        trace = train_cutoff(4, 8, 0.8, rng=np.random.default_rng(seed))
+        trace = train(np.random.default_rng(seed))
         assert sum(r.evaluations for r in trace.records) == points[0]
+
+
+def test_trainers_that_draw_require_a_generator():
+    with pytest.raises(ValueError, match="rng"):
+        train_cutoff(3, 3, 0.8)
+    with pytest.raises(ValueError, match="rng"):
+        train_layerwise_noisy(3, 3, NoiseConfig(0.3))
+    with pytest.raises(ValueError, match="rng"):
+        densecore.run_schedule_dense(3, [(0.1, 0.2)], NoiseConfig(0.3))
+    # greedy training draws nothing
+    assert train_cutoff(3, 3, 1.0).depth == 3
 
 
 def test_cutoff_rejects_bad_fraction():
@@ -225,7 +248,7 @@ def test_noisy_without_noise_matches_layerwise():
 
 
 def test_noisy_reproducible_from_stream():
-    noise = NoiseConfig(p_noise=0.3, seed=8)
+    noise = NoiseConfig(p_noise=0.3)
     a = train_layerwise_noisy(3, 3, noise, rng=np.random.default_rng(8))
     b = train_layerwise_noisy(3, 3, noise, rng=np.random.default_rng(8))
     assert np.array_equal(a.overlaps(), b.overlaps())
@@ -235,7 +258,7 @@ def test_noisy_reproducible_from_stream():
 def test_noisy_phase_noise_keeps_monotone_overlaps():
     # the identity layer is always available and phase kicks never move the
     # target amplitude, so greedy noisy training cannot lose overlap
-    noise = NoiseConfig(p_noise=0.5, seed=4)
+    noise = NoiseConfig(p_noise=0.5)
     trace = train_layerwise_noisy(4, 4, noise, rng=np.random.default_rng(4))
     assert np.all(trace.improvements() >= -1e-12)
 
@@ -301,6 +324,6 @@ def test_settings_validation():
     with pytest.raises(ValueError):
         OptimizerSettings(beta_grid_points=1)
     with pytest.raises(ValueError):
-        OptimizerSettings(refine_tolerance=0.0)
+        OptimizerSettings(global_restarts=0)
     with pytest.raises(ValueError):
         train_layerwise(0, 3)
