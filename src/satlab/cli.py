@@ -7,7 +7,7 @@ import sys
 
 import click
 
-from .densecore import ResourceCapError
+from .densecore import GRANULARITIES, ResourceCapError
 from .harness import KNEE_EPS_SAT, ConfigError, ExperimentConfig, run_experiment
 
 
@@ -29,13 +29,20 @@ def _merge_config(ctx: click.Context, kind: str, flags: dict) -> ExperimentConfi
         if source is not None and source.name != "DEFAULT":
             values[name] = value
     values.pop("kind", None)
-    for key in ("fractions", "p_grid"):
-        if isinstance(values.get(key), list):
-            values[key] = tuple(values[key])
     try:
         return ExperimentConfig(kind=kind, **values)
     except TypeError as exc:
         raise ConfigError(str(exc))
+
+
+def _number_list(ctx: click.Context, param: click.Parameter, text: str | None):
+    """Parse a comma-separated option value into a tuple of floats."""
+    if text is None:
+        return None
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise ConfigError(f"{param.opts[0]} takes comma-separated numbers, got {text!r}") from None
 
 
 def _common(fn):
@@ -98,40 +105,36 @@ def compare(ctx, **flags):
 @click.option("--n", type=int, default=4, show_default=True)
 @click.option("--depth", type=int, default=None, help="Circuit depth (default 2n).")
 @click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--fractions", type=str, default=None,
+@click.option("--fractions", type=str, default=None, callback=_number_list,
               help="Comma-separated cutoff fractions in (0, 1].")
 @_common
 @click.pass_context
-def cutoff(ctx, fractions, **flags):
+def cutoff(ctx, **flags):
     """Cutoff-limited layerwise training over a fraction grid.
 
     Columns: fraction, top10_best, top10_mean, top10_worst, baseline_final.
     """
-    if fractions is not None:
-        flags["fractions"] = tuple(float(x) for x in fractions.split(","))
     _run(ctx, "cutoff", flags)
 
 
 @cli.command()
 @click.option("--n", type=int, default=4, show_default=True)
 @click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--p-grid", type=str, default=None,
+@click.option("--p-grid", type=str, default=None, callback=_number_list,
               help="Comma-separated noise probabilities (default 21 points on [0, 0.5]).")
 @click.option("--noise-stddev", type=float, default=1.0, show_default=True)
-@click.option("--noise-granularity", type=click.Choice(["layer", "single_qubit"]),
+@click.option("--noise-granularity", type=click.Choice(GRANULARITIES),
               default="layer", show_default=True)
 @click.option("--bitflip-contrast", is_flag=True, default=False,
               help="Also run the bit-flip contrast at each probability.")
 @_common
 @click.pass_context
-def noise(ctx, p_grid, **flags):
+def noise(ctx, **flags):
     """Layerwise training under coherent phase noise at depth p = n.
 
     Columns: p, top10_best, top10_mean, top10_worst, noiseless_overlap,
     bitflip_top10_best.
     """
-    if p_grid is not None:
-        flags["p_grid"] = tuple(float(x) for x in p_grid.split(","))
     _run(ctx, "noise", flags)
 
 

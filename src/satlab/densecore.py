@@ -43,17 +43,22 @@ class DenseState:
         object.__setattr__(self, "amps", checked_amplitudes(self.amps, 1 << self.n))
 
 
+# what counts as one noise slot: the whole layer unitary or one gate
+GRANULARITIES = ("layer", "single_qubit")
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """Coherent noise channel settings.
 
-    With probability p_noise, independently per qubit after each noise slot,
-    the qubit receives S(phi) = diag(1, exp(i*phi)) with phi drawn fresh from
-    N(0, phase_stddev^2).  granularity chooses what counts as one slot:
-    "layer" places a slot after each of the two layer unitaries, while
-    "single_qubit" places one after the phase separator and after every
-    individual X rotation inside the mixer.  kind="bitflip" swaps S(phi) for a
-    deterministic X flip and exists only as a contrast experiment.
+    A noisy layer has n + 1 noise slots: slot 0 follows the phase separator
+    and slot q + 1 follows the X rotation of qubit q.  In a slot that draws,
+    each qubit independently with probability p_noise receives
+    S(phi) = diag(1, exp(i*phi)), phi drawn fresh from N(0, phase_stddev^2).
+    granularity chooses which slots draw: "layer" draws slots 0 and n (after
+    the phase separator and after the whole mixer) and leaves the others
+    empty, while "single_qubit" draws all n + 1.  kind="bitflip" swaps S(phi)
+    for a deterministic X flip and exists only as a contrast experiment.
     """
 
     p_noise: float
@@ -66,7 +71,7 @@ class NoiseConfig:
             raise ValueError(f"p_noise must be in [0, 1], got {self.p_noise}")
         if self.phase_stddev < 0.0:
             raise ValueError(f"phase_stddev must be >= 0, got {self.phase_stddev}")
-        if self.granularity not in ("layer", "single_qubit"):
+        if self.granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {self.granularity!r}")
         if self.kind not in ("phase", "bitflip"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
@@ -130,12 +135,6 @@ def overlap_dense(state: DenseState) -> float:
     return float(abs(state.amps[0]) ** 2)
 
 
-def apply_phase_separator_dense(amps: np.ndarray, gamma: float) -> np.ndarray:
-    out = amps.copy()
-    out[0] *= np.exp(-1j * gamma)
-    return out
-
-
 def apply_x_rotation(amps: np.ndarray, beta: float, qubit: int, n: int) -> np.ndarray:
     """Apply exp(-i*beta*X) = cos(beta) I - i sin(beta) X on one qubit."""
     view = amps.reshape(1 << (n - 1 - qubit), 2, 1 << qubit)
@@ -145,13 +144,6 @@ def apply_x_rotation(amps: np.ndarray, beta: float, qubit: int, n: int) -> np.nd
     out[:, 0, :] = c * lo + s * hi
     out[:, 1, :] = s * lo + c * hi
     return out.reshape(amps.shape)
-
-
-def apply_mixer_dense(amps: np.ndarray, beta: float, n: int) -> np.ndarray:
-    """Apply exp(-i*beta*H) as the product of n single-qubit X rotations."""
-    for q in range(n):
-        amps = apply_x_rotation(amps, beta, q, n)
-    return amps
 
 
 def sample_noise_slot(n: int, noise: NoiseConfig, rng: np.random.Generator):
@@ -182,49 +174,37 @@ def apply_noise_events(amps: np.ndarray, n: int, events) -> np.ndarray:
     return amps
 
 
-def noise_slots_per_layer(n: int, noise: NoiseConfig | None) -> int:
-    if noise is None:
-        return 0
-    return 2 if noise.granularity == "layer" else 1 + n
-
-
 def sample_layer_noise(n: int, noise: NoiseConfig, rng: np.random.Generator) -> list:
-    """Sample all of one layer's noise slots, in application order."""
-    return [sample_noise_slot(n, noise, rng) for _ in range(noise_slots_per_layer(n, noise))]
+    """Sample one layer's n + 1 noise slots; layer granularity draws only 0 and n."""
+    if noise.granularity == "single_qubit":
+        return [sample_noise_slot(n, noise, rng) for _ in range(n + 1)]
+    first, last = (sample_noise_slot(n, noise, rng) for _ in range(2))
+    empty = (np.empty(0, dtype=np.intp), None if noise.kind == "bitflip" else np.empty(0))
+    return [first, *[empty] * (n - 1), last]
 
 
-def apply_layer_dense(
-    amps: np.ndarray, n: int, gamma: float, beta: float, slots=None
-) -> np.ndarray:
-    """One circuit layer with optional pre-sampled noise events.
-
-    Layer granularity supplies 2 slots (after the phase separator and after
-    the whole mixer); single-qubit granularity supplies 1 + n slots, one after
-    the phase separator and one after each X rotation.
-    """
-    amps = apply_phase_separator_dense(amps, gamma)
-    if slots is None:
-        return apply_mixer_dense(amps, beta, n)
-    if len(slots) == 2:
+def apply_layer_dense(amps: np.ndarray, n: int, gamma: float, beta: float, slots=None) -> np.ndarray:
+    """One circuit layer, with its n + 1 pre-sampled noise slots (see NoiseConfig) if given."""
+    amps = amps.copy()
+    amps[0] *= np.exp(-1j * gamma)
+    if slots is not None:
         amps = apply_noise_events(amps, n, slots[0])
-        amps = apply_mixer_dense(amps, beta, n)
-        return apply_noise_events(amps, n, slots[1])
-    amps = apply_noise_events(amps, n, slots[0])
     for q in range(n):
         amps = apply_x_rotation(amps, beta, q, n)
-        amps = apply_noise_events(amps, n, slots[1 + q])
+        if slots is not None:
+            amps = apply_noise_events(amps, n, slots[q + 1])
     return amps
 
 
 def layer_terms_dense(amps: np.ndarray, n: int, slots) -> LayerTerms:
     """Split the target amplitude of one noisy layer by its gamma dependence.
 
-    slots are the layer's pre-sampled noise events, as for apply_layer_dense.
-    Tracing <0| back through the layer keeps it a product bra, so the result
-    has the noiseless form of symcore.LayerTerms with other coefficients.
-    Phase kicks fix |0>: a kick on qubit q reaches <0| only when it precedes
-    X_q, i.e. slot 0, or with single-qubit granularity slot s in 1..q, which
-    follows X_{s-1}.  It then multiplies the weight sums by e^{i phi.x}.  X
+    slots are the layer's n + 1 pre-sampled noise slots, as for
+    apply_layer_dense.  Tracing <0| back through the layer keeps it a product
+    bra, so the result has the noiseless form of symcore.LayerTerms with other
+    coefficients.  Phase kicks fix |0>: a kick on qubit q reaches <0| only
+    when it precedes X_q, i.e. sits in a slot s <= q (slot s > 0 follows
+    X_{s-1}).  It then multiplies the weight sums by e^{i phi.x}.  X
     flips commute with the X rotations, so all of a layer's flips act as one
     mask f applied before the mixer: the sums group amplitudes by their
     distance from f, and the |0...0> term carries weight |f|.
@@ -238,7 +218,7 @@ def layer_terms_dense(amps: np.ndarray, n: int, slots) -> LayerTerms:
         events, a_weight = (np.flatnonzero(flips), None), int(flips.sum())
     else:
         phis = np.zeros(n)
-        for s, (qubits, kicks) in enumerate(slots if len(slots) == n + 1 else slots[:1]):
+        for s, (qubits, kicks) in enumerate(slots):
             ahead = qubits >= s
             phis[qubits[ahead]] += kicks[ahead]
         events, a_weight = (np.flatnonzero(phis), phis[phis != 0.0]), 0

@@ -34,6 +34,11 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _is_number(value) -> bool:
+    # bool is an int subclass, but a flag is not a number
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -62,6 +67,19 @@ class ExperimentConfig:
             defaulted = value is None and name in ("n", "n_min", "n_max", "depth")
             if type(value) is not int and not defaulted:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("eps_sat", "noise_stddev"):
+            value = getattr(self, name)
+            if not _is_number(value):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        for name in ("p_grid", "fractions"):
+            values = getattr(self, name)
+            if not isinstance(values, (tuple, list)) or not all(map(_is_number, values)):
+                raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
+            setattr(self, name, tuple(values))
+        if type(self.bitflip_contrast) is not bool:
+            raise ConfigError(f"bitflip_contrast must be true or false, got {self.bitflip_contrast!r}")
+        if self.noise_granularity not in densecore.GRANULARITIES:
+            raise ConfigError(f"unknown noise granularity {self.noise_granularity!r}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.fmt!r}")
         if self.trials < 1:
@@ -102,8 +120,8 @@ class ExperimentConfig:
                 self.p_grid = tuple(round(x, 6) for x in np.linspace(0.0, 0.5, 21))
             if any(not 0.0 <= p <= 1.0 for p in self.p_grid):
                 raise ConfigError("noise probabilities must lie in [0, 1]")
-            if self.noise_stddev < 0:
-                raise ConfigError("noise_stddev must be >= 0")
+            if not (math.isfinite(self.noise_stddev) and self.noise_stddev >= 0.0):
+                raise ConfigError(f"noise_stddev must be finite and >= 0, got {self.noise_stddev}")
         if self.kind == "conditions" and self.depth is None:
             self.depth = self.n
         if self.depth is not None and self.depth < 1:
@@ -223,8 +241,9 @@ def run_cutoff_experiment(config: ExperimentConfig) -> ResultTable:
     the fraction-1 overlap at depth n (the saturated plateau) is in metadata.
     """
     n, depth = config.n, config.depth
-    baseline = float(training.train_cutoff(n, depth, 1.0).overlaps()[-1])
-    plateau = float(training.train_cutoff(n, n, 1.0).overlaps()[-1])
+    # a greedy layer depends only on the layers before it, so one run gives both
+    greedy = training.train_layerwise(n, max(depth, n)).overlaps()
+    baseline, plateau = float(greedy[depth - 1]), float(greedy[n - 1])
     meta = config.metadata()
     meta["baseline_saturated_overlap"] = plateau
     table = ResultTable(

@@ -6,7 +6,9 @@ from satlab.densecore import (
     DenseState,
     NoiseConfig,
     ResourceCapError,
+    apply_layer_dense,
     apply_noise_events,
+    apply_x_rotation,
     hamming_weights,
     layer_terms_dense,
     lift,
@@ -122,6 +124,45 @@ def test_single_qubit_granularity_runs_and_differs():
     out_coarse = run_schedule_dense(3, schedule, coarse, np.random.default_rng(4))
     out_fine = run_schedule_dense(3, schedule, fine, np.random.default_rng(4))
     assert not np.allclose(out_coarse.amps, out_fine.amps)
+
+
+def assert_same_events(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert (got[1] is None and want[1] is None) or np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("kind", ["phase", "bitflip"])
+def test_noise_slot_layout(kind):
+    # every layer has n + 1 slots; layer granularity draws slots 0 and n from
+    # the same stream positions as two sample_noise_slot calls
+    n = 5
+    coarse = NoiseConfig(0.6, granularity="layer", kind=kind)
+    rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+    slots = sample_layer_noise(n, coarse, rng)
+    assert len(slots) == n + 1
+    for got in (slots[0], slots[n]):
+        assert_same_events(got, sample_noise_slot(n, coarse, twin))
+        assert len(got[0]) > 0
+    assert all(len(qubits) == 0 for qubits, _ in slots[1:n])
+    assert rng.random() == twin.random()
+
+    fine = NoiseConfig(0.6, granularity="single_qubit", kind=kind)
+    slots_fine = sample_layer_noise(n, fine, rng)
+    assert len(slots_fine) == n + 1
+    for got in slots_fine:
+        assert_same_events(got, sample_noise_slot(n, fine, twin))
+
+    # rephase, slot 0, the n X rotations, slot n
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    psi /= np.linalg.norm(psi)
+    gamma, beta = 0.7, 1.1
+    by_hand = psi.copy()
+    by_hand[0] *= np.exp(-1j * gamma)
+    by_hand = apply_noise_events(by_hand, n, slots[0])
+    for q in range(n):
+        by_hand = apply_x_rotation(by_hand, beta, q, n)
+    by_hand = apply_noise_events(by_hand, n, slots[n])
+    assert np.array_equal(apply_layer_dense(psi, n, gamma, beta, slots), by_hand)
 
 
 def test_determinism_bit_identical():

@@ -272,10 +272,31 @@ def test_cli_rejects_bad_eps_sat(eps, no_compute):
         ("noise", {"workers": 2.5}),
         ("conditions", {"n": True}),
         ("cutoff", {"trials": "5"}),
+        ("noise", {"noise_stddev": True}),
+        ("noise", {"bitflip_contrast": "no"}),
+        ("saturation", {"eps_sat": "1e-4"}),
+        ("noise", {"p_grid": [0.1, True]}),
+        ("cutoff", {"fractions": ["0.8"]}),
+        ("noise", {"noise_granularity": "qubit", "trials": 1, "p_grid": [0.1]}),
     ],
-    ids=["n-float", "n_max-float", "workers-float", "n-bool", "trials-string"],
+    ids=[
+        "n-float", "n_max-float", "workers-float", "n-bool", "trials-string",
+        "noise_stddev-bool", "bitflip_contrast-string", "eps_sat-string",
+        "p_grid-bool", "fractions-string", "noise_granularity-unknown",
+    ],
 )
-def test_cli_rejects_non_integer_config_values(tmp_path, kind, values, no_compute):
+def test_cli_rejects_non_integer_config_values(tmp_path, kind, values, no_compute, capsys):
+    # mistyped integer, number, flag and choice fields are all refused
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(values))
     assert main([kind, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "args", [["noise", "--p-grid", "0.1,abc"], ["cutoff", "--fractions", "0.8,"]]
+)
+def test_cli_rejects_bad_number_lists(args, no_compute, capsys):
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1

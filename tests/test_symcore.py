@@ -115,7 +115,7 @@ def test_mixer_agrees_with_dense_evolution(n):
     s = random_symmetric_state(n, rand)
     beta = rand.uniform(0, np.pi)
     sym_dense = densecore.lift(apply_mixer(s, beta)).amps
-    ref = densecore.apply_mixer_dense(densecore.lift(s).amps.copy(), beta, n)
+    ref = densecore.apply_layer_dense(densecore.lift(s).amps, n, 0.0, beta)
     fidelity = abs(np.vdot(sym_dense, ref))
     assert fidelity >= 1 - 1e-10
 
