@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
@@ -35,8 +36,11 @@ class ConfigError(ValueError):
 
 
 def _is_number(value) -> bool:
-    # bool is an int subclass, but a flag is not a number
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # bool is an int subclass, but a flag is not a number; nor is an int that
+    # no float can hold (math.isfinite raises OverflowError on it)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
 @dataclass
@@ -90,8 +94,19 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.eps_sat) and self.eps_sat >= 0.0):
             raise ConfigError(f"eps_sat must be finite and >= 0, got {self.eps_sat}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a file path, got {self.out!r}")
+        if self.out and os.path.isdir(self.out):
+            raise ConfigError(f"out {self.out} is a directory, not a file")
         if self.out and not os.path.isdir(os.path.dirname(os.path.abspath(self.out))):
             raise ConfigError(f"output directory of {self.out} does not exist")
+        for name in ("n", "n_max"):
+            value = getattr(self, name)
+            if value is not None and value > symcore.MAX_SYMMETRIC_QUBITS:
+                raise ConfigError(
+                    f"{name} = {value} is past the float64 validity ceiling"
+                    f" n <= {symcore.MAX_SYMMETRIC_QUBITS}"
+                )
         if self.kind in ("saturation", "betas"):
             if self.n_min is None:
                 self.n_min = {"saturation": 3, "betas": 4}[self.kind]

@@ -213,6 +213,7 @@ def train_cutoff(
     if fraction < 1.0 and rng is None:
         raise ValueError("train_cutoff below fraction 1 draws from rng; pass a numpy Generator")
     settings = settings or OptimizerSettings()
+    gen = symcore.mixer(n)
     state = symcore.plus_state(n)
     trace = TrainingTrace(n)
     for depth in range(1, max_depth + 1):
@@ -220,7 +221,7 @@ def train_cutoff(
         angles, g, evals = _layer_step(
             symcore.layer_terms(state), symcore.overlap(state), fraction, settings, rng
         )
-        state = symcore.apply_mixer(symcore.apply_phase_separator(state, angles.gamma), angles.beta)
+        state = symcore.SymmetricState(n, gen.layers(state.amps, [angles.gamma], [angles.beta]))
         trace.records.append(
             LayerRecord(depth, angles, symcore.overlap(state), g, time.perf_counter() - t0, evals)
         )
@@ -246,9 +247,10 @@ def train_global(
 
     Restart initial points are uniform in the principal ranges, seeded from
     settings.seed; extra starting schedules (e.g. a greedy solution) can be
-    supplied.  The result is the best schedule found, never claimed to be the
-    global optimum.  The per-depth overlap profile of the winner is recorded;
-    total objective evaluations are carried on the final record.
+    supplied; each must have exactly depth layers.  The result is the best
+    schedule found, never claimed to be the global optimum.  The per-depth
+    overlap profile of the winner is recorded; total objective evaluations are
+    carried on the final record.
     """
     if n < 1 or depth < 1:
         raise ValueError("n and depth must be >= 1")
@@ -259,13 +261,13 @@ def train_global(
 
     def neg_overlap(params: np.ndarray) -> float:
         evals[0] += 1
-        amps = plus.copy()
-        for i in range(depth):
-            amps[0] *= np.exp(-1j * params[2 * i])
-            amps = gen.evolve(amps, params[2 * i + 1])
-        return -float(abs(amps[0]) ** 2)
+        angles = params.tolist()  # floats, cheaper to iterate than numpy scalars
+        return -float(abs(gen.layers(plus, angles[0::2], angles[1::2])[0]) ** 2)
 
     inits = [_schedule_to_params(s) for s in seed_schedules]
+    for i, x0 in enumerate(inits):
+        if x0.size != 2 * depth:
+            raise ValueError(f"seed schedule {i} has {x0.size // 2} layers, expected {depth}")
     for r in range(settings.global_restarts):
         rng = np.random.default_rng(np.random.SeedSequence((settings.seed, r)))
         gammas = rng.uniform(0.0, 2.0 * math.pi, depth)
@@ -289,18 +291,13 @@ def train_global(
             best_fun, best_x = float(res.fun), np.asarray(res.x)
 
     trace = TrainingTrace(n)
-    state = symcore.plus_state(n)
+    amps = plus
     for c in range(depth):
         angles = LayerAngles(best_x[2 * c], best_x[2 * c + 1])
-        state = symcore.apply_mixer(symcore.apply_phase_separator(state, angles.gamma), angles.beta)
-        amp = abs(state.amps[0])
-        trace.records.append(
-            LayerRecord(c + 1, angles, float(amp**2), float(amp), 0.0, 0)
-        )
-    last = trace.records[-1]
-    trace.records[-1] = LayerRecord(
-        last.depth, last.angles, last.overlap, last.amplitude, last.wall_time, evals[0]
-    )
+        amps = gen.layers(amps, [angles.gamma], [angles.beta])
+        amp = abs(amps[0])
+        count = evals[0] if c == depth - 1 else 0
+        trace.records.append(LayerRecord(c + 1, angles, float(amp**2), float(amp), 0.0, count))
     trace.status = _finish_status(trace)
     return trace
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from satlab import cli
+from satlab import cli, symcore
 from satlab.cli import main
 from satlab.harness import (
     ConfigError,
@@ -278,11 +278,13 @@ def test_cli_rejects_bad_eps_sat(eps, no_compute):
         ("noise", {"p_grid": [0.1, True]}),
         ("cutoff", {"fractions": ["0.8"]}),
         ("noise", {"noise_granularity": "qubit", "trials": 1, "p_grid": [0.1]}),
+        ("saturation", {"eps_sat": 10**400}),
     ],
     ids=[
         "n-float", "n_max-float", "workers-float", "n-bool", "trials-string",
         "noise_stddev-bool", "bitflip_contrast-string", "eps_sat-string",
         "p_grid-bool", "fractions-string", "noise_granularity-unknown",
+        "eps_sat-past-float-range",
     ],
 )
 def test_cli_rejects_non_integer_config_values(tmp_path, kind, values, no_compute, capsys):
@@ -300,3 +302,33 @@ def test_cli_rejects_bad_number_lists(args, no_compute, capsys):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_cli_rejects_directory_out_in_config(tmp_path, no_compute, capsys):
+    # --out refuses a directory itself; a config file's out is checked here
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"out": str(tmp_path), "n_min": 3, "n_max": 3}))
+    assert main(["saturation", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["saturation", "--n-min", "150", "--n-max", "150"],
+        ["saturation", "--n-max", str(symcore.MAX_SYMMETRIC_QUBITS + 1)],
+        ["compare", "--n", str(symcore.MAX_SYMMETRIC_QUBITS + 1)],
+    ],
+    ids=["saturation-150", "n_max-past-ceiling", "n-past-ceiling"],
+)
+def test_cli_rejects_n_past_validity_ceiling(args, no_compute, capsys):
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_config_accepts_n_at_validity_ceiling():
+    ceiling = symcore.MAX_SYMMETRIC_QUBITS
+    assert ExperimentConfig(kind="conditions", n=ceiling).n == ceiling
+    assert ExperimentConfig(kind="saturation", n_min=ceiling, n_max=ceiling).n_max == ceiling

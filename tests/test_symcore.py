@@ -120,12 +120,30 @@ def test_mixer_agrees_with_dense_evolution(n):
     assert fidelity >= 1 - 1e-10
 
 
-def test_mixer_dimension_mismatch():
-    with pytest.raises(ValueError):
-        apply_mixer(plus_state(3), 0.2, gen=mixer(4))
-
-
 # ------------------------------------------------------------- run_schedule
+
+@pytest.mark.parametrize("n", [1, 4, 40])
+def test_run_schedule_equals_layer_composition_exactly(n):
+    # the layer kernel and the two single-step helpers make the same
+    # floating-point operations in the same order
+    rand = np.random.default_rng(700 + n)
+    for depth in (1, 3, 7):
+        schedule = random_schedule(n, depth, rand)
+        state = plus_state(n)
+        for layer in schedule:
+            state = apply_mixer(apply_phase_separator(state, layer.gamma), layer.beta)
+        assert np.array_equal(run_schedule(n, schedule).amps, state.amps)
+
+
+def test_layer_kernel_leaves_its_input_alone():
+    gen = mixer(3)
+    amps = plus_state(3).amps.copy()
+    out = gen.layers(amps, [0.7, 1.1], [0.3, 0.9])
+    assert np.array_equal(amps, plus_state(3).amps)
+    assert np.array_equal(gen.layers(amps, [], []), amps)
+    assert not np.shares_memory(gen.layers(amps, [], []), amps)
+    assert np.array_equal(out, run_schedule(3, [(0.7, 0.3), (1.1, 0.9)]).amps)
+
 
 def test_empty_schedule_is_plus_state():
     assert np.allclose(run_schedule(3, []).amps, plus_state(3).amps)
@@ -331,3 +349,31 @@ def test_state_rejects_non_finite_amplitudes():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
             SymmetricState(2, np.array([bad, 1.0, 0.0]))
+
+
+# ------------------------------------------------------- validity ceiling
+
+ORACLE_ANGLES = [(0.4, 0.3), (1.3, 0.7), (2.5, 1.2)]
+
+
+def _depth_one_relative_error(n):
+    """Worst relative error of the depth-1 target amplitude over ORACLE_ANGLES,
+    against the closed form 2^{-n/2} [e^{-i n beta} + (e^{-i gamma} - 1) cos^n beta]
+    evaluated with 60 significant digits."""
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(60):
+        for gamma, beta in ORACLE_ANGLES:
+            g, b = mpmath.mpf(gamma), mpmath.mpf(beta)
+            exact = mpmath.power(2, -mpmath.mpf(n) / 2) * (
+                mpmath.expj(-n * b) + (mpmath.expj(-g) - 1) * mpmath.cos(b) ** n
+            )
+            got = mpmath.mpc(run_schedule(n, [(gamma, beta)]).amps[0])
+            worst = max(worst, float(abs(got - exact) / abs(exact)))
+    return worst
+
+
+def test_validity_ceiling_against_mpmath_oracle():
+    ceiling = symcore.MAX_SYMMETRIC_QUBITS
+    assert _depth_one_relative_error(ceiling) <= 1e-6
+    assert _depth_one_relative_error(ceiling + 10) > 1e-6

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from satlab import densecore, symcore
+from satlab import densecore, symcore, training
 from satlab.densecore import NoiseConfig
 from satlab.training import (
     OptimizerSettings,
@@ -236,6 +236,23 @@ def test_global_profile_crosses_layerwise():
     gl = train_global(4, 6, settings, seed_schedules=[lw.schedule()])
     crossing = [d for d in range(6) if lw.overlaps()[d] > gl.overlaps()[d] + 1e-4]
     assert crossing, "expected at least one depth where greedy leads"
+
+
+def test_global_profile_is_the_replay_of_its_schedule():
+    gl = train_global(4, 3)
+    schedule = gl.schedule()
+    for c, record in enumerate(gl.records, start=1):
+        assert record.overlap == symcore.overlap(symcore.run_schedule(4, schedule[:c]))
+    assert [r.evaluations > 0 for r in gl.records] == [False, False, True]
+
+
+@pytest.mark.parametrize("seed_depth", [1, 5])
+def test_global_rejects_seed_of_wrong_depth(seed_depth, monkeypatch):
+    # refused before the first objective evaluation
+    monkeypatch.setattr(training, "minimize", lambda *a, **k: pytest.fail("optimizer ran"))
+    seed = train_layerwise(3, seed_depth).schedule()
+    with pytest.raises(ValueError, match="expected 2"):
+        train_global(3, 2, seed_schedules=[seed])
 
 
 # -------------------------------------------------------------------- noisy
