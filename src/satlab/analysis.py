@@ -127,17 +127,14 @@ def check_conditions(state: SymmetricState, tol: float = 1e-6) -> ConditionCheck
     )
 
 
-def trainability_probe(
-    state: SymmetricState, settings: OptimizerSettings | None = None
-) -> tuple[float, float]:
+def trainability_probe(state: SymmetricState) -> tuple[float, float]:
     """Best overlap gain of one extra optimized layer and the maximizing beta.
 
     Gain 0 with beta 0 means the optimizer found no improving angle; by the
     smallest-beta tie rule a flat or non-improving landscape reports exactly
     (0, 0).
     """
-    settings = settings or OptimizerSettings()
-    beta, g, _ = _best_beta(symcore.layer_terms(state), settings)
+    beta, g, _ = _best_beta(symcore.layer_terms(state), OptimizerSettings())
     gain = g**2 - symcore.overlap(state)
     if beta == 0.0 or gain <= 0.0:
         return 0.0, 0.0

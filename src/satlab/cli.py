@@ -1,14 +1,40 @@
-"""Command line interface: one subcommand per experiment kind."""
+"""Command line interface: one subcommand per experiment kind, built from harness.KINDS."""
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 import sys
 
 import click
 
 from .densecore import GRANULARITIES, ResourceCapError
-from .harness import KNEE_EPS_SAT, ConfigError, ExperimentConfig, run_experiment
+from .harness import (
+    COMMON_FIELDS, FORMATS, KINDS, RUNNERS, ConfigError, ExperimentConfig, run_experiment,
+)
+
+# field -> (click type, help); tuple marks a comma-separated number list
+_OPTIONS = {
+    "n": (int, "Qubit count."),
+    "n_min": (int, "Smallest qubit count."),
+    "n_max": (int, "Largest qubit count."),
+    "depth": (int, "Circuit depth."),
+    "trials": (int, "Random trials per grid point."),
+    "eps_sat": (float, "Improvement threshold for saturation detection."),
+    "fractions": (tuple, "Comma-separated cutoff fractions in (0, 1]."),
+    "p_grid": (tuple, "Comma-separated noise probabilities in [0, 1]."),
+    "noise_stddev": (float, "Standard deviation of the noise phase."),
+    "noise_granularity": (click.Choice(GRANULARITIES), "Noise after each layer or after each gate."),
+    "bitflip_contrast": (bool, "Also run the bit-flip contrast at each probability."),
+    "seed": (int, "Master seed."),
+    "out": (click.Path(dir_okay=False), "Output file path."),
+    "fmt": (click.Choice(FORMATS), "Output format."),
+    "workers": (int, "Trial-level worker processes, capped at the trial count and the CPU count."),
+}
+_COMMON_DEFAULTS = {
+    f.name: f.default for f in dataclasses.fields(ExperimentConfig) if f.name in COMMON_FIELDS
+}
 
 
 def _merge_config(ctx: click.Context, kind: str, flags: dict) -> ExperimentConfig:
@@ -28,34 +54,48 @@ def _merge_config(ctx: click.Context, kind: str, flags: dict) -> ExperimentConfi
         source = ctx.get_parameter_source(name)
         if source is not None and source.name != "DEFAULT":
             values[name] = value
-    values.pop("kind", None)
+    if values.pop("kind", kind) != kind:
+        raise ConfigError(f"config file is for another experiment than {kind}")
     try:
         return ExperimentConfig(kind=kind, **values)
     except TypeError as exc:
         raise ConfigError(str(exc))
 
 
-def _number_list(ctx: click.Context, param: click.Parameter, text: str | None):
+def _number_list(ctx: click.Context, param: click.Parameter, text: str):
     """Parse a comma-separated option value into a tuple of floats."""
-    if text is None:
-        return None
     try:
         return tuple(float(x) for x in text.split(","))
     except ValueError:
         raise ConfigError(f"{param.opts[0]} takes comma-separated numbers, got {text!r}") from None
 
 
-def _common(fn):
-    fn = click.option("--seed", type=int, default=0, show_default=True, help="Master seed.")(fn)
-    fn = click.option("--out", type=click.Path(dir_okay=False), default=None, help="Output file path.")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)(fn)
-    fn = click.option("--workers", type=int, default=1, show_default=True, help="Trial-level worker processes.")(fn)
-    fn = click.option("--config", type=click.Path(exists=False), default=None, help="JSON config overriding flags.")(fn)
-    return fn
+def _option(name: str, default) -> click.Option:
+    type_, text = _OPTIONS[name]
+    decls = ["--format" if name == "fmt" else "--" + name.replace("_", "-"), name]
+    if type_ is bool:
+        return click.Option(decls, is_flag=True, help=text)
+    if callable(default):  # a multiple of n, which the config resolves
+        return click.Option(decls, type=type_, help=text, show_default=str(default))
+    if type_ is tuple:
+        return click.Option(
+            decls, default=",".join(map(str, default)), callback=_number_list,
+            show_default=True, help=text,
+        )
+    return click.Option(decls, type=type_, default=default, show_default=True, help=text)
 
 
-def _run(ctx: click.Context, kind: str, flags: dict):
-    config = _merge_config(ctx, kind, flags)
+def _command(kind: str) -> click.Command:
+    """The subcommand of one experiment: its KINDS fields, then the common flags."""
+    defaults = {**KINDS[kind], **_COMMON_DEFAULTS}
+    params = [_option(name, default) for name, default in defaults.items()]
+    params.append(click.Option(["--config"], type=click.Path(), help="JSON config overriding flags."))
+    return click.Command(kind, params=params, help=inspect.getdoc(RUNNERS[kind]),
+                         callback=lambda **flags: _run(kind, flags))
+
+
+def _run(kind: str, flags: dict):
+    config = _merge_config(click.get_current_context(), kind, flags)
     table = run_experiment(config)
     if config.out:
         click.echo(f"wrote {len(table.rows)} rows to {config.out}")
@@ -73,95 +113,8 @@ def cli():
     """
 
 
-@cli.command()
-@click.option("--n-min", type=int, default=3, show_default=True)
-@click.option("--n-max", type=int, default=10, show_default=True)
-@click.option("--eps-sat", type=float, default=KNEE_EPS_SAT, show_default=True,
-              help="Improvement threshold for saturation detection.")
-@_common
-@click.pass_context
-def saturation(ctx, **flags):
-    """Layerwise saturation depth per n.
-
-    Columns: n, depth, overlap, improvement, p_star.
-    """
-    _run(ctx, "saturation", flags)
-
-
-@cli.command()
-@click.option("--n", type=int, default=4, show_default=True)
-@click.option("--depth", type=int, default=6, show_default=True)
-@_common
-@click.pass_context
-def compare(ctx, **flags):
-    """Layerwise vs global training, per-depth overlap profiles.
-
-    Columns: depth, layerwise_overlap, global_overlap.
-    """
-    _run(ctx, "compare", flags)
-
-
-@cli.command()
-@click.option("--n", type=int, default=4, show_default=True)
-@click.option("--depth", type=int, default=None, help="Circuit depth (default 2n).")
-@click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--fractions", type=str, default=None, callback=_number_list,
-              help="Comma-separated cutoff fractions in (0, 1].")
-@_common
-@click.pass_context
-def cutoff(ctx, **flags):
-    """Cutoff-limited layerwise training over a fraction grid.
-
-    Columns: fraction, top10_best, top10_mean, top10_worst, baseline_final.
-    """
-    _run(ctx, "cutoff", flags)
-
-
-@cli.command()
-@click.option("--n", type=int, default=4, show_default=True)
-@click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--p-grid", type=str, default=None, callback=_number_list,
-              help="Comma-separated noise probabilities (default 21 points on [0, 0.5]).")
-@click.option("--noise-stddev", type=float, default=1.0, show_default=True)
-@click.option("--noise-granularity", type=click.Choice(GRANULARITIES),
-              default="layer", show_default=True)
-@click.option("--bitflip-contrast", is_flag=True, default=False,
-              help="Also run the bit-flip contrast at each probability.")
-@_common
-@click.pass_context
-def noise(ctx, **flags):
-    """Layerwise training under coherent phase noise at depth p = n.
-
-    Columns: p, top10_best, top10_mean, top10_worst, noiseless_overlap,
-    bitflip_top10_best.
-    """
-    _run(ctx, "noise", flags)
-
-
-@cli.command()
-@click.option("--n-min", type=int, default=4, show_default=True)
-@click.option("--n-max", type=int, default=8, show_default=True)
-@_common
-@click.pass_context
-def betas(ctx, **flags):
-    """Optimal mixer angles of depth-(n+1) layerwise runs.
-
-    Columns: n, depth, beta, beta_effective.
-    """
-    _run(ctx, "betas", flags)
-
-
-@cli.command()
-@click.option("--n", type=int, default=10, show_default=True)
-@click.option("--depth", type=int, default=None, help="Circuit depth (default n).")
-@_common
-@click.pass_context
-def conditions(ctx, **flags):
-    """Dicke amplitude profile before and after layerwise training.
-
-    Columns: k, initial_magnitude, trained_magnitude.
-    """
-    _run(ctx, "conditions", flags)
+for _kind in KINDS:
+    cli.add_command(_command(_kind))
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,12 +23,43 @@ from . import __version__, analysis, densecore, symcore, training
 from .densecore import NoiseConfig
 from .training import OptimizerSettings
 
-EXPERIMENT_KINDS = ("saturation", "compare", "cutoff", "noise", "betas", "conditions")
-
 # Exact layerwise gains collapse by about three orders of magnitude at the
 # saturation depth (from >= 1.5e-4 to <= 7e-5 for n up to 10), so 1e-4 sits
 # inside the detection window for the whole supported range.
 KNEE_EPS_SAT = 1e-4
+
+FORMATS = ("csv", "json")
+# settings every experiment takes; of these, metadata() echoes seed and fmt
+COMMON_FIELDS = ("seed", "out", "fmt", "workers")
+
+
+@dataclass(frozen=True)
+class PerQubit:
+    """A default of `factor` times the qubit count n."""
+
+    factor: int
+
+    def __call__(self, n: int) -> int:
+        return self.factor * n
+
+    def __str__(self) -> str:
+        return "n" if self.factor == 1 else f"{self.factor}n"
+
+
+# The one declaration of each experiment: the fields its runner reads, with
+# their defaults.  The config, the CLI options and the metadata echo read it.
+KINDS = {
+    "saturation": {"n_min": 3, "n_max": 10, "eps_sat": KNEE_EPS_SAT},
+    "compare": {"n": 4, "depth": 6},
+    "cutoff": {"n": 4, "depth": PerQubit(2), "trials": 100,
+               "fractions": tuple(round(0.5 + 0.05 * i, 2) for i in range(11))},
+    "noise": {"n": 4, "depth": PerQubit(1), "trials": 100,
+              "p_grid": tuple(round(x, 6) for x in np.linspace(0.0, 0.5, 21)),
+              "noise_stddev": 1.0, "noise_granularity": "layer", "bitflip_contrast": False},
+    "betas": {"n_min": 4, "n_max": 8},
+    "conditions": {"n": 10, "depth": PerQubit(1)},
+}
+EXPERIMENT_KINDS = tuple(KINDS)
 
 
 class ConfigError(ValueError):
@@ -43,111 +74,97 @@ def _is_number(value) -> bool:
     return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
+def _grid(inside):
+    return lambda values: (
+        isinstance(values, (tuple, list))
+        and len(values) > 0
+        and all(_is_number(v) and inside(v) for v in values)
+    )
+
+
+# bool is an int subclass, and a float n fails deep in the compute, hence type() is int
+_POSITIVE = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
+_QUBITS = (
+    lambda v: type(v) is int and 1 <= v <= symcore.MAX_SYMMETRIC_QUBITS,
+    f"an integer in [1, {symcore.MAX_SYMMETRIC_QUBITS}], the float64 validity ceiling",
+)
+_NONNEGATIVE = (lambda v: _is_number(v) and math.isfinite(v) and v >= 0.0, "a finite number >= 0")
+# field -> (test of its value, what the value must be)
+_CHECKS = {
+    "n": _QUBITS,
+    "n_min": _POSITIVE,
+    "n_max": _QUBITS,
+    "depth": _POSITIVE,
+    "trials": _POSITIVE,
+    "eps_sat": _NONNEGATIVE,
+    "noise_stddev": _NONNEGATIVE,
+    "fractions": (_grid(lambda f: 0.0 < f <= 1.0), "a non-empty list of numbers in (0, 1]"),
+    "p_grid": (_grid(lambda p: 0.0 <= p <= 1.0), "a non-empty list of numbers in [0, 1]"),
+    "noise_granularity": (lambda v: v in densecore.GRANULARITIES, f"one of {densecore.GRANULARITIES}"),
+    "bitflip_contrast": (lambda v: type(v) is bool, "true or false"),
+    "seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "fmt": (lambda v: v in FORMATS, f"one of {FORMATS}"),
+    "workers": _POSITIVE,
+}
+
+
 @dataclass
 class ExperimentConfig:
+    """Settings of one experiment; a field its kind does not read stays None."""
+
     kind: str
     n: int | None = None
     n_min: int | None = None
     n_max: int | None = None
     depth: int | None = None
-    trials: int = 100
-    p_grid: tuple[float, ...] = ()
-    fractions: tuple[float, ...] = ()
+    trials: int | None = None
+    p_grid: tuple[float, ...] | None = None
+    fractions: tuple[float, ...] | None = None
     seed: int = 0
     out: str | None = None
     fmt: str = "csv"
     workers: int = 1
-    eps_sat: float = KNEE_EPS_SAT
-    noise_stddev: float = 1.0
-    noise_granularity: str = "layer"
-    bitflip_contrast: bool = False
+    eps_sat: float | None = None
+    noise_stddev: float | None = None
+    noise_granularity: str | None = None
+    bitflip_contrast: bool | None = None
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        # bool is an int subclass, and a float n fails deep in the compute
-        for name in ("n", "n_min", "n_max", "depth", "trials", "seed", "workers"):
-            value = getattr(self, name)
-            defaulted = value is None and name in ("n", "n_min", "n_max", "depth")
-            if type(value) is not int and not defaulted:
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("eps_sat", "noise_stddev"):
-            value = getattr(self, name)
-            if not _is_number(value):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-        for name in ("p_grid", "fractions"):
-            values = getattr(self, name)
-            if not isinstance(values, (tuple, list)) or not all(map(_is_number, values)):
-                raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
-            setattr(self, name, tuple(values))
-        if type(self.bitflip_contrast) is not bool:
-            raise ConfigError(f"bitflip_contrast must be true or false, got {self.bitflip_contrast!r}")
-        if self.noise_granularity not in densecore.GRANULARITIES:
-            raise ConfigError(f"unknown noise granularity {self.noise_granularity!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {self.fmt!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not (math.isfinite(self.eps_sat) and self.eps_sat >= 0.0):
-            raise ConfigError(f"eps_sat must be finite and >= 0, got {self.eps_sat}")
+        reads = KINDS[self.kind]
+        for f in fields(self):
+            if f.name not in ("kind", *COMMON_FIELDS, *reads) and getattr(self, f.name) is not None:
+                raise ConfigError(f"{self.kind} does not read {f.name}; it reads {', '.join(reads)}")
+        # in table order, so n is checked before a default depth reads it
+        for name, default in reads.items():
+            if getattr(self, name) is None:
+                setattr(self, name, default(self.n) if callable(default) else default)
+            self._check(name)
+        for name in ("seed", "fmt", "workers"):
+            self._check(name)
+        if "n_min" in reads and self.n_max < self.n_min:
+            raise ConfigError(f"bad n range [{self.n_min}, {self.n_max}]")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out must be a file path, got {self.out!r}")
         if self.out and os.path.isdir(self.out):
             raise ConfigError(f"out {self.out} is a directory, not a file")
         if self.out and not os.path.isdir(os.path.dirname(os.path.abspath(self.out))):
             raise ConfigError(f"output directory of {self.out} does not exist")
-        for name in ("n", "n_max"):
-            value = getattr(self, name)
-            if value is not None and value > symcore.MAX_SYMMETRIC_QUBITS:
-                raise ConfigError(
-                    f"{name} = {value} is past the float64 validity ceiling"
-                    f" n <= {symcore.MAX_SYMMETRIC_QUBITS}"
-                )
-        if self.kind in ("saturation", "betas"):
-            if self.n_min is None:
-                self.n_min = {"saturation": 3, "betas": 4}[self.kind]
-            if self.n_max is None:
-                self.n_max = {"saturation": 10, "betas": 8}[self.kind]
-            if self.n_min < 1 or self.n_max < self.n_min:
-                raise ConfigError(f"bad n range [{self.n_min}, {self.n_max}]")
-        else:
-            if self.n is None:
-                self.n = {"compare": 4, "cutoff": 4, "noise": 4, "conditions": 10}[self.kind]
-            if self.n < 1:
-                raise ConfigError("n must be >= 1")
-        if self.kind == "compare" and self.depth is None:
-            self.depth = 6
-        if self.kind == "cutoff":
-            if self.depth is None:
-                self.depth = 2 * self.n
-            if not self.fractions:
-                self.fractions = tuple(round(0.5 + 0.05 * i, 2) for i in range(11))
-            if any(not 0.0 < f <= 1.0 for f in self.fractions):
-                raise ConfigError("cutoff fractions must lie in (0, 1]")
-        if self.kind == "noise":
-            if self.depth is None:
-                self.depth = self.n
-            if not self.p_grid:
-                self.p_grid = tuple(round(x, 6) for x in np.linspace(0.0, 0.5, 21))
-            if any(not 0.0 <= p <= 1.0 for p in self.p_grid):
-                raise ConfigError("noise probabilities must lie in [0, 1]")
-            if not (math.isfinite(self.noise_stddev) and self.noise_stddev >= 0.0):
-                raise ConfigError(f"noise_stddev must be finite and >= 0, got {self.noise_stddev}")
-        if self.kind == "conditions" and self.depth is None:
-            self.depth = self.n
-        if self.depth is not None and self.depth < 1:
-            raise ConfigError("depth must be >= 1")
+
+    def _check(self, name: str):
+        test, what = _CHECKS[name]
+        value = getattr(self, name)
+        if not test(value):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        if isinstance(value, list):
+            setattr(self, name, tuple(value))
 
     def metadata(self) -> dict:
-        """Config echo for output headers, without runtime-only fields."""
-        skip = {"out", "workers"}
-        d = {k: v for k, v in asdict(self).items() if k not in skip and v is not None}
-        d["version"] = __version__
-        return d
+        """Config echo for output headers: kind, seed, format and the kind's fields."""
+        meta = {name: getattr(self, name) for name in ("kind", "seed", "fmt", *KINDS[self.kind])}
+        meta["version"] = __version__
+        return meta
 
 
 @dataclass
@@ -194,6 +211,8 @@ def _fmt(value) -> str:
 
 
 def _run_trials(worker, args, workers: int) -> list:
+    # the pool starts all its processes at once, so never more than there is work or CPUs
+    workers = min(workers, len(args), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(a) for a in args]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -212,7 +231,10 @@ def _top_fraction(finals, trials: int, fraction: float = 0.1):
 
 
 def run_saturation_experiment(config: ExperimentConfig) -> ResultTable:
-    """Columns: n, depth, overlap, improvement, p_star (empty when undetected)."""
+    """Layerwise saturation depth per n.
+
+    Columns: n, depth, overlap, improvement, p_star (empty when undetected).
+    """
     table = ResultTable(
         ["n", "depth", "overlap", "improvement", "p_star"], metadata=config.metadata()
     )
@@ -227,7 +249,10 @@ def run_saturation_experiment(config: ExperimentConfig) -> ResultTable:
 
 
 def run_compare_experiment(config: ExperimentConfig) -> ResultTable:
-    """Columns: depth, layerwise_overlap, global_overlap (winning schedule profile)."""
+    """Layerwise vs global training, per-depth overlap profiles.
+
+    Columns: depth, layerwise_overlap, global_overlap (winning schedule profile).
+    """
     settings = OptimizerSettings(seed=config.seed)
     layerwise = training.train_layerwise(config.n, config.depth, settings)
     global_trace = training.train_global(
@@ -250,8 +275,9 @@ def _cutoff_trial(args) -> float:
 
 
 def run_cutoff_experiment(config: ExperimentConfig) -> ResultTable:
-    """Columns: fraction, top10_best, top10_mean, top10_worst, baseline_final.
+    """Cutoff-limited layerwise training over a fraction grid.
 
+    Columns: fraction, top10_best, top10_mean, top10_worst, baseline_final.
     baseline_final is the deterministic fraction-1 overlap at the same depth;
     the fraction-1 overlap at depth n (the saturated plateau) is in metadata.
     """
@@ -284,8 +310,11 @@ def _noise_trial(args) -> float:
 
 
 def run_noise_experiment(config: ExperimentConfig) -> ResultTable:
-    """Columns: p, top10_best, top10_mean, top10_worst, noiseless_overlap,
-    bitflip_top10_best (empty unless the contrast flag is on)."""
+    """Layerwise training under coherent phase noise.
+
+    Columns: p, top10_best, top10_mean, top10_worst, noiseless_overlap,
+    bitflip_top10_best (empty unless the contrast flag is on).
+    """
     n, depth = config.n, config.depth
     densecore._check_cap(n)
     noiseless = float(training.train_layerwise(n, depth).overlaps()[-1])
@@ -315,7 +344,10 @@ def run_noise_experiment(config: ExperimentConfig) -> ResultTable:
 
 
 def run_betas_experiment(config: ExperimentConfig) -> ResultTable:
-    """Columns: n, depth, beta, beta_effective; per-n schedule stats in metadata."""
+    """Optimal mixer angles of depth-(n+1) layerwise runs.
+
+    Columns: n, depth, beta, beta_effective; per-n schedule stats in metadata.
+    """
     meta = config.metadata()
     stats = {}
     table = ResultTable(["n", "depth", "beta", "beta_effective"], metadata=meta)
@@ -335,7 +367,10 @@ def run_betas_experiment(config: ExperimentConfig) -> ResultTable:
 
 
 def run_conditions_experiment(config: ExperimentConfig) -> ResultTable:
-    """Columns: k, initial_magnitude, trained_magnitude; condition check in metadata."""
+    """Dicke amplitude profile before and after layerwise training.
+
+    Columns: k, initial_magnitude, trained_magnitude; condition check in metadata.
+    """
     n, depth = config.n, config.depth
     trace = training.train_layerwise(n, depth)
     initial = symcore.plus_state(n)
@@ -354,7 +389,7 @@ def run_conditions_experiment(config: ExperimentConfig) -> ResultTable:
     return table
 
 
-_RUNNERS = {
+RUNNERS = {
     "saturation": run_saturation_experiment,
     "compare": run_compare_experiment,
     "cutoff": run_cutoff_experiment,
@@ -366,7 +401,7 @@ _RUNNERS = {
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Dispatch on config.kind and write the output file when out is set."""
-    table = _RUNNERS[config.kind](config)
+    table = RUNNERS[config.kind](config)
     if config.out:
         table.write(config.out, config.fmt)
     return table

@@ -1,12 +1,20 @@
+import dataclasses
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 
-from satlab import cli, symcore
+from satlab import cli, harness, symcore
 from satlab.cli import main
 from satlab.harness import (
+    COMMON_FIELDS,
+    EXPERIMENT_KINDS,
+    KINDS,
     ConfigError,
     ExperimentConfig,
     ResultTable,
@@ -332,3 +340,134 @@ def test_config_accepts_n_at_validity_ceiling():
     ceiling = symcore.MAX_SYMMETRIC_QUBITS
     assert ExperimentConfig(kind="conditions", n=ceiling).n == ceiling
     assert ExperimentConfig(kind="saturation", n_min=ceiling, n_max=ceiling).n_max == ceiling
+
+
+# --------------------------------------------- one declaration per experiment
+
+def test_cli_refuses_config_fields_the_kind_does_not_read(tmp_path, no_compute, capsys):
+    # a saturation run used to accept these and echo them into its metadata
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"noise_stddev": -1, "p_grid": [7], "trials": 5}))
+    assert main(["saturation", "--n-min", "3", "--n-max", "3", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+_UNREAD = [
+    (kind, f.name)
+    for kind in KINDS
+    for f in dataclasses.fields(ExperimentConfig)
+    if f.name not in ("kind", *COMMON_FIELDS, *KINDS[kind])
+]
+
+
+@pytest.mark.parametrize("kind, name", _UNREAD, ids=[f"{kind}-{name}" for kind, name in _UNREAD])
+def test_kind_refuses_fields_it_does_not_read(tmp_path, kind, name, no_compute, capsys):
+    # a value that a kind reading the field accepts, so only the refusal can fail it
+    default = next(reads[name] for reads in KINDS.values() if name in reads)
+    value = 3 if callable(default) else default
+    with pytest.raises(ConfigError, match=f"does not read {name}"):
+        ExperimentConfig(kind=kind, **{name: value})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({name: value}))
+    assert main([kind, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_cli_refuses_config_file_of_another_kind(tmp_path, no_compute, capsys):
+    # a file naming another experiment used to have its kind ignored in silence
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"kind": "noise", "n_min": 3, "n_max": 3}))
+    assert main(["saturation", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_subcommand_options_are_the_kinds_fields(kind):
+    names = {param.name for param in cli.cli.commands[kind].params}
+    assert names == {*KINDS[kind], *COMMON_FIELDS, "config"}
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_help_states_the_config_defaults(kind):
+    command = cli.cli.commands[kind]
+    ctx = click.Context(command)
+    config = ExperimentConfig(kind=kind)
+    stated = set()
+    for param in command.params:
+        match = re.search(r"\[default: ([^;\]]+)", param.get_help_record(ctx)[1])
+        if match is None:
+            continue
+        stated.add(param.name)
+        default = KINDS[kind].get(param.name)
+        if callable(default):
+            assert match.group(1) == f"({default})"
+        else:
+            assert param.process_value(ctx, match.group(1)) == getattr(config, param.name)
+    # all but the output path, the contrast flag (off) and the config file
+    assert stated == {*KINDS[kind], *COMMON_FIELDS} - {"out", "bitflip_contrast"}
+
+
+@pytest.mark.parametrize("kind, shown", [("cutoff", "(2n)"), ("noise", "(n)"), ("conditions", "(n)")])
+def test_help_states_depth_default_per_n(kind, shown, capsys):
+    assert main([kind, "--help"]) == 0
+    assert f"[default: {shown}]" in capsys.readouterr().out
+
+
+def test_metadata_echoes_only_the_fields_the_kind_reads():
+    for kind in KINDS:
+        meta = ExperimentConfig(kind=kind, workers=2).metadata()
+        assert set(meta) == {"kind", "seed", "fmt", "version", *KINDS[kind]}
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size and maps in process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args):
+        return map(fn, args)
+
+
+@pytest.mark.parametrize("cpus, sizes", [(64, [4]), (3, [3]), (None, [])])
+def test_worker_pool_is_bounded_by_trials_and_cpus(tmp_path, monkeypatch, cpus, sizes):
+    # never start a real pool at a huge count: the stand-in only records it
+    started = []
+    monkeypatch.setattr(
+        harness, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(started, max_workers)
+    )
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    base = dict(kind="cutoff", n=3, depth=2, trials=4, fractions=(0.9,), seed=2)
+    run_experiment(ExperimentConfig(out=str(tmp_path / "wide.csv"), workers=10**6, **base))
+    assert started == sizes
+    run_experiment(ExperimentConfig(out=str(tmp_path / "serial.csv"), **base))
+    assert (tmp_path / "wide.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+_README_COMMANDS = [
+    line
+    for line in (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    if line.startswith("satlab ")
+]
+
+
+def test_readme_shows_every_kind():
+    assert {shlex.split(line)[1] for line in _README_COMMANDS} == set(EXPERIMENT_KINDS)
+
+
+@pytest.mark.parametrize("line", _README_COMMANDS)
+def test_readme_cli_line_runs(line, tmp_path, monkeypatch):
+    # the documented commands parse and configure; the stub stands in for the compute
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(
+        cli, "run_experiment", lambda config: ResultTable([], metadata=config.metadata())
+    )
+    assert main(shlex.split(line)[1:]) == 0
