@@ -14,7 +14,7 @@ from .training import (
     DEFAULT_EPS_SAT,
     OptimizerSettings,
     TrainingTrace,
-    _best_beta,
+    _layer_step,
 )
 
 
@@ -44,12 +44,13 @@ class ConditionCheck:
 
     condition1: |A_1| vanishes.  condition2: |A_2| does not exceed
     sqrt(2n/(n-1)) * |A_0|.  Both are evaluated with an additive tolerance and
-    the bound is non-strict.
+    the bound is non-strict.  For n = 1 there is no A_2: the bound is None and
+    condition 2 passes.
     """
 
     a1_magnitude: float
     a2_magnitude: float
-    a2_bound: float
+    a2_bound: float | None
     condition1_pass: bool
     condition2_pass: bool
     tolerance: float
@@ -116,13 +117,13 @@ def check_conditions(state: SymmetricState, tol: float = 1e-6) -> ConditionCheck
     a0 = abs(state.amps[0])
     a1 = abs(state.amps[1])
     a2 = abs(state.amps[2]) if n >= 2 else 0.0
-    bound = math.sqrt(2.0 * n / (n - 1.0)) * a0 if n >= 2 else math.inf
+    bound = float(math.sqrt(2.0 * n / (n - 1.0)) * a0) if n >= 2 else None
     return ConditionCheck(
         a1_magnitude=float(a1),
         a2_magnitude=float(a2),
-        a2_bound=float(bound),
+        a2_bound=bound,
         condition1_pass=bool(a1 <= tol),
-        condition2_pass=bool(a2 <= bound + tol),
+        condition2_pass=bound is None or bool(a2 <= bound + tol),
         tolerance=tol,
     )
 
@@ -134,11 +135,12 @@ def trainability_probe(state: SymmetricState) -> tuple[float, float]:
     smallest-beta tie rule a flat or non-improving landscape reports exactly
     (0, 0).
     """
-    beta, g, _ = _best_beta(symcore.layer_terms(state), OptimizerSettings())
-    gain = g**2 - symcore.overlap(state)
-    if beta == 0.0 or gain <= 0.0:
+    overlap = symcore.overlap(state)
+    angles, g, _ = _layer_step(symcore.layer_terms(state), overlap, 1.0, OptimizerSettings(), None)
+    gain = g**2 - overlap
+    if angles.beta == 0.0 or gain <= 0.0:
         return 0.0, 0.0
-    return float(gain), float(beta)
+    return float(gain), float(angles.beta)
 
 
 def make_nontrainable_state(

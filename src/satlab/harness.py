@@ -9,6 +9,7 @@ trial index), so results do not depend on worker count or scheduling.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -180,6 +181,10 @@ class ResultTable:
             for value in row:
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ValueError(f"non-finite value in row {row}")
+        try:  # the metadata is written as JSON, which has no non-finite numbers
+            json.dumps(self.metadata, allow_nan=False)
+        except ValueError:
+            raise ValueError(f"non-finite value in metadata {self.metadata}") from None
 
     def to_csv(self) -> str:
         self.validate()
@@ -217,10 +222,6 @@ def _run_trials(worker, args, workers: int) -> list:
         return [worker(a) for a in args]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, args))
-
-
-def _trial_rng(master_seed: int, grid_index: int, trial_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((master_seed, grid_index, trial_index)))
 
 
 def _top_fraction(finals, trials: int, fraction: float = 0.1):
@@ -267,11 +268,18 @@ def run_compare_experiment(config: ExperimentConfig) -> ResultTable:
     return table
 
 
-def _cutoff_trial(args) -> float:
-    n, depth, fraction, seed, grid_index, trial_index = args
-    rng = _trial_rng(seed, grid_index, trial_index)
-    trace = training.train_cutoff(n, depth, fraction, rng=rng)
-    return float(trace.overlaps()[-1])
+def _trial(args) -> float:
+    """Final overlap of one trainer run; setting is its fraction or NoiseConfig."""
+    trainer, n, depth, setting, seed, grid_index, trial_index = args
+    rng = np.random.default_rng(np.random.SeedSequence((seed, grid_index, trial_index)))
+    return float(trainer(n, depth, setting, rng=rng).overlaps()[-1])
+
+
+def _top10(trainer, config: ExperimentConfig, setting, grid_index: int):
+    """_top_fraction of config.trials runs of trainer at one setting."""
+    trials = range(config.trials)
+    args = [(trainer, config.n, config.depth, setting, config.seed, grid_index, t) for t in trials]
+    return _top_fraction(_run_trials(_trial, args, config.workers), config.trials)
 
 
 def run_cutoff_experiment(config: ExperimentConfig) -> ResultTable:
@@ -293,20 +301,11 @@ def run_cutoff_experiment(config: ExperimentConfig) -> ResultTable:
     )
     for gi, fraction in enumerate(config.fractions):
         if fraction >= 1.0:
-            finals = [baseline] * config.trials
+            best, mean, worst = _top_fraction([baseline] * config.trials, config.trials)
         else:
-            args = [(n, depth, fraction, config.seed, gi, t) for t in range(config.trials)]
-            finals = _run_trials(_cutoff_trial, args, config.workers)
-        best, mean, worst = _top_fraction(finals, config.trials)
+            best, mean, worst = _top10(training.train_cutoff, config, fraction, gi)
         table.rows.append([float(fraction), best, mean, worst, baseline])
     return table
-
-
-def _noise_trial(args) -> float:
-    n, depth, noise, seed, grid_index, trial_index = args
-    rng = _trial_rng(seed, grid_index, trial_index)
-    trace = training.train_layerwise_noisy(n, depth, noise, rng=rng)
-    return float(trace.overlaps()[-1])
 
 
 def run_noise_experiment(config: ExperimentConfig) -> ResultTable:
@@ -326,19 +325,11 @@ def run_noise_experiment(config: ExperimentConfig) -> ResultTable:
         noise = NoiseConfig(
             p_noise=p, phase_stddev=config.noise_stddev, granularity=config.noise_granularity
         )
-        args = [(n, depth, noise, config.seed, gi, t) for t in range(config.trials)]
-        finals = _run_trials(_noise_trial, args, config.workers)
-        best, mean, worst = _top_fraction(finals, config.trials)
+        best, mean, worst = _top10(training.train_layerwise_noisy, config, noise, gi)
         flip_best = None
         if config.bitflip_contrast:
-            flip = NoiseConfig(
-                p_noise=p,
-                phase_stddev=config.noise_stddev,
-                granularity=config.noise_granularity,
-                kind="bitflip",
-            )
-            args = [(n, depth, flip, config.seed, 1000 + gi, t) for t in range(config.trials)]
-            flip_best = _top_fraction(_run_trials(_noise_trial, args, config.workers), config.trials)[0]
+            flip = dataclasses.replace(noise, kind="bitflip")
+            flip_best = _top10(training.train_layerwise_noisy, config, flip, 1000 + gi)[0]
         table.rows.append([float(p), best, mean, worst, noiseless, flip_best])
     return table
 

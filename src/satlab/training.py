@@ -57,11 +57,19 @@ class LayerRecord:
 class TrainingTrace:
     n: int
     records: list[LayerRecord] = field(default_factory=list)
-    status: str = "depth_limit"
 
     @property
     def depth(self) -> int:
         return len(self.records)
+
+    @property
+    def status(self) -> str:
+        """overlap_one, saturated or depth_limit, by the DEFAULT_EPS_* thresholds."""
+        if self.depth and self.records[-1].overlap >= 1.0 - DEFAULT_EPS_ONE:
+            return "overlap_one"
+        if self.depth >= 2 and self.improvements()[-1] <= DEFAULT_EPS_SAT:
+            return "saturated"
+        return "depth_limit"
 
     def overlaps(self) -> np.ndarray:
         return np.array([r.overlap for r in self.records])
@@ -79,14 +87,6 @@ class TrainingTrace:
         """Overlap gain of each layer, the first measured from |+>^n."""
         ovs = self.overlaps()
         return np.diff(np.concatenate([[2.0 ** (-self.n)], ovs]))
-
-
-def _finish_status(trace: TrainingTrace) -> str:
-    if trace.depth and trace.records[-1].overlap >= 1.0 - DEFAULT_EPS_ONE:
-        return "overlap_one"
-    if trace.depth >= 2 and trace.improvements()[-1] <= DEFAULT_EPS_SAT:
-        return "saturated"
-    return "depth_limit"
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float, int]:
@@ -110,39 +110,6 @@ def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, floa
     return x, f(x), evals + 1
 
 
-def _best_beta(terms: symcore.LayerTerms, settings: OptimizerSettings) -> tuple[float, float, int]:
-    """Maximize a layer's gamma-eliminated amplitude curve over beta in [0, pi).
-
-    Dense grid, golden-section refinement in the winning cell, then a mirror
-    candidate near pi - beta (exactly degenerate for real amplitude vectors)
-    and the beta = 0 snap.  Ties resolve toward the smaller beta.  The count
-    returned is the number of betas at which the curve was computed.
-    """
-    m = settings.beta_grid_points
-    cell = math.pi / m
-    peak = int(np.argmax(terms.grid(m))) * cell
-    f = terms.value
-
-    evals = m
-    best_b, best_g, e = golden_section_max(
-        f, max(peak - cell, 0.0), min(peak + cell, math.pi), REFINE_TOLERANCE
-    )
-    evals += e
-    if peak > 0.0:
-        center = math.pi - peak
-        mb, mg, e = golden_section_max(
-            f, max(center - cell, 0.0), min(center + cell, math.pi), REFINE_TOLERANCE
-        )
-        evals += e
-        if mg >= best_g - 1e-12 and mb < best_b:
-            best_b, best_g = mb, mg
-    g0 = f(0.0)
-    evals += 1
-    if g0 >= best_g:
-        return 0.0, g0, evals
-    return best_b, best_g, evals
-
-
 def _layer_step(
     terms: symcore.LayerTerms,
     overlap: float,
@@ -152,15 +119,40 @@ def _layer_step(
 ) -> tuple[LayerAngles, float, int]:
     """Angles of one new layer: (angles, curve value at them, evaluations).
 
+    The curve is sampled once, on the grid beta_j = pi j / M, and every choice
+    below reads that sample.  The maximizing beta is refined by golden section
+    in the grid's winning cell, then compared with a mirror candidate near
+    pi - beta (exactly degenerate for real amplitude vectors) and with the
+    exact beta = 0 value grid[0]; ties resolve toward the smaller beta.
+
     The layer aims at overlap + fraction * (O_max - overlap), O_max being the
     best overlap one layer reaches.  fraction = 1 takes the maximizing beta and
-    never draws from rng.  Below 1, betas reaching the target are found by root
-    bisection on either side of the maximizer and one side is chosen uniformly
-    from rng; a layer that cannot gain, or whose maximizer is beta = 0, keeps
-    the maximizer.  gamma then aligns the two terms at the chosen beta.  The
-    count is the number of betas at which the curve was computed.
+    never draws from rng.  Below 1, the betas nearest the maximizer on either
+    side that reach the target are found by root bisection and one side is
+    chosen uniformly from rng; a layer that cannot gain, or whose maximizer is
+    beta = 0, keeps the maximizer.  gamma then aligns the two terms at the
+    chosen beta.  The count is the number of betas at which the curve was
+    computed.
     """
-    beta, g, evals = _best_beta(terms, settings)
+    m = settings.beta_grid_points
+    cell = math.pi / m
+    grid = terms.grid(m)
+    peak = int(np.argmax(grid)) * cell
+    beta, g, evals = golden_section_max(
+        terms.value, max(peak - cell, 0.0), min(peak + cell, math.pi), REFINE_TOLERANCE
+    )
+    evals += m
+    if peak > 0.0:
+        center = math.pi - peak
+        mb, mg, e = golden_section_max(
+            terms.value, max(center - cell, 0.0), min(center + cell, math.pi), REFINE_TOLERANCE
+        )
+        evals += e
+        if mg >= g - 1e-12 and mb < beta:
+            beta, g = mb, mg
+    if grid[0] >= g:
+        beta, g = 0.0, float(grid[0])
+
     gain = g**2 - overlap
     if fraction < 1.0 and beta != 0.0 and gain > 1e-14:
         target = overlap + fraction * gain
@@ -171,16 +163,22 @@ def _layer_step(
             return terms.value(b) ** 2 - target
 
         roots = []
-        if shortfall(0.0) <= 0.0:
+        if grid[0] ** 2 <= target:
             roots.append(brentq(shortfall, 0.0, beta, xtol=1e-13))
-        step = (math.pi - beta) / 512.0
-        prev = beta
-        for j in range(1, 513):
-            x = beta + j * step
-            if shortfall(x) <= 0.0:
-                roots.append(brentq(shortfall, prev, x, xtol=1e-13))
-                break
-            prev = x
+        # The right root lies before the first grid point past beta that
+        # reaches the target, else before pi, where g(pi) = g(0).  A point the
+        # grid puts at the target within rounding may miss it by the scalar
+        # path; the end then moves one cell on.
+        after = math.floor(beta / cell) + 1
+        reached = np.flatnonzero(np.append(grid[after:], grid[0]) ** 2 <= target)
+        if reached.size:
+            end = min((after + reached[0]) * cell, math.pi)
+            short = shortfall(end)
+            if short > 0.0 and end < math.pi:
+                end = min(end + cell, math.pi)
+                short = shortfall(end)
+            if short <= 0.0:
+                roots.append(brentq(shortfall, beta, end, xtol=1e-13))
         if roots:
             beta = float(roots[rng.integers(len(roots))])
     g, gamma = terms.best_gamma(beta)
@@ -225,7 +223,6 @@ def train_cutoff(
         trace.records.append(
             LayerRecord(depth, angles, symcore.overlap(state), g, time.perf_counter() - t0, evals)
         )
-    trace.status = _finish_status(trace)
     return trace
 
 
@@ -298,7 +295,6 @@ def train_global(
         amp = abs(amps[0])
         count = evals[0] if c == depth - 1 else 0
         trace.records.append(LayerRecord(c + 1, angles, float(amp**2), float(amp), 0.0, count))
-    trace.status = _finish_status(trace)
     return trace
 
 
@@ -338,5 +334,4 @@ def train_layerwise_noisy(
         trace.records.append(
             LayerRecord(depth, angles, float(amp**2), float(amp), time.perf_counter() - t0, evals)
         )
-    trace.status = _finish_status(trace)
     return trace

@@ -38,6 +38,19 @@ def synthetic_trace(n, overlaps, betas=None):
     return trace
 
 
+@pytest.mark.parametrize(
+    "overlaps, status",
+    [
+        ([0.2], "depth_limit"),
+        ([0.2, 0.5], "depth_limit"),
+        ([0.2, 0.5, 0.5 + 1e-12], "saturated"),
+        ([0.5, 1.0 - 1e-12], "overlap_one"),
+    ],
+)
+def test_status_follows_appended_records(overlaps, status):
+    assert synthetic_trace(4, overlaps).status == status
+
+
 # ------------------------------------------------------- saturation detection
 
 def test_no_saturation_when_overlap_reaches_one():
@@ -113,6 +126,12 @@ def test_condition2_equivalence():
         state = random_symmetric_state(int(rand.integers(2, 8)), rand)
         check = check_conditions(state)
         assert check.condition2_pass == (check.a2_magnitude <= check.a2_bound + check.tolerance)
+
+
+def test_condition2_has_no_bound_at_n1():
+    check = check_conditions(random_symmetric_state(1, np.random.default_rng(57)))
+    assert check.a2_bound is None and check.a2_magnitude == 0.0
+    assert check.condition2_pass
 
 
 def test_condition2_bound_formula():

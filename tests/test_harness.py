@@ -14,6 +14,7 @@ from satlab.cli import main
 from satlab.harness import (
     COMMON_FIELDS,
     EXPERIMENT_KINDS,
+    FORMATS,
     KINDS,
     ConfigError,
     ExperimentConfig,
@@ -76,6 +77,13 @@ def test_table_schema_validation():
     table.rows[-1] = [1, float("nan")]
     with pytest.raises(ValueError):
         table.validate()
+
+
+def test_table_validation_covers_metadata():
+    table = ResultTable(["a"], rows=[[1.0]], metadata={"conditions": {"bound": [math.inf]}})
+    for write in (table.validate, table.to_csv, table.to_json):
+        with pytest.raises(ValueError, match="metadata"):
+            write()
 
 
 def test_table_csv_roundtrip_precision(tmp_path):
@@ -212,6 +220,39 @@ def test_json_output_deterministic(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     parsed = json.loads((tmp_path / "a.json").read_text())
     assert parsed["columns"] == ["n", "depth", "beta", "beta_effective"]
+
+
+def strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# a small run of each kind at n = 1
+N1_CONFIGS = {
+    "saturation": dict(n_min=1, n_max=1),
+    "compare": dict(n=1, depth=2),
+    "cutoff": dict(n=1, trials=3, fractions=(0.5, 1.0)),
+    "noise": dict(n=1, trials=3, p_grid=(0.0, 0.5), bitflip_contrast=True),
+    "betas": dict(n_min=1, n_max=1),
+    "conditions": dict(n=1),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_n1_writes_strict_json(tmp_path, kind, fmt):
+    path = tmp_path / f"out.{fmt}"
+    run_experiment(ExperimentConfig(kind=kind, fmt=fmt, out=str(path), **N1_CONFIGS[kind]))
+    text = path.read_text()
+    strict_json(text.splitlines()[0][1:] if fmt == "csv" else text)
+
+
+def test_conditions_n1_writes_null_bound(tmp_path):
+    path = tmp_path / "c.json"
+    run_experiment(ExperimentConfig(kind="conditions", n=1, fmt="json", out=str(path)))
+    assert strict_json(path.read_text())["metadata"]["conditions"]["a2_bound"] is None
 
 
 # ---------------------------------------------------------------------- cli

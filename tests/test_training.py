@@ -115,16 +115,80 @@ def test_cutoff_hits_interpolated_target():
     state = symcore.plus_state(4)
     settings = OptimizerSettings()
     for record in trace.records:
-        from satlab.training import _best_beta
-
-        _, g_star, _ = _best_beta(symcore.layer_terms(state), settings)
         o_prev = symcore.overlap(state)
+        _, g_star, _ = training._layer_step(symcore.layer_terms(state), o_prev, 1.0, settings, None)
         o_max = g_star**2
         target = o_prev + fraction * (o_max - o_prev)
         assert record.overlap == pytest.approx(target, abs=1e-8)
         state = symcore.apply_mixer(
             symcore.apply_phase_separator(state, record.angles.gamma), record.angles.beta
         )
+
+
+class RootPicks:
+    """Generator stand-in: integers(2) returns the given picks in turn, 0 for
+    the left root and 1 for the right."""
+
+    def __init__(self, *picks):
+        self.picks = iter(picks)
+
+    def integers(self, count):
+        assert count == 2  # both roots were found
+        return next(self.picks)
+
+
+@pytest.mark.parametrize("fraction", [0.3, 0.6, 0.9])
+@pytest.mark.parametrize("n", [3, 4, 6, 10])
+def test_cutoff_takes_the_roots_nearest_the_maximizer(n, fraction):
+    # noiselessly g(0)^2 is the current overlap, below every target, and
+    # g(pi) = g(0), so a target is reached on both sides of the maximizer
+    settings = OptimizerSettings()
+    cell = np.pi / settings.beta_grid_points
+    reference = np.pi * np.arange(2**15 + 1) / 2**15
+    rand = np.random.default_rng(70 + n)
+    for _ in range(5):
+        state = symcore.random_symmetric_state(n, rand)
+        terms = symcore.layer_terms(state)
+        overlap = symcore.overlap(state)
+        angles, g_star, _ = training._layer_step(terms, overlap, 1.0, settings, None)
+        beta_star = angles.beta
+        target = overlap + fraction * (g_star**2 - overlap)
+        picks = RootPicks(0, 1)
+        left, right = (
+            training._layer_step(terms, overlap, fraction, settings, picks)[0].beta for _ in range(2)
+        )
+        for beta in (left, right):
+            assert terms.value(beta) ** 2 == pytest.approx(target, abs=1e-12)
+        assert 0.0 <= left <= beta_star
+        past = reference > beta_star
+        crossing = reference[past][terms.curve(reference[past]) ** 2 <= target][0]
+        assert beta_star < right and abs(right - crossing) <= cell
+
+
+def test_cutoff_right_root_when_the_grid_ties_the_target():
+    # a target equal to g^2 at a grid point past the maximizer: the scalar
+    # path puts that point above the target about half the time, and the
+    # bracket end must then move on rather than give brentq one sign twice
+    settings = OptimizerSettings()
+    cell = np.pi / settings.beta_grid_points
+    rand = np.random.default_rng(3)
+    ties = 0
+    for _ in range(20):
+        state = symcore.random_symmetric_state(int(rand.integers(3, 12)), rand)
+        terms = symcore.layer_terms(state)
+        overlap = symcore.overlap(state)
+        angles, g_star, _ = training._layer_step(terms, overlap, 1.0, settings, None)
+        gain = g_star**2 - overlap
+        grid = terms.grid(settings.beta_grid_points)
+        after = int(angles.beta // cell) + 1
+        j = after + np.flatnonzero(grid[after:] ** 2 <= overlap + gain / 2)[0]
+        fraction = (grid[j] ** 2 - overlap) / gain
+        target = overlap + fraction * gain
+        ties += target == grid[j] ** 2 and terms.value(j * cell) ** 2 > target
+        right = training._layer_step(terms, overlap, fraction, settings, RootPicks(1))[0].beta
+        assert terms.value(right) ** 2 == pytest.approx(target, abs=1e-12)
+        assert abs(right - j * cell) <= cell
+    assert ties > 0
 
 
 @pytest.mark.parametrize("fraction", [0.3, 0.7, 0.95])
