@@ -8,6 +8,7 @@ least-significant bit of the basis index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -69,8 +70,8 @@ class NoiseConfig:
     def __post_init__(self):
         if not 0.0 <= self.p_noise <= 1.0:
             raise ValueError(f"p_noise must be in [0, 1], got {self.p_noise}")
-        if self.phase_stddev < 0.0:
-            raise ValueError(f"phase_stddev must be >= 0, got {self.phase_stddev}")
+        if not 0.0 <= self.phase_stddev < math.inf:
+            raise ValueError(f"phase_stddev must be finite and >= 0, got {self.phase_stddev}")
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {self.granularity!r}")
         if self.kind not in ("phase", "bitflip"):

@@ -37,6 +37,11 @@ class OptimizerSettings:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("beta_grid_points", "global_restarts", "seed"):
+            value = getattr(self, name)
+            # bool is an int subclass, and a float fails later inside range or numpy
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.beta_grid_points < 2:
             raise ValueError("beta_grid_points must be >= 2")
         if self.global_restarts < 1:
@@ -120,10 +125,13 @@ def _layer_step(
     """Angles of one new layer: (angles, curve value at them, evaluations).
 
     The curve is sampled once, on the grid beta_j = pi j / M, and every choice
-    below reads that sample.  The maximizing beta is refined by golden section
-    in the grid's winning cell, then compared with a mirror candidate near
-    pi - beta (exactly degenerate for real amplitude vectors) and with the
-    exact beta = 0 value grid[0]; ties resolve toward the smaller beta.
+    below reads that sample.  With j the grid's first argmax, one golden-section
+    search refines the maximizer over the two cells around j pi / M, or around
+    pi - j pi / M when the mirror cell M - j lies below j and the grid puts it
+    within an absolute 1e-12 of the peak (an exact tie for real amplitude
+    vectors, where g(pi - beta) = g(beta)).  Other degenerate peaks keep the
+    first argmax.  The exact beta = 0 value grid[0] then wins any tie with the
+    refined value.
 
     The layer aims at overlap + fraction * (O_max - overlap), O_max being the
     best overlap one layer reaches.  fraction = 1 takes the maximizing beta and
@@ -137,24 +145,18 @@ def _layer_step(
     m = settings.beta_grid_points
     cell = math.pi / m
     grid = terms.grid(m)
-    peak = int(np.argmax(grid)) * cell
+    j = int(np.argmax(grid))
+    mirrored = m - j < j and grid[m - j] >= grid[j] - 1e-12
+    peak = math.pi - j * cell if mirrored else j * cell
     beta, g, evals = golden_section_max(
         terms.value, max(peak - cell, 0.0), min(peak + cell, math.pi), REFINE_TOLERANCE
     )
     evals += m
-    if peak > 0.0:
-        center = math.pi - peak
-        mb, mg, e = golden_section_max(
-            terms.value, max(center - cell, 0.0), min(center + cell, math.pi), REFINE_TOLERANCE
-        )
-        evals += e
-        if mg >= g - 1e-12 and mb < beta:
-            beta, g = mb, mg
     if grid[0] >= g:
         beta, g = 0.0, float(grid[0])
 
     gain = g**2 - overlap
-    if fraction < 1.0 and beta != 0.0 and gain > 1e-14:
+    if fraction < 1.0 and beta != 0.0 and gain > 0.0:
         target = overlap + fraction * gain
 
         def shortfall(b: float) -> float:

@@ -294,8 +294,9 @@ def test_memory_cap():
 def test_noise_config_validation():
     with pytest.raises(ValueError):
         NoiseConfig(p_noise=1.5)
-    with pytest.raises(ValueError):
-        NoiseConfig(p_noise=0.1, phase_stddev=-1.0)
+    for stddev in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="phase_stddev"):
+            NoiseConfig(p_noise=0.1, phase_stddev=stddev)
     with pytest.raises(ValueError):
         NoiseConfig(p_noise=0.1, granularity="per_gate")
 

@@ -98,6 +98,59 @@ def test_layerwise_deterministic():
     assert np.array_equal(a.betas(), b.betas())
 
 
+@pytest.mark.parametrize(
+    "train",
+    [
+        pytest.param(lambda rng: train_layerwise(6, 8), id="layerwise"),
+        pytest.param(lambda rng: train_cutoff(4, 8, 0.7, rng=rng), id="cutoff-0.7"),
+        pytest.param(lambda rng: train_layerwise_noisy(4, 4, NoiseConfig(0.3), rng=rng), id="noisy"),
+    ],
+)
+def test_each_layer_refines_beta_once(monkeypatch, train):
+    # the grid decides the mirror tie, so one golden-section search per layer
+    calls = [0]
+    search = training.golden_section_max
+
+    def counted(*args):
+        calls[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(training, "golden_section_max", counted)
+    trace = train(np.random.default_rng(2))
+    assert calls[0] == trace.depth
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_real_states_take_the_smaller_beta_of_the_mirror_pair(n):
+    # real amplitudes give g(pi - beta) = g(beta); the maximizer is the one in
+    # [0, pi/2], up to golden section's resolution when the peak is at pi/2
+    settings = OptimizerSettings()
+    rand = np.random.default_rng(40 + n)
+    states = [symcore.plus_state(n)]
+    for _ in range(4):
+        amps = rand.normal(size=n + 1)
+        states.append(symcore.SymmetricState(n, amps / np.linalg.norm(amps)))
+    for state in states:
+        terms = symcore.layer_terms(state)
+        angles, g, _ = training._layer_step(terms, symcore.overlap(state), 1.0, settings, None)
+        assert terms.value(np.pi - angles.beta) == pytest.approx(g, abs=1e-12)
+        assert angles.beta <= np.pi / 2 + 1e-7
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_complex_states_reach_the_fine_sampling_maximum(n):
+    # for complex amplitudes the mirror cell is not a peak, and the one
+    # refinement must still find the curve's maximum
+    settings = OptimizerSettings()
+    reference = np.pi * np.arange(2**15) / 2**15
+    rand = np.random.default_rng(90 + n)
+    for _ in range(5):
+        state = symcore.random_symmetric_state(n, rand)
+        terms = symcore.layer_terms(state)
+        angles, g, _ = training._layer_step(terms, symcore.overlap(state), 1.0, settings, None)
+        assert terms.value(angles.beta) >= terms.curve(reference).max() - 1e-9
+
+
 # ------------------------------------------------------------------- cutoff
 
 def test_cutoff_full_fraction_identical_to_layerwise():
@@ -189,6 +242,13 @@ def test_cutoff_right_root_when_the_grid_ties_the_target():
         assert terms.value(right) ** 2 == pytest.approx(target, abs=1e-12)
         assert abs(right - j * cell) <= cell
     assert ties > 0
+
+
+def test_cutoff_applies_to_gains_below_rounding_scale():
+    # the first greedy gain at n = 50 is 6.2e-15; the cutoff still takes half of it
+    greedy = train_layerwise(50, 1).improvements()[0]
+    half = train_cutoff(50, 1, 0.5, rng=np.random.default_rng(0)).improvements()[0]
+    assert half == pytest.approx(0.5 * greedy, rel=1e-6)
 
 
 @pytest.mark.parametrize("fraction", [0.3, 0.7, 0.95])
@@ -406,5 +466,11 @@ def test_settings_validation():
         OptimizerSettings(beta_grid_points=1)
     with pytest.raises(ValueError):
         OptimizerSettings(global_restarts=0)
+    # a float or a flag is refused up front, not inside range or numpy later
+    for bad in ({"beta_grid_points": 2048.5}, {"global_restarts": 1.5}, {"global_restarts": True},
+                {"beta_grid_points": False}, {"seed": 0.5}):
+        with pytest.raises(ValueError, match="integer"):
+            OptimizerSettings(**bad)
+    assert OptimizerSettings(beta_grid_points=np.int64(1024)).beta_grid_points == 1024
     with pytest.raises(ValueError):
         train_layerwise(0, 3)
