@@ -126,6 +126,10 @@ class MixerGenerator:
         frequencies = np.arange(-n, n + 1, 2, dtype=float)
         frequencies.setflags(write=False)
         self.frequencies = frequencies
+        # |+>^n in the eigenbasis, where neg_overlap starts
+        plus_coords = eigenvectors.T @ (binomial_sqrt(n) * 2.0 ** (-n / 2.0))
+        plus_coords.setflags(write=False)
+        self._plus_coords = plus_coords
 
     def evolve(self, amps: np.ndarray, beta: float) -> np.ndarray:
         """Apply exp(-i*beta*H) to a Dicke amplitude vector."""
@@ -144,6 +148,52 @@ class MixerGenerator:
             amps[0] *= np.exp(-1j * gamma)
             amps = self.evolve(amps, beta)
         return amps
+
+    def neg_overlap(self, params) -> tuple[float, np.ndarray]:
+        """-|A_0|^2 of a schedule run from |+>^n, and its gradient.
+
+        params holds the 2p angles in layer order, [gamma_1, beta_1, ...,
+        gamma_p, beta_p]; the gradient has the same layout.  The state is
+        carried in the mixer's eigenbasis, t = V^T amps, where a layer is a
+        rank-1 kick t += (exp(-i*gamma) - 1) (V[0] . t) V[0] followed by the
+        diagonal phase exp(-i*beta*lambda), O(n) per layer.  One backward
+        sweep of the bra w with A_0 = w . t then gives dA_0/dbeta =
+        w . (-i lambda t) and dA_0/dgamma = -i exp(-i*gamma) (V[0] . t_in)
+        (w . V[0]), the reverse-mode gradient of Jones & Gacon,
+        arXiv:2009.02823.  Values agree with layers to rounding, not bitwise.
+        """
+        params = np.asarray(params, dtype=float)
+        gammas, betas = params[0::2], params[1::2]
+        depth = gammas.size
+        row = self.eigenvectors[0]
+        kicks = np.exp(-1j * gammas) - 1.0
+        phases = np.exp(-1j * np.multiply.outer(betas, self.eigenvalues))
+        # forward: states[i] is t after i layers, heads[i] = V[0] . states[i]
+        states = np.empty((depth + 1, self.n + 1), dtype=complex)
+        heads = np.empty(depth, dtype=complex)
+        t = states[0] = self._plus_coords
+        for i, kick in enumerate(kicks.tolist()):
+            heads[i] = head = row @ t
+            t = states[i + 1] = phases[i] * (t + (kick * head) * row)
+        target = complex(row @ t)
+        # backward: bras[i] is the bra w with A_0 = w . states[i + 1], and
+        # alongs[i] = (w exp(-i betas[i] lambda)) . V[0] meets the kick of layer i
+        bras = np.empty((depth, self.n + 1), dtype=complex)
+        alongs = np.empty(depth, dtype=complex)
+        bra = row
+        for i in range(depth - 1, -1, -1):
+            bras[i] = bra
+            bra = bra * phases[i]
+            alongs[i] = along = bra @ row
+            bra = bra + (kicks[i] * along) * row
+        d_gamma = -1j * (kicks + 1.0) * heads * alongs
+        d_beta = -1j * ((bras * states[1:]) @ self.eigenvalues)
+        # d|A_0|^2 = 2 Re(conj(A_0) dA_0)
+        weight = -2.0 * target.conjugate()
+        grad = np.empty(2 * depth)
+        grad[0::2] = (weight * d_gamma).real
+        grad[1::2] = (weight * d_beta).real
+        return -abs(target) ** 2, grad
 
 
 @lru_cache(maxsize=None)

@@ -145,6 +145,30 @@ def test_layer_kernel_leaves_its_input_alone():
     assert np.array_equal(out, run_schedule(3, [(0.7, 0.3), (1.1, 0.9)]).amps)
 
 
+# ---------------------------------------------------------- adjoint gradient
+
+@pytest.mark.parametrize("depth", range(1, 7))
+@pytest.mark.parametrize("n", [1, 2, 4, 12, 40])
+def test_neg_overlap_matches_layer_kernel_and_central_differences(n, depth):
+    # n = 1 has the two-point spectrum +-1
+    gen = mixer(n)
+    rand = np.random.default_rng(900 + 10 * n + depth)
+    params = np.column_stack(
+        [rand.uniform(0, 2 * np.pi, depth), rand.uniform(0, np.pi, depth)]
+    ).ravel()
+    value, grad = gen.neg_overlap(params)
+    amps = gen.layers(plus_state(n).amps, params[0::2], params[1::2])
+    assert abs(value + abs(amps[0]) ** 2) <= 1e-14
+    h = 1e-6
+    central = np.empty_like(params)
+    for k in range(params.size):
+        step = np.zeros_like(params)
+        step[k] = h
+        central[k] = (gen.neg_overlap(params + step)[0] - gen.neg_overlap(params - step)[0]) / (2 * h)
+    assert grad.shape == params.shape
+    assert np.max(np.abs(grad - central)) <= 1e-8
+
+
 def test_empty_schedule_is_plus_state():
     assert np.allclose(run_schedule(3, []).amps, plus_state(3).amps)
 

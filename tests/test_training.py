@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import OptimizeResult, minimize_scalar
 
 from satlab import densecore, symcore, training
 from satlab.densecore import NoiseConfig
@@ -368,6 +368,39 @@ def test_global_profile_is_the_replay_of_its_schedule():
     for c, record in enumerate(gl.records, start=1):
         assert record.overlap == symcore.overlap(symcore.run_schedule(4, schedule[:c]))
     assert [r.evaluations > 0 for r in gl.records] == [False, False, True]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_global_keeps_its_greedy_seed_to_rounding(n):
+    lw = train_layerwise(n, n)
+    gl = train_global(n, n, OptimizerSettings(global_restarts=1), seed_schedules=[lw.schedule()])
+    assert gl.overlaps()[-1] >= lw.overlaps()[-1] - 1e-12
+
+
+@pytest.mark.parametrize("n", [40, 60])
+def test_global_improves_on_greedy_at_tiny_overlaps(n):
+    # overlaps near 2^-n must not trip absolute stopping rules at the start
+    lw = train_layerwise(n, 2)
+    gl = train_global(n, 2, OptimizerSettings(global_restarts=1), seed_schedules=[lw.schedule()])
+    assert gl.overlaps()[-1] >= 1.002 * lw.overlaps()[-1]
+
+
+def test_global_winner_is_stationary():
+    lw = train_layerwise(4, 6)
+    gl = train_global(4, 6, seed_schedules=[lw.schedule()])
+    _, grad = symcore.mixer(4).neg_overlap(training._schedule_to_params(gl.schedule()))
+    assert np.linalg.norm(grad) <= 1e-6
+
+
+def test_global_refuses_a_non_stationary_winner(monkeypatch):
+    # an optimizer that stops where it starts leaves a random start's slope
+    def stay(fun, x0, **kwargs):
+        value, grad = fun(x0)
+        return OptimizeResult(x=x0, fun=value, jac=grad, nfev=1, success=False, message="stub")
+
+    monkeypatch.setattr(training, "minimize", stay)
+    with pytest.raises(RuntimeError, match="gradient norm"):
+        train_global(4, 3, OptimizerSettings(global_restarts=2))
 
 
 @pytest.mark.parametrize("seed_depth", [1, 5])
