@@ -223,7 +223,7 @@ def layer_terms_dense(amps: np.ndarray, n: int, slots) -> LayerTerms:
             ahead = qubits >= s
             phis[qubits[ahead]] += kicks[ahead]
         events, a_weight = (np.flatnonzero(phis), phis[phis != 0.0]), 0
-    return LayerTerms(amps[0], a_weight, _weight_sums(apply_noise_events(rest, n, events), n))
+    return LayerTerms.from_sums(amps[0], a_weight, _weight_sums(apply_noise_events(rest, n, events), n))
 
 
 def run_schedule_dense(

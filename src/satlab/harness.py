@@ -87,7 +87,7 @@ def _grid(inside):
 _POSITIVE = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
 _QUBITS = (
     lambda v: type(v) is int and 1 <= v <= symcore.MAX_SYMMETRIC_QUBITS,
-    f"an integer in [1, {symcore.MAX_SYMMETRIC_QUBITS}], the float64 validity ceiling",
+    f"an integer in [1, {symcore.MAX_SYMMETRIC_QUBITS}], past which 2^-n is not a normal float64",
 )
 _NONNEGATIVE = (lambda v: _is_number(v) and math.isfinite(v) and v >= 0.0, "a finite number >= 0")
 # field -> (test of its value, what the value must be)

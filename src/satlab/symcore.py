@@ -5,41 +5,39 @@ the mixer Hamiltonian (a sum of single-qubit X operators) commutes with every
 qubit permutation and both the initial plus state and the target are symmetric,
 the whole circuit lives in the (n+1)-dimensional span of the Dicke states
 |e_0>, ..., |e_n>.  States here are the n+1 complex amplitudes A_k = <e_k|psi>.
+
+Noiseless circuits run in the mixer's eigenbasis (MixerGenerator.forward); the
+trainers carry these eigen-coordinates, and run_schedule returns Dicke amplitudes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 NORM_TOL = 1e-8
-# Largest qubit count whose overlaps are trusted.  The amplitude vector carries
-# an absolute rounding error of order machine epsilon while |A_0| shrinks like
-# 2^{-n/2}, so the relative error of the target amplitude grows like
-# eps * 2^{n/2}.  Against a 60-digit mpmath closed form of the depth-1 amplitude
-# (worst of 40 random angle pairs) it is 8.3e-7 at n = 60 and 2.4e-6 at n = 61:
-# this is the ceiling at a relative tolerance of 1e-6.  ExperimentConfig
+# Largest qubit count whose overlaps are trusted.  The depth-1 target amplitude
+# stays within 2.1e-13 (relative) of a 60-digit mpmath closed form up to here,
+# so float64's range binds: past n = 1022, 2^-n (|+>^n's overlap, r_0^2) is not
+# a normal float, and train_global's 2^n overflows at n = 1024.  ExperimentConfig
 # rejects larger n; the library functions and trainers do not check it.
-MAX_SYMMETRIC_QUBITS = 60
+MAX_SYMMETRIC_QUBITS = 1022
+# Largest excess over 1 that reported_overlap reads as rounding; the largest
+# seen, over greedy-seeded train_global at n = 1..6, is 1.8e-15.
+OVERLAP_EXCESS_TOL = 1e-12
 
 
 @lru_cache(maxsize=None)
 def binomial_sqrt(n: int) -> np.ndarray:
-    """sqrt(C(n, k)) for k = 0..n (cached, read-only).
+    """sqrt(C(n, k)) for k = 0..n from the exact integers (cached, read-only).
 
-    Exact integer binomials up to n = 50, log-gamma beyond that so large n
-    cannot overflow.
+    C(n, n // 2) overflows float64 past n = 1029, beyond MAX_SYMMETRIC_QUBITS.
     """
-    if n <= 50:
-        out = np.sqrt(np.array([math.comb(n, k) for k in range(n + 1)], dtype=float))
-    else:
-        k = np.arange(n + 1, dtype=float)
-        out = np.exp(0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)))
+    out = np.sqrt(np.array([float(math.comb(n, k)) for k in range(n + 1)]))
     out.setflags(write=False)
     return out
 
@@ -101,14 +99,16 @@ def _as_angles(layer) -> LayerAngles:
 
 
 class MixerGenerator:
-    """Mixer Hamiltonian, a sum of single-qubit X operators, in the Dicke basis.
+    """Mixer Hamiltonian, a sum of single-qubit X operators, and its eigenbasis.
 
-    The matrix is real symmetric tridiagonal with zero diagonal and
-    off-diagonal entries sqrt((k+1)(n-k)): flipping one of the n-k zeros of a
-    weight-k Dicke state reaches each weight-(k+1) bitstring k+1 ways, and the
-    normalization ratio supplies the square root.  Its spectrum is the integers
-    -n, -n+2, ..., n.  The eigendecomposition is computed once and cached, so
-    the mixer exponential is exact for every angle at O(n^2) per application.
+    In the Dicke basis the matrix is real symmetric tridiagonal with zero
+    diagonal and off-diagonal entries sqrt((k+1)(n-k)): flipping one of the
+    n-k zeros of a weight-k Dicke state reaches each weight-(k+1) bitstring
+    k+1 ways, and the normalization ratio supplies the square root.  Its
+    eigenvalues are the integers lambda_l = -n + 2l, held exactly, and the
+    first row of its eigenvectors is r = plus_state's amplitudes, held in
+    closed form as row.  The eigenvectors V are computed once, each column
+    signed so that V[0] > 0 like r; |+>^n is e_n in this basis.
     """
 
     def __init__(self, n: int):
@@ -117,67 +117,61 @@ class MixerGenerator:
         self.n = n
         k = np.arange(n)
         off = np.sqrt((k + 1.0) * (n - k))
-        eigenvalues, eigenvectors = eigh_tridiagonal(np.zeros(n + 1), off)
-        eigenvalues.setflags(write=False)
-        eigenvectors.setflags(write=False)
-        self.eigenvalues = eigenvalues
+        _, eigenvectors = eigh_tridiagonal(np.zeros(n + 1), off)
+        eigenvectors *= np.copysign(1.0, eigenvectors[0])
         self.eigenvectors = eigenvectors
-        # the exact spectrum, matching the columns of eigenvectors
-        frequencies = np.arange(-n, n + 1, 2, dtype=float)
-        frequencies.setflags(write=False)
-        self.frequencies = frequencies
-        # |+>^n in the eigenbasis, where neg_overlap starts
-        plus_coords = eigenvectors.T @ (binomial_sqrt(n) * 2.0 ** (-n / 2.0))
-        plus_coords.setflags(write=False)
-        self._plus_coords = plus_coords
+        self.eigenvalues = np.arange(-n, n + 1, 2, dtype=float)
+        self.row = plus_state(n).amps.real.copy()
+        self.plus = np.zeros(n + 1, dtype=complex)
+        self.plus[n] = 1.0
+        for array in (eigenvectors, self.eigenvalues, self.row, self.plus):
+            array.setflags(write=False)
 
     def evolve(self, amps: np.ndarray, beta: float) -> np.ndarray:
         """Apply exp(-i*beta*H) to a Dicke amplitude vector."""
         v = self.eigenvectors
         return v @ (np.exp(-1j * beta * self.eigenvalues) * (v.T @ amps))
 
-    def layers(self, amps: np.ndarray, gammas, betas) -> np.ndarray:
-        """Apply layers in order to a Dicke amplitude vector and return a new one.
+    def forward(self, t: np.ndarray, gammas, betas) -> tuple[np.ndarray, np.ndarray]:
+        """Run layers in order on eigen-coordinates t: (states, heads).
 
-        Layer i rephases the target, A_0 -> exp(-i*gammas[i]) * A_0, then
-        applies the mixer for betas[i].  Each call copies amps once, so pass
-        a whole schedule in one call where the layers are known up front.
+        Layer i rephases the target and applies the mixer, t -> exp(-i*betas[i]
+        *lambda) * (t + (exp(-i*gammas[i]) - 1) (r . t) r), O(n).  states[i] is
+        t after i layers and heads[i] = r . states[i] its target amplitude; one
+        call or one call per layer gives the same heads bitwise.
         """
-        amps = np.array(amps, dtype=complex)
-        for gamma, beta in zip(gammas, betas):
-            amps[0] *= np.exp(-1j * gamma)
-            amps = self.evolve(amps, beta)
-        return amps
+        row = self.row
+        kicks = np.exp(-1j * np.asarray(gammas, dtype=float)) - 1.0
+        phases = np.exp(-1j * np.multiply.outer(np.asarray(betas, dtype=float), self.eigenvalues))
+        states = np.empty((kicks.size + 1, self.n + 1), dtype=complex)
+        heads = np.empty(kicks.size + 1, dtype=complex)
+        states[0] = t
+        t = states[0]
+        head = heads[0] = row @ t
+        for i, kick in enumerate(kicks.tolist()):
+            t = states[i + 1] = phases[i] * (t + (kick * head) * row)
+            head = heads[i + 1] = row @ t
+        return states, heads
 
     def neg_overlap(self, params) -> tuple[float, np.ndarray]:
         """-|A_0|^2 of a schedule run from |+>^n, and its gradient.
 
         params holds the 2p angles in layer order, [gamma_1, beta_1, ...,
-        gamma_p, beta_p]; the gradient has the same layout.  The state is
-        carried in the mixer's eigenbasis, t = V^T amps, where a layer is a
-        rank-1 kick t += (exp(-i*gamma) - 1) (V[0] . t) V[0] followed by the
-        diagonal phase exp(-i*beta*lambda), O(n) per layer.  One backward
-        sweep of the bra w with A_0 = w . t then gives dA_0/dbeta =
-        w . (-i lambda t) and dA_0/dgamma = -i exp(-i*gamma) (V[0] . t_in)
-        (w . V[0]), the reverse-mode gradient of Jones & Gacon,
-        arXiv:2009.02823.  Values agree with layers to rounding, not bitwise.
+        gamma_p, beta_p]; the gradient has the same layout.  The value is that
+        of forward from e_n.  One backward sweep of the bra w with A_0 = w . t
+        then gives dA_0/dbeta = w . (-i lambda t) and dA_0/dgamma = -i
+        exp(-i*gamma) (r . t_in) (w . r), the reverse-mode gradient of Jones &
+        Gacon, arXiv:2009.02823, at O(n) per layer.
         """
         params = np.asarray(params, dtype=float)
         gammas, betas = params[0::2], params[1::2]
-        depth = gammas.size
-        row = self.eigenvectors[0]
+        states, heads = self.forward(self.plus, gammas, betas)
+        row = self.row
         kicks = np.exp(-1j * gammas) - 1.0
         phases = np.exp(-1j * np.multiply.outer(betas, self.eigenvalues))
-        # forward: states[i] is t after i layers, heads[i] = V[0] . states[i]
-        states = np.empty((depth + 1, self.n + 1), dtype=complex)
-        heads = np.empty(depth, dtype=complex)
-        t = states[0] = self._plus_coords
-        for i, kick in enumerate(kicks.tolist()):
-            heads[i] = head = row @ t
-            t = states[i + 1] = phases[i] * (t + (kick * head) * row)
-        target = complex(row @ t)
-        # backward: bras[i] is the bra w with A_0 = w . states[i + 1], and
-        # alongs[i] = (w exp(-i betas[i] lambda)) . V[0] meets the kick of layer i
+        # bras[i] is the bra w with A_0 = w . states[i + 1], and alongs[i] =
+        # (w exp(-i betas[i] lambda)) . r meets the kick of layer i
+        depth = gammas.size
         bras = np.empty((depth, self.n + 1), dtype=complex)
         alongs = np.empty(depth, dtype=complex)
         bra = row
@@ -186,14 +180,14 @@ class MixerGenerator:
             bra = bra * phases[i]
             alongs[i] = along = bra @ row
             bra = bra + (kicks[i] * along) * row
-        d_gamma = -1j * (kicks + 1.0) * heads * alongs
+        d_gamma = -1j * (kicks + 1.0) * heads[:-1] * alongs
         d_beta = -1j * ((bras * states[1:]) @ self.eigenvalues)
         # d|A_0|^2 = 2 Re(conj(A_0) dA_0)
-        weight = -2.0 * target.conjugate()
+        weight = -2.0 * heads[-1].conjugate()
         grad = np.empty(2 * depth)
         grad[0::2] = (weight * d_gamma).real
         grad[1::2] = (weight * d_beta).real
-        return -abs(target) ** 2, grad
+        return -abs(heads[-1]) ** 2, grad
 
 
 @lru_cache(maxsize=None)
@@ -221,15 +215,28 @@ def apply_mixer(state: SymmetricState, beta: float) -> SymmetricState:
 
 
 def run_schedule(n: int, schedule) -> SymmetricState:
-    """Run the full circuit: alternate phase separator and mixer from |+>^n."""
+    """Run the full circuit from |+>^n by MixerGenerator.forward: amps = V t, A_0 = r . t."""
     angles = [_as_angles(layer) for layer in schedule]
-    gammas, betas = [a.gamma for a in angles], [a.beta for a in angles]
-    return SymmetricState(n, mixer(n).layers(plus_state(n).amps, gammas, betas))
+    gen = mixer(n)
+    states, heads = gen.forward(gen.plus, [a.gamma for a in angles], [a.beta for a in angles])
+    amps = gen.eigenvectors @ states[-1]
+    amps[0] = heads[-1]
+    return SymmetricState(n, amps)
+
+
+def reported_overlap(amplitude: complex) -> float:
+    """|amplitude|^2 as a reported overlap: the forward is unitary only to
+    rounding, so an excess over 1 up to OVERLAP_EXCESS_TOL reads 1.0, and a
+    larger one raises ValueError."""
+    value = float(abs(amplitude) ** 2)
+    if value > 1.0 + OVERLAP_EXCESS_TOL:
+        raise ValueError(f"overlap {value!r} exceeds 1 by more than {OVERLAP_EXCESS_TOL}")
+    return min(value, 1.0)
 
 
 def overlap(state: SymmetricState) -> float:
-    """Squared overlap with the target: |A_0|^2."""
-    return float(abs(state.amps[0]) ** 2)
+    """Squared overlap with the target, |A_0|^2, by reported_overlap."""
+    return reported_overlap(state.amps[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,48 +252,47 @@ class LayerTerms:
     amplitudes of weight k >= 1 (A_k sqrt(C(n,k))); coherent noise changes
     only these coefficients.
 
-    Both terms are evaluated in their Fourier form.  With V the mixer's
-    eigenvectors and lambda_l = -n + 2l its eigenvalues,
-    cos^{n-k}(beta) (-i sin(beta))^k sqrt(C(n,k)) = <0|mixer(beta)|e_k>
-    = sum_l V[0,l] V[k,l] exp(-i lambda_l beta), so
-        A = sum_l coefs[0, l] exp(-i lambda_l beta),
-        coefs[0] = a / sqrt(C(n,m)) * V[0] * V[m],
-        B = sum_l coefs[1, l] exp(-i lambda_l beta),
-        coefs[1] = V[0] * (V^T (sums / sqrt(C(n,k)))).
-    A scalar beta then costs O(n).  On the grid beta_j = pi j / M the common
-    factor exp(i n beta_j) drops out of the moduli, and what is left is one
-    length-M FFT of the coefficients (folded modulo M when n + 1 > M).  At
-    beta = 0 the mixer is the identity, and A(0) = a [m = 0], B(0) = sums[0]
-    are returned exactly, so the beta = 0 snap and the gamma = 0 tie rule
-    compare exact values.  Elsewhere the terms carry the componentwise error
-    of the computed eigenvectors, as MixerGenerator.evolve does.
+    Both terms are held in their Fourier form over the mixer's eigenvalues
+    lambda_l = -n + 2l, A = sum_l coefs[0, l] exp(-i lambda_l beta) and
+    likewise B with coefs[1], since cos^{n-k}(beta) (-i sin(beta))^k
+    sqrt(C(n,k)) = <0|mixer(beta)|e_k> = sum_l V[0,l] V[k,l] exp(-i lambda_l
+    beta).  A scalar beta then costs O(n).  On the grid beta_j = pi j / M the
+    common factor exp(i n beta_j) drops out of the moduli, and what is left is
+    one length-M FFT of the coefficients (folded modulo M when n + 1 > M).  At
+    beta = 0 the mixer is the identity, and at_zero = (A(0), B(0)) holds the
+    exact values, so the beta = 0 snap and the gamma = 0 tie rule compare
+    exact values.
     """
 
-    a: complex
-    a_weight: int
-    sums: np.ndarray
-    coefs: np.ndarray = field(init=False, repr=False)
+    coefs: np.ndarray
+    at_zero: tuple[complex, complex]
 
-    def __post_init__(self):
-        n, m = self.sums.size - 1, self.a_weight
+    @classmethod
+    def from_eigen(cls, t: np.ndarray) -> LayerTerms:
+        """Noiseless terms of eigen-coordinates t, O(n): with A_0 = r . t,
+        coefs[0] = A_0 r * r, coefs[1] = r * (t - A_0 r) and B(0) = 0."""
+        row = mixer(t.size - 1).row
+        a0 = row @ t
+        return cls(np.stack([a0 * row * row, row * (t - a0 * row)]), (a0, 0.0))
+
+    @classmethod
+    def from_sums(cls, a: complex, a_weight: int, sums: np.ndarray) -> LayerTerms:
+        """Terms of a, a_weight and sums, O(n^2): coefs[0] = a / sqrt(C(n,m))
+        V[0] * V[m] and coefs[1] = V[0] * (V^T (sums / sqrt(C(n,k))))."""
+        n, m = sums.size - 1, a_weight
         v = mixer(n).eigenvectors
         root = binomial_sqrt(n)
-        coefs = np.empty((2, n + 1), dtype=complex)
-        coefs[0] = (self.a / root[m]) * v[0] * v[m]
-        coefs[1] = v[0] * (v.T @ (self.sums / root))
-        object.__setattr__(self, "coefs", coefs)
-
-    def _at_zero(self) -> tuple[complex, complex]:
-        return (self.a if self.a_weight == 0 else 0.0), self.sums[0]
+        coefs = np.stack([(a / root[m]) * v[0] * v[m], v[0] * (v.T @ (sums / root))])
+        return cls(coefs, (a if m == 0 else 0.0, sums[0]))
 
     def split(self, betas) -> tuple[np.ndarray, np.ndarray]:
         """(A, B) at each beta."""
         betas = np.atleast_1d(np.asarray(betas, dtype=float))
-        freqs = mixer(self.sums.size - 1).frequencies
+        freqs = mixer(self.coefs.shape[1] - 1).eigenvalues
         a_term, b_term = self.coefs @ np.exp(-1j * np.multiply.outer(freqs, betas))
         zero = betas == 0.0
         if zero.any():
-            a_term[zero], b_term[zero] = self._at_zero()
+            a_term[zero], b_term[zero] = self.at_zero
         return a_term, b_term
 
     def curve(self, betas) -> np.ndarray:
@@ -300,9 +306,9 @@ class LayerTerms:
     def value(self, beta: float) -> float:
         """The curve at one beta as a float: the scalar path of curve, O(n)."""
         if beta == 0.0:
-            a_term, b_term = self._at_zero()
+            a_term, b_term = self.at_zero
         else:
-            freqs = mixer(self.sums.size - 1).frequencies
+            freqs = mixer(self.coefs.shape[1] - 1).eigenvalues
             a_term, b_term = self.coefs @ np.exp(freqs * (-1j * beta))
         return float(abs(a_term) + abs(b_term))
 
@@ -313,8 +319,7 @@ class LayerTerms:
         folded[:, :size] = self.coefs
         spectra = np.fft.fft(folded.reshape(2, -1, points).sum(axis=1), axis=1)
         vals = np.abs(spectra).sum(axis=0)
-        a0, b0 = self._at_zero()
-        vals[0] = abs(a0) + abs(b0)
+        vals[0] = abs(self.at_zero[0]) + abs(self.at_zero[1])
         return vals
 
     def best_gamma(self, beta: float) -> tuple[float, float]:
@@ -332,7 +337,7 @@ def layer_terms(state: SymmetricState) -> LayerTerms:
     """Noiseless one-layer terms of a symmetric state."""
     sums = state.amps * binomial_sqrt(state.n)
     sums[0] = 0.0
-    return LayerTerms(state.amps[0], 0, sums)
+    return LayerTerms.from_sums(state.amps[0], 0, sums)
 
 
 def gamma_eliminated_curve(state: SymmetricState, betas) -> np.ndarray:

@@ -214,17 +214,14 @@ def train_cutoff(
         raise ValueError("train_cutoff below fraction 1 draws from rng; pass a numpy Generator")
     settings = settings or OptimizerSettings()
     gen = symcore.mixer(n)
-    state = symcore.plus_state(n)
+    t, overlap = gen.plus, symcore.reported_overlap(gen.row[n])
     trace = TrainingTrace(n)
     for depth in range(1, max_depth + 1):
         t0 = time.perf_counter()
-        angles, g, evals = _layer_step(
-            symcore.layer_terms(state), symcore.overlap(state), fraction, settings, rng
-        )
-        state = symcore.SymmetricState(n, gen.layers(state.amps, [angles.gamma], [angles.beta]))
-        trace.records.append(
-            LayerRecord(depth, angles, symcore.overlap(state), g, time.perf_counter() - t0, evals)
-        )
+        angles, g, evals = _layer_step(symcore.LayerTerms.from_eigen(t), overlap, fraction, settings, rng)
+        states, heads = gen.forward(t, [angles.gamma], [angles.beta])
+        t, overlap = states[-1], symcore.reported_overlap(heads[-1])
+        trace.records.append(LayerRecord(depth, angles, overlap, g, time.perf_counter() - t0, evals))
     return trace
 
 
@@ -257,9 +254,9 @@ def train_global(
     ABNORMAL_TERMINATION_IN_LNSRCH; their end points are kept like the others.
     Convergence is checked on the winner instead: RuntimeError is raised
     unless |grad f| / |f| is at most GLOBAL_GRADIENT_TOLERANCE there.  The
-    per-depth overlap profile of the winner is replayed with
-    MixerGenerator.layers; the objective evaluations of all starts are carried
-    on the final record.
+    per-depth overlap profile of the winner, with its angles reduced to the
+    principal ranges, is read from the heads of one MixerGenerator.forward;
+    the objective evaluations of all starts are carried on the final record.
     """
     if n < 1 or depth < 1:
         raise ValueError("n and depth must be >= 1")
@@ -302,14 +299,12 @@ def train_global(
             f"> {GLOBAL_GRADIENT_TOLERANCE} ({best.message})"
         )
 
+    angles = [LayerAngles(gamma, beta) for gamma, beta in best.x.reshape(depth, 2)]
+    _, heads = gen.forward(gen.plus, [a.gamma for a in angles], [a.beta for a in angles])
     trace = TrainingTrace(n)
-    amps = symcore.plus_state(n).amps
-    for c in range(depth):
-        angles = LayerAngles(best.x[2 * c], best.x[2 * c + 1])
-        amps = gen.layers(amps, [angles.gamma], [angles.beta])
-        amp = abs(amps[0])
-        count = evals if c == depth - 1 else 0
-        trace.records.append(LayerRecord(c + 1, angles, float(amp**2), float(amp), 0.0, count))
+    for c, head in enumerate(heads[1:], start=1):
+        overlap, count = symcore.reported_overlap(head), evals if c == depth else 0
+        trace.records.append(LayerRecord(c, angles[c - 1], overlap, float(abs(head)), 0.0, count))
     return trace
 
 
@@ -345,8 +340,8 @@ def train_layerwise_noisy(
         terms = densecore.layer_terms_dense(prefix, n, slots)
         angles, _, evals = _layer_step(terms, abs(prefix[0]) ** 2, 1.0, settings, rng)
         prefix = densecore.apply_layer_dense(prefix, n, angles.gamma, angles.beta, slots)
-        amp = abs(prefix[0])
+        overlap = symcore.reported_overlap(prefix[0])
         trace.records.append(
-            LayerRecord(depth, angles, float(amp**2), float(amp), time.perf_counter() - t0, evals)
+            LayerRecord(depth, angles, overlap, float(abs(prefix[0])), time.perf_counter() - t0, evals)
         )
     return trace

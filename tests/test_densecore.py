@@ -315,8 +315,9 @@ def test_dense_state_rejects_non_finite_amplitudes():
 @pytest.mark.parametrize("kind", ["phase", "bitflip"])
 @pytest.mark.parametrize("granularity", ["layer", "single_qubit"])
 def test_noisy_layer_fft_grid_matches_direct_curve(granularity, kind):
-    # bit flips give a_weight > 0 and sums[0] != 0, the terms that the
-    # noiseless split never has; beta = 0 stays exact for both
+    # a layer's bit flips act as one mask f before the mixer, so A(0) = 0 and
+    # B(0) = psi[f], terms that the noiseless split never has; phase kicks
+    # keep A(0) = psi[0] and B(0) = 0.  beta = 0 stays exact for both
     rand = np.random.default_rng(37)
     n = 5
     noise = NoiseConfig(0.5, granularity=granularity, kind=kind)
@@ -324,14 +325,20 @@ def test_noisy_layer_fft_grid_matches_direct_curve(granularity, kind):
     for _ in range(8):
         psi = rand.normal(size=1 << n) + 1j * rand.normal(size=1 << n)
         psi /= np.linalg.norm(psi)
-        terms = layer_terms_dense(psi, n, sample_layer_noise(n, noise, rand))
-        if terms.a_weight > 0:
-            flipped += 1
-            assert terms.sums[0] != 0.0
+        slots = sample_layer_noise(n, noise, rand)
+        terms = layer_terms_dense(psi, n, slots)
+        mask = 0
+        if kind == "bitflip":
+            for qubits, _ in slots:
+                for q in qubits:
+                    mask ^= 1 << int(q)
         for m in (2, 3, 2048):
             betas = np.linspace(0, np.pi, m, endpoint=False)
             assert np.max(np.abs(terms.grid(m) - terms.curve(betas))) < 1e-13
         a_term, b_term = terms.split(0.0)
-        assert a_term[0] == (psi[0] if terms.a_weight == 0 else 0.0)
-        assert b_term[0] == terms.sums[0]
+        if mask:
+            flipped += 1
+            assert (a_term[0], b_term[0]) == (0.0, psi[mask])
+        else:
+            assert (a_term[0], b_term[0]) == (psi[0], 0.0)
     assert (flipped > 0) == (kind == "bitflip")

@@ -365,11 +365,12 @@ def test_cli_rejects_directory_out_in_config(tmp_path, no_compute, capsys):
 @pytest.mark.parametrize(
     "args",
     [
-        ["saturation", "--n-min", "150", "--n-max", "150"],
+        # 2^-1023, the overlap of |+>^n, is not a normal float64
+        ["saturation", "--n-min", "1023", "--n-max", "1023"],
         ["saturation", "--n-max", str(symcore.MAX_SYMMETRIC_QUBITS + 1)],
         ["compare", "--n", str(symcore.MAX_SYMMETRIC_QUBITS + 1)],
     ],
-    ids=["saturation-150", "n_max-past-ceiling", "n-past-ceiling"],
+    ids=["saturation-1023", "n_max-past-ceiling", "n-past-ceiling"],
 )
 def test_cli_rejects_n_past_validity_ceiling(args, no_compute, capsys):
     assert main(args) == 1

@@ -18,6 +18,7 @@ from satlab.symcore import (
     run_schedule,
     saturation_derivatives,
 )
+from satlab.training import train_layerwise
 
 rng = np.random.default_rng(20260810)
 
@@ -124,25 +125,35 @@ def test_mixer_agrees_with_dense_evolution(n):
 
 @pytest.mark.parametrize("n", [1, 4, 40])
 def test_run_schedule_equals_layer_composition_exactly(n):
-    # the layer kernel and the two single-step helpers make the same
-    # floating-point operations in the same order
+    # one forward call per layer makes the same floating-point operations in
+    # the same order as one call for the whole schedule; the Dicke-basis
+    # single-step helpers agree to rounding
+    gen = mixer(n)
     rand = np.random.default_rng(700 + n)
     for depth in (1, 3, 7):
         schedule = random_schedule(n, depth, rand)
-        state = plus_state(n)
+        t, state = gen.plus, plus_state(n)
         for layer in schedule:
+            t = gen.forward(t, [layer.gamma], [layer.beta])[0][-1]
             state = apply_mixer(apply_phase_separator(state, layer.gamma), layer.beta)
-        assert np.array_equal(run_schedule(n, schedule).amps, state.amps)
+        amps = run_schedule(n, schedule).amps
+        assert amps[0] == gen.row @ t
+        assert np.array_equal(amps[1:], (gen.eigenvectors @ t)[1:])
+        assert np.max(np.abs(amps - state.amps)) <= 1e-14
 
 
 def test_layer_kernel_leaves_its_input_alone():
     gen = mixer(3)
-    amps = plus_state(3).amps.copy()
-    out = gen.layers(amps, [0.7, 1.1], [0.3, 0.9])
-    assert np.array_equal(amps, plus_state(3).amps)
-    assert np.array_equal(gen.layers(amps, [], []), amps)
-    assert not np.shares_memory(gen.layers(amps, [], []), amps)
-    assert np.array_equal(out, run_schedule(3, [(0.7, 0.3), (1.1, 0.9)]).amps)
+    t = np.array([0.1, 0.2, 0.3j, np.sqrt(0.86)])
+    states, heads = gen.forward(t, [0.7, 1.1], [0.3, 0.9])
+    assert np.array_equal(t, [0.1, 0.2, 0.3j, np.sqrt(0.86)])
+    assert not np.shares_memory(states, t)
+    assert np.array_equal(states[0], t) and heads.shape == (3,)
+    states, heads = gen.forward(t, [], [])
+    assert np.array_equal(states, [t]) and np.array_equal(heads, [gen.row @ t])
+    states, heads = gen.forward(gen.plus, [0.7, 1.1], [0.3, 0.9])
+    assert heads[0] == plus_state(3).amps[0]
+    assert heads[-1] == run_schedule(3, [(0.7, 0.3), (1.1, 0.9)]).amps[0]
 
 
 # ---------------------------------------------------------- adjoint gradient
@@ -157,8 +168,8 @@ def test_neg_overlap_matches_layer_kernel_and_central_differences(n, depth):
         [rand.uniform(0, 2 * np.pi, depth), rand.uniform(0, np.pi, depth)]
     ).ravel()
     value, grad = gen.neg_overlap(params)
-    amps = gen.layers(plus_state(n).amps, params[0::2], params[1::2])
-    assert abs(value + abs(amps[0]) ** 2) <= 1e-14
+    # the angles are drawn in their principal ranges, which run_schedule keeps
+    assert value == -overlap(run_schedule(n, params.reshape(depth, 2)))
     h = 1e-6
     central = np.empty_like(params)
     for k in range(params.size):
@@ -398,6 +409,39 @@ def _depth_one_relative_error(n):
 
 
 def test_validity_ceiling_against_mpmath_oracle():
+    # the amplitude is still accurate at the ceiling; past it float64's range
+    # binds: 2^-n, the overlap of |+>^n, is no longer a normal float
     ceiling = symcore.MAX_SYMMETRIC_QUBITS
     assert _depth_one_relative_error(ceiling) <= 1e-6
-    assert _depth_one_relative_error(ceiling + 10) > 1e-6
+    tiny = np.finfo(float).tiny
+    assert overlap(plus_state(ceiling)) >= tiny > overlap(plus_state(ceiling + 1))
+
+
+def _mp_target_amplitude(n, schedule):
+    """A_0 of the eigenbasis recursion t -> exp(-i beta lambda) (t + (exp(-i gamma)
+    - 1) (r . t) r) from t = e_n, with the exact row r_l = sqrt(C(n,l) / 2^n),
+    evaluated with 40 significant digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        row = [mpmath.sqrt(mpmath.mpf(math.comb(n, l)) / 2**n) for l in range(n + 1)]
+        t = [mpmath.mpc(0)] * n + [mpmath.mpc(1)]
+        for layer in schedule:
+            kick = (mpmath.expj(-mpmath.mpf(layer.gamma)) - 1) * mpmath.fdot(row, t)
+            t = [
+                mpmath.expj(-mpmath.mpf(layer.beta) * (2 * l - n)) * (x + kick * r)
+                for l, (x, r) in enumerate(zip(t, row))
+            ]
+        return mpmath.fdot(row, t)
+
+
+@pytest.mark.parametrize("n", [40, 60, 80, 100])
+def test_forward_matches_mpmath_recursion(n):
+    # a greedy depth-n schedule and random depth-1 to depth-3 angles
+    mpmath = pytest.importorskip("mpmath")
+    rand = np.random.default_rng(1100 + n)
+    schedules = [train_layerwise(n, n).schedule()]
+    schedules += [random_schedule(n, depth, rand) for depth in (1, 2, 3) for _ in range(3)]
+    for schedule in schedules:
+        exact = _mp_target_amplitude(n, schedule)
+        got = mpmath.mpc(run_schedule(n, schedule).amps[0])
+        assert float(abs(got - exact) / abs(exact)) <= 1e-10

@@ -66,9 +66,13 @@ def test_depth_one_matches_exhaustive_grid():
     betas = np.linspace(0, np.pi, 4096, endpoint=False)
     state = symcore.plus_state(n)
     a_term, b_term = symcore.layer_terms(state).split(betas)
-    grid = np.abs(a_term[None, :] * np.exp(-1j * gammas)[:, None] + b_term[None, :]) ** 2
-    assert trace.overlaps()[0] >= grid.max() - 1e-5
-    assert gl.overlaps()[0] >= grid.max() - 1e-5
+    # the 4096 x 4096 grid, swept 64 gammas at a time to keep memory small
+    best = max(
+        float(np.max(np.abs(a_term[None, :] * np.exp(-1j * chunk)[:, None] + b_term[None, :]) ** 2))
+        for chunk in np.split(gammas, 64)
+    )
+    assert trace.overlaps()[0] >= best - 1e-5
+    assert gl.overlaps()[0] >= best - 1e-5
 
 
 def depth_one_oracle(n):
@@ -368,6 +372,45 @@ def test_global_profile_is_the_replay_of_its_schedule():
     for c, record in enumerate(gl.records, start=1):
         assert record.overlap == symcore.overlap(symcore.run_schedule(4, schedule[:c]))
     assert [r.evaluations > 0 for r in gl.records] == [False, False, True]
+
+
+@pytest.mark.parametrize(
+    "train",
+    [
+        pytest.param(lambda: train_layerwise(5, 7), id="layerwise"),
+        pytest.param(lambda: train_layerwise(40, 4), id="layerwise-40"),
+        pytest.param(lambda: train_cutoff(6, 8, 0.7, rng=np.random.default_rng(3)), id="cutoff"),
+        pytest.param(lambda: train_global(4, 3, OptimizerSettings(global_restarts=4)), id="global"),
+    ],
+)
+def test_reported_overlaps_agree_bitwise(train):
+    # the trainers, run_schedule and the global objective read one forward
+    trace = train()
+    schedule = trace.schedule()
+    for c, record in enumerate(trace.records, start=1):
+        assert record.overlap < 1.0
+        assert record.overlap == symcore.overlap(symcore.run_schedule(trace.n, schedule[:c]))
+        params = training._schedule_to_params(schedule[:c])
+        assert record.overlap == -symcore.mixer(trace.n).neg_overlap(params)[0]
+
+
+def test_overlap_above_one_by_rounding_reads_one():
+    assert symcore.reported_overlap(0.5j) == 0.25
+    assert symcore.reported_overlap(1.0 + 2e-16) == 1.0
+    assert symcore.reported_overlap(-1.0 - 2e-13) == 1.0
+    with pytest.raises(ValueError, match="exceeds 1"):
+        symcore.reported_overlap(1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("n, depth, seed", [(2, 5, 3), (3, 6, 3), *[(4, 6, seed) for seed in range(21)]])
+def test_greedy_seeded_global_reports_overlaps_at_most_one(n, depth, seed):
+    # (4, 6) is the compare cell; at several of these seeds the winner's
+    # forward reads an overlap a few ulps above 1, reported as 1.0
+    settings = OptimizerSettings(seed=seed)
+    lw = train_layerwise(n, depth, settings)
+    gl = train_global(n, depth, settings, seed_schedules=[lw.schedule()])
+    assert gl.overlaps().max() <= 1.0
+    assert gl.overlaps()[-1] >= lw.overlaps()[-1] - 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
