@@ -140,6 +140,10 @@ class MixerGenerator:
         t after i layers and heads[i] = r . states[i] its target amplitude; one
         call or one call per layer gives the same heads bitwise.
         """
+        return self._sweep(t, gammas, betas)[:2]
+
+    def _sweep(self, t: np.ndarray, gammas, betas):
+        """forward's states and heads, then the kicks and phases it applied."""
         row = self.row
         kicks = np.exp(-1j * np.asarray(gammas, dtype=float)) - 1.0
         phases = np.exp(-1j * np.multiply.outer(np.asarray(betas, dtype=float), self.eigenvalues))
@@ -151,7 +155,7 @@ class MixerGenerator:
         for i, kick in enumerate(kicks.tolist()):
             t = states[i + 1] = phases[i] * (t + (kick * head) * row)
             head = heads[i + 1] = row @ t
-        return states, heads
+        return states, heads, kicks, phases
 
     def neg_overlap(self, params) -> tuple[float, np.ndarray]:
         """-|A_0|^2 of a schedule run from |+>^n, and its gradient.
@@ -165,10 +169,8 @@ class MixerGenerator:
         """
         params = np.asarray(params, dtype=float)
         gammas, betas = params[0::2], params[1::2]
-        states, heads = self.forward(self.plus, gammas, betas)
+        states, heads, kicks, phases = self._sweep(self.plus, gammas, betas)
         row = self.row
-        kicks = np.exp(-1j * gammas) - 1.0
-        phases = np.exp(-1j * np.multiply.outer(betas, self.eigenvalues))
         # bras[i] is the bra w with A_0 = w . states[i + 1], and alongs[i] =
         # (w exp(-i betas[i] lambda)) . r meets the kick of layer i
         depth = gammas.size

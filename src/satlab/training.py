@@ -21,6 +21,8 @@ from .symcore import LayerAngles
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # width of the bracket at which golden-section refinement of beta stops
 REFINE_TOLERANCE = 1e-10
+# relative gap within which a smaller beta ties a larger one's curve value
+TIE_TOLERANCE = 1e-12
 # largest gradient norm of log|A_0|^2 accepted at train_global's winning end point
 GLOBAL_GRADIENT_TOLERANCE = 1e-6
 # A trace has reached the target once its overlap is within DEFAULT_EPS_ONE of
@@ -50,6 +52,11 @@ class OptimizerSettings:
 
 @dataclass(frozen=True, slots=True)
 class LayerRecord:
+    """One trained layer: depth (from 1), angles, reported overlap, amplitude,
+    wall_time in seconds and evaluations.  amplitude is the curve value at the
+    angles for greedy and cutoff training and the realized |A_0| for noisy and
+    global training; train_global puts all its starts' evaluations on the last."""
+
     depth: int
     angles: LayerAngles
     overlap: float
@@ -124,35 +131,31 @@ def _layer_step(
 ) -> tuple[LayerAngles, float, int]:
     """Angles of one new layer: (angles, curve value at them, evaluations).
 
-    The curve is sampled once, on the grid beta_j = pi j / M, and every choice
-    below reads that sample.  With j the grid's first argmax, one golden-section
-    search refines the maximizer over the two cells around j pi / M, or around
-    pi - j pi / M when the mirror cell M - j lies below j and the grid puts it
-    within an absolute 1e-12 of the peak (an exact tie for real amplitude
-    vectors, where g(pi - beta) = g(beta)).  Other degenerate peaks keep the
-    first argmax.  The exact beta = 0 value grid[0] then wins any tie with the
-    refined value.
+    The curve is sampled once, on the grid beta_j = pi j / M, and two rules
+    read the sample.  Tie rule: the smallest beta within a relative
+    TIE_TOLERANCE of the best value wins.  Golden section refines the maximizer
+    over the two cells around the first grid point tying the grid's maximum (so
+    a real state's mirror pair g(pi - beta) = g(beta) gives the smaller beta),
+    and beta = 0 wins if the exact grid[0] ties the result.
 
     The layer aims at overlap + fraction * (O_max - overlap), O_max being the
-    best overlap one layer reaches.  fraction = 1 takes the maximizing beta and
-    never draws from rng.  Below 1, the betas nearest the maximizer on either
-    side that reach the target are found by root bisection and one side is
-    chosen uniformly from rng; a layer that cannot gain, or whose maximizer is
-    beta = 0, keeps the maximizer.  gamma then aligns the two terms at the
-    chosen beta.  The count is the number of betas at which the curve was
-    computed.
+    best overlap one layer reaches.  It keeps the maximizer, drawing nothing
+    from rng, at fraction 1, without gain or at beta = 0.  Otherwise, bracket
+    rule: on each side the root nearest the maximizer lies between it and the
+    nearest grid point reaching the target, index M standing for pi, where
+    g(pi) = g(0); an end the scalar path puts above the target moves one cell
+    on.  brentq finds the roots and rng picks one uniformly.  gamma then aligns
+    the two terms at the chosen beta.  The count is the number of betas at
+    which the curve was computed.
     """
     m = settings.beta_grid_points
     cell = math.pi / m
     grid = terms.grid(m)
-    j = int(np.argmax(grid))
-    mirrored = m - j < j and grid[m - j] >= grid[j] - 1e-12
-    peak = math.pi - j * cell if mirrored else j * cell
+    peak = int(np.argmax(grid >= grid.max() * (1.0 - TIE_TOLERANCE))) * cell
     beta, g, evals = golden_section_max(
         terms.value, max(peak - cell, 0.0), min(peak + cell, math.pi), REFINE_TOLERANCE
     )
-    evals += m
-    if grid[0] >= g:
+    if grid[0] >= g * (1.0 - TIE_TOLERANCE):
         beta, g = 0.0, float(grid[0])
 
     gain = g**2 - overlap
@@ -164,27 +167,22 @@ def _layer_step(
             evals += 1
             return terms.value(b) ** 2 - target
 
-        roots = []
-        if grid[0] ** 2 <= target:
-            roots.append(brentq(shortfall, 0.0, beta, xtol=1e-13))
-        # The right root lies before the first grid point past beta that
-        # reaches the target, else before pi, where g(pi) = g(0).  A point the
-        # grid puts at the target within rounding may miss it by the scalar
-        # path; the end then moves one cell on.
+        reached = np.flatnonzero(np.append(grid, grid[0]) ** 2 <= target)
         after = math.floor(beta / cell) + 1
-        reached = np.flatnonzero(np.append(grid[after:], grid[0]) ** 2 <= target)
-        if reached.size:
-            end = min((after + reached[0]) * cell, math.pi)
-            short = shortfall(end)
-            if short > 0.0 and end < math.pi:
-                end = min(end + cell, math.pi)
+        roots = []  # the left root, then the right
+        for step, ends in ((-1, reached[reached < after][-1:]), (1, reached[reached >= after][:1])):
+            for i in ends.tolist():
+                end = min(i * cell, math.pi)
                 short = shortfall(end)
-            if short <= 0.0:
-                roots.append(brentq(shortfall, beta, end, xtol=1e-13))
+                if short > 0.0 and 0 < i < m:
+                    end = min(end + step * cell, math.pi)
+                    short = shortfall(end)
+                if short <= 0.0:
+                    roots.append(brentq(shortfall, *sorted((beta, end)), xtol=1e-13))
         if roots:
             beta = float(roots[rng.integers(len(roots))])
     g, gamma = terms.best_gamma(beta)
-    return LayerAngles(gamma, beta), g, evals + 1
+    return LayerAngles(gamma, beta), g, m + evals + 1
 
 
 def train_layerwise(n: int, max_depth: int, settings: OptimizerSettings | None = None) -> TrainingTrace:

@@ -147,17 +147,17 @@ def test_probe_on_target_state():
     assert gain == 0.0 and beta == 0.0
 
 
-@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("n", range(3, 12))
 def test_probe_on_nontrainable_family(n):
+    # the refined value near beta = 0 lands within rounding of the exact g(0),
+    # and the tie rule gives beta = 0 exactly
     rand = np.random.default_rng(50 + n)
     c2 = math.sqrt(math.comb(n, 2))
     for _ in range(10):
         a2 = rand.uniform(0, 1) / math.sqrt(1 + c2**2)  # stays within the bound
         a0 = math.sqrt(1 - a2**2)
         state = make_nontrainable_state(n, a0, a2, phases=tuple(rand.uniform(0, 2 * np.pi, 2)))
-        gain, beta = trainability_probe(state)
-        assert gain <= 1e-9
-        assert abs(beta) <= 1e-4
+        assert trainability_probe(state) == (0.0, 0.0)
 
 
 def test_probe_boundary_member():

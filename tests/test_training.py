@@ -155,6 +155,19 @@ def test_complex_states_reach_the_fine_sampling_maximum(n):
         assert terms.value(angles.beta) >= terms.curve(reference).max() - 1e-9
 
 
+def test_maximizer_reaches_the_grid_maximum_at_tiny_overlaps():
+    # at n = 100 the curve is about 1e-15: a tie tolerance on the absolute
+    # scale would call every mirror cell a tie and refine around it
+    settings = OptimizerSettings()
+    trace = train_cutoff(100, 100, 0.3, rng=np.random.default_rng(0))
+    gen = symcore.mixer(100)
+    states, _ = gen.forward(gen.plus, trace.gammas(), trace.betas())
+    for t in states[:-1]:
+        terms = symcore.LayerTerms.from_eigen(t)
+        _, g, _ = training._layer_step(terms, abs(gen.row @ t) ** 2, 1.0, settings, None)
+        assert g >= terms.grid(settings.beta_grid_points).max() * (1.0 - 1e-9)
+
+
 # ------------------------------------------------------------------- cutoff
 
 def test_cutoff_full_fraction_identical_to_layerwise():
@@ -194,6 +207,32 @@ class RootPicks:
         return next(self.picks)
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_layer_step_is_scale_equivariant(n):
+    # scaling the amplitudes by 2^-100 scales every curve value exactly, so
+    # every decision of the step, and so its angles, must stay bitwise the same;
+    # |+>^n, random real states and random complex states
+    settings = OptimizerSettings()
+    scale = 2.0**-100
+    rand = np.random.default_rng(110 + n)
+    states = [symcore.plus_state(n)]
+    for _ in range(2):
+        amps = rand.normal(size=n + 1)
+        states.append(symcore.SymmetricState(n, amps / np.linalg.norm(amps)))
+        states.append(symcore.random_symmetric_state(n, rand))
+    for state in states:
+        terms = symcore.layer_terms(state)
+        small = symcore.LayerTerms(terms.coefs * scale, tuple(z * scale for z in terms.at_zero))
+        overlap = symcore.overlap(state)
+        for fraction, pick in ((1.0, None), (0.5, 0), (0.5, 1)):
+            picks = RootPicks(pick, pick)  # one pick per call, none drawn at fraction 1
+            angles = [
+                training._layer_step(t, o, fraction, settings, picks)[0]
+                for t, o in ((terms, overlap), (small, overlap * scale**2))
+            ]
+            assert angles[0] == angles[1]
+
+
 @pytest.mark.parametrize("fraction", [0.3, 0.6, 0.9])
 @pytest.mark.parametrize("n", [3, 4, 6, 10])
 def test_cutoff_takes_the_roots_nearest_the_maximizer(n, fraction):
@@ -216,7 +255,9 @@ def test_cutoff_takes_the_roots_nearest_the_maximizer(n, fraction):
         )
         for beta in (left, right):
             assert terms.value(beta) ** 2 == pytest.approx(target, abs=1e-12)
-        assert 0.0 <= left <= beta_star
+        before = reference < beta_star
+        crossing = reference[before][terms.curve(reference[before]) ** 2 <= target][-1]
+        assert 0.0 <= left < beta_star and abs(left - crossing) <= cell
         past = reference > beta_star
         crossing = reference[past][terms.curve(reference[past]) ** 2 <= target][0]
         assert beta_star < right and abs(right - crossing) <= cell
