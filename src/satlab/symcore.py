@@ -8,16 +8,19 @@ the whole circuit lives in the (n+1)-dimensional span of the Dicke states
 
 Noiseless circuits run in the mixer's eigenbasis (MixerGenerator.forward); the
 trainers carry these eigen-coordinates, and run_schedule returns Dicke amplitudes.
+They read only the mixer's closed-form first eigenvector row and its integer
+eigenvalues.  The eigenvector matrix V is built on first use by
+numpy.linalg.eigh; only run_schedule's Dicke amplitudes, evolve (apply_mixer)
+and LayerTerms.from_sums (layer_terms and the noisy path) read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 NORM_TOL = 1e-8
 # Largest qubit count whose overlaps are trusted.  The depth-1 target amplitude
@@ -107,25 +110,34 @@ class MixerGenerator:
     k+1 ways, and the normalization ratio supplies the square root.  Its
     eigenvalues are the integers lambda_l = -n + 2l, held exactly, and the
     first row of its eigenvectors is r = plus_state's amplitudes, held in
-    closed form as row.  The eigenvectors V are computed once, each column
-    signed so that V[0] > 0 like r; |+>^n is e_n in this basis.
+    closed form as row; |+>^n is e_n in this basis.  The eigenvectors V are
+    built on first use by numpy.linalg.eigh, each column signed so that
+    V[0] > 0 like r.  Only run_schedule's Dicke amplitudes, evolve
+    (apply_mixer) and LayerTerms.from_sums (layer_terms,
+    densecore.layer_terms_dense) read V, so the noiseless trainers never
+    build it.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"qubit count must be >= 1, got {n}")
         self.n = n
-        k = np.arange(n)
-        off = np.sqrt((k + 1.0) * (n - k))
-        _, eigenvectors = eigh_tridiagonal(np.zeros(n + 1), off)
-        eigenvectors *= np.copysign(1.0, eigenvectors[0])
-        self.eigenvectors = eigenvectors
         self.eigenvalues = np.arange(-n, n + 1, 2, dtype=float)
         self.row = plus_state(n).amps.real.copy()
         self.plus = np.zeros(n + 1, dtype=complex)
         self.plus[n] = 1.0
-        for array in (eigenvectors, self.eigenvalues, self.row, self.plus):
+        for array in (self.eigenvalues, self.row, self.plus):
             array.setflags(write=False)
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """V, read-only and cached, built on first use in O(n^3)."""
+        k = np.arange(self.n)
+        off = np.sqrt((k + 1.0) * (self.n - k))
+        _, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        vectors *= np.copysign(1.0, vectors[0])
+        vectors.setflags(write=False)
+        return vectors
 
     def evolve(self, amps: np.ndarray, beta: float) -> np.ndarray:
         """Apply exp(-i*beta*H) to a Dicke amplitude vector."""

@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from . import densecore, symcore
 from .densecore import NoiseConfig
@@ -99,6 +98,22 @@ class TrainingTrace:
         """Overlap gain of each layer, the first measured from |+>^n."""
         ovs = self.overlaps()
         return np.diff(np.concatenate([[2.0 ** (-self.n)], ovs]))
+
+
+# scipy.optimize loads on the first cutoff root or train_global call, not on
+# import; callers and tracers look these two names up on this module.
+def brentq(*args, **kwargs):
+    """scipy.optimize.brentq, imported on first call."""
+    from scipy.optimize import brentq
+
+    return brentq(*args, **kwargs)
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first call."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float, int]:

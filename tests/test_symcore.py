@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from satlab import densecore, symcore
 from satlab.symcore import (
     LayerAngles,
+    MixerGenerator,
     SymmetricState,
     apply_mixer,
     apply_phase_separator,
@@ -122,6 +124,34 @@ def test_mixer_agrees_with_dense_evolution(n):
 
 
 # ------------------------------------------------------------- run_schedule
+
+def test_eigenvectors_match_sign_fixed_eigh_tridiagonal():
+    # numpy's dense eigh gives the same V as LAPACK's tridiagonal solver to
+    # rounding; the digests of the benchmark check that they agree bitwise
+    for n in range(1, 61):
+        gen = MixerGenerator(n)
+        k = np.arange(n)
+        off = np.sqrt((k + 1.0) * (n - k))
+        _, expected = eigh_tridiagonal(np.zeros(n + 1), off)
+        expected *= np.copysign(1.0, expected[0])
+        v = gen.eigenvectors
+        np.testing.assert_allclose(v, expected, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(v.T @ v, np.eye(n + 1), rtol=0.0, atol=1e-13)
+        generator = np.diag(off, 1) + np.diag(off, -1)
+        np.testing.assert_allclose(generator @ v, v * gen.eigenvalues, rtol=0.0, atol=1e-13)
+
+
+def test_run_schedule_builds_read_only_eigenvectors_once():
+    mixer.cache_clear()
+    gen = mixer(53)
+    assert "eigenvectors" not in gen.__dict__
+    run_schedule(53, [(0.4, 0.3)])
+    v = gen.__dict__["eigenvectors"]
+    assert gen.eigenvectors is v
+    assert not v.flags.writeable
+    with pytest.raises(ValueError):
+        v[0, 0] = 1.0
+
 
 @pytest.mark.parametrize("n", [1, 4, 40])
 def test_run_schedule_equals_layer_composition_exactly(n):

@@ -382,6 +382,22 @@ def test_cutoff_reproducible_from_seed():
     assert np.array_equal(a.overlaps(), b.overlaps())
 
 
+@pytest.mark.parametrize(
+    "n, train",
+    [
+        (27, lambda n: train_layerwise(n, 3)),
+        (43, lambda n: train_cutoff(n, 3, 0.7, rng=np.random.default_rng(5))),
+        (47, lambda n: train_global(n, 2, OptimizerSettings(global_restarts=2))),
+    ],
+    ids=["layerwise", "cutoff", "global"],
+)
+def test_noiseless_trainers_never_build_the_eigenvectors(n, train):
+    # they read only the closed-form row and the eigenvalues
+    symcore.mixer.cache_clear()
+    train(n)
+    assert "eigenvectors" not in symcore.mixer(n).__dict__
+
+
 # ------------------------------------------------------------------- global
 
 def test_global_depth_one_matches_layerwise():
