@@ -139,6 +139,16 @@ class MixerGenerator:
         vectors.setflags(write=False)
         return vectors
 
+    @cached_property
+    def derivative_rows(self) -> np.ndarray:
+        """Columns 1, -i*lambda, -lambda^2, read-only and cached: the Fourier
+        coefficients of F(beta) = sum_l c_l exp(-i lambda_l beta), each times
+        its phase, contract against them to (F, F', F'')."""
+        lam = self.eigenvalues
+        rows = np.stack([np.ones_like(lam), -1j * lam, -lam * lam], axis=1)
+        rows.setflags(write=False)
+        return rows
+
     def evolve(self, amps: np.ndarray, beta: float) -> np.ndarray:
         """Apply exp(-i*beta*H) to a Dicke amplitude vector."""
         v = self.eigenvectors
@@ -325,6 +335,28 @@ class LayerTerms:
             freqs = mixer(self.coefs.shape[1] - 1).eigenvalues
             a_term, b_term = self.coefs @ np.exp(freqs * (-1j * beta))
         return float(abs(a_term) + abs(b_term))
+
+    def derivatives(self, beta: float) -> tuple[float, float, float]:
+        """(g, g', g'') of the curve at one beta > 0, O(n).
+
+        The k-th derivative of F = sum_l c_l exp(-i lambda_l beta) is
+        sum_l c_l (-i lambda_l)^k exp(-i lambda_l beta), for F = A and B.
+        Each modulus then contributes |F|' = Re(conj(F) F') / |F| and
+        |F|'' = (|F'|^2 + Re(conj(F) F'') - |F|'^2) / |F|; a term with |F| = 0
+        has no derivative there and is left out.  At beta = 0 the curve has
+        a kink (B(0) = 0 noiselessly), so beta must be positive.
+        """
+        gen = mixer(self.coefs.shape[1] - 1)
+        phased = self.coefs * np.exp(gen.eigenvalues * (-1j * beta))
+        g = slope = curvature = 0.0
+        for f, f1, f2 in (phased @ gen.derivative_rows).tolist():
+            modulus = abs(f)
+            if modulus == 0.0:
+                continue
+            first = (f.conjugate() * f1).real / modulus
+            second = (abs(f1) ** 2 + (f.conjugate() * f2).real - first * first) / modulus
+            g, slope, curvature = g + modulus, slope + first, curvature + second
+        return g, slope, curvature
 
     def grid(self, points: int) -> np.ndarray:
         """The curve at beta_j = pi j / points for j = 0..points-1, by one FFT."""

@@ -18,8 +18,10 @@ from .densecore import NoiseConfig
 from .symcore import LayerAngles
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# width of the bracket at which golden-section refinement of beta stops
+# width of the bracket at which the golden-section fallback stops
 REFINE_TOLERANCE = 1e-10
+# Newton step |g'/g''| below which the refined beta has converged
+NEWTON_TOLERANCE = 1e-15
 # relative gap within which a smaller beta ties a larger one's curve value
 TIE_TOLERANCE = 1e-12
 # largest gradient norm of log|A_0|^2 accepted at train_global's winning end point
@@ -137,6 +139,38 @@ def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, floa
     return x, f(x), evals + 1
 
 
+def newton_max(terms: symcore.LayerTerms, beta: float, lo: float, hi: float) -> tuple[float, float, int]:
+    """Safeguarded Newton maximization of the curve from beta in (lo, hi):
+    (x, g(x), evaluations).
+
+    Each LayerTerms.derivatives call narrows the bracket by the sign of g'.
+    The iteration stops once the step |g'/g''| is at most NEWTON_TOLERANCE.
+    Where g'' >= 0 or a step leaves the bracket, golden section finishes on
+    the narrowed bracket.  The bracket shrinks on every call, so the loop
+    ends.
+    """
+    evals = 0
+    while True:
+        g, slope, curvature = terms.derivatives(beta)
+        evals += 1
+        if slope == 0.0:
+            return beta, g, evals
+        if slope > 0.0:
+            lo = beta
+        else:
+            hi = beta
+        if curvature >= 0.0:
+            break
+        step = -slope / curvature
+        if abs(step) <= NEWTON_TOLERANCE:
+            return beta, g, evals
+        beta += step
+        if not lo < beta < hi:
+            break
+    beta, g, more = golden_section_max(terms.value, lo, hi, REFINE_TOLERANCE)
+    return beta, g, evals + more
+
+
 def _layer_step(
     terms: symcore.LayerTerms,
     overlap: float,
@@ -148,10 +182,12 @@ def _layer_step(
 
     The curve is sampled once, on the grid beta_j = pi j / M, and two rules
     read the sample.  Tie rule: the smallest beta within a relative
-    TIE_TOLERANCE of the best value wins.  Golden section refines the maximizer
+    TIE_TOLERANCE of the best value wins.  newton_max refines the maximizer
     over the two cells around the first grid point tying the grid's maximum (so
     a real state's mirror pair g(pi - beta) = g(beta) gives the smaller beta),
-    and beta = 0 wins if the exact grid[0] ties the result.
+    from that grid point, or from half a cell when it is beta = 0, and falls
+    back to golden section when Newton cannot go on; beta = 0 wins if the
+    exact grid[0] ties the result.
 
     The layer aims at overlap + fraction * (O_max - overlap), O_max being the
     best overlap one layer reaches.  It keeps the maximizer, drawing nothing
@@ -167,8 +203,9 @@ def _layer_step(
     cell = math.pi / m
     grid = terms.grid(m)
     peak = int(np.argmax(grid >= grid.max() * (1.0 - TIE_TOLERANCE))) * cell
-    beta, g, evals = golden_section_max(
-        terms.value, max(peak - cell, 0.0), min(peak + cell, math.pi), REFINE_TOLERANCE
+    # g has a kink at beta = 0, so Newton starts inside the first cell there
+    beta, g, evals = newton_max(
+        terms, peak or cell / 2.0, max(peak - cell, 0.0), min(peak + cell, math.pi)
     )
     if grid[0] >= g * (1.0 - TIE_TOLERANCE):
         beta, g = 0.0, float(grid[0])

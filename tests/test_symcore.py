@@ -384,6 +384,52 @@ def test_second_derivative_zero_a1_branch():
     assert g2 == pytest.approx(_fd_second(f, 1e-4), rel=1e-3)
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 12, 40])
+def test_layer_terms_derivatives_match_central_differences(n):
+    # noiseless terms along a random circuit and, up to the dense cap, noisy
+    # terms of each noise layout; the curve's scale is n g per derivative
+    rand = np.random.default_rng(70 + n)
+    gen = mixer(n)
+    states, _ = gen.forward(gen.plus, rand.uniform(0, 2 * np.pi, 3), rand.uniform(0, np.pi, 3))
+    all_terms = [symcore.LayerTerms.from_eigen(t) for t in states]
+    if n <= 6:
+        for noise in (
+            densecore.NoiseConfig(0.5),
+            densecore.NoiseConfig(0.5, granularity="single_qubit"),
+            densecore.NoiseConfig(0.5, kind="bitflip"),
+        ):
+            psi = rand.normal(size=1 << n) + 1j * rand.normal(size=1 << n)
+            slots = densecore.sample_layer_noise(n, noise, rand)
+            all_terms.append(densecore.layer_terms_dense(psi / np.linalg.norm(psi), n, slots))
+    h = 1e-4 / n
+    for terms in all_terms:
+        f = terms.value
+        for beta in rand.uniform(0.05, np.pi - 0.05, 8):
+            g, slope, curvature = terms.derivatives(beta)
+            assert g == pytest.approx(f(beta), rel=1e-14)
+            assert abs(slope - (f(beta + h) - f(beta - h)) / (2 * h)) <= 1e-5 * n * g
+            assert abs(curvature - (f(beta + h) - 2 * f(beta) + f(beta - h)) / h**2) <= 1e-4 * n * n * g
+
+
+@pytest.mark.parametrize("trial", range(25))
+def test_layer_terms_derivatives_approach_saturation_derivatives(trial):
+    # g'(0+) = sqrt(n) |A_1| and g''(0+) from the small-beta expansion; at
+    # beta the derivatives are off by O(beta), and the last trial takes the
+    # A_1 = 0 branch
+    rand = np.random.default_rng(400 + trial)
+    n = int(rand.integers(2, 9))
+    s = random_symmetric_state(n, rand)
+    if trial == 24:
+        n = 5
+        amps = np.zeros(n + 1, dtype=complex)
+        amps[0], amps[2], amps[4] = 0.8, 0.36 * np.exp(1j * 0.9), np.sqrt(1 - 0.64 - 0.36**2)
+        s = SymmetricState(n, amps)
+    g1, g2 = saturation_derivatives(s)
+    _, slope, curvature = symcore.layer_terms(s).derivatives(1e-7)
+    assert abs(slope - g1) <= 1e-6 * n
+    assert abs(curvature - g2) <= 1e-6 * n * n
+
+
 # --------------------------------------------------------------- invariants
 
 def test_norm_preserved_along_random_circuits():

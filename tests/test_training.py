@@ -19,7 +19,7 @@ def test_single_qubit_reaches_unit_overlap():
     trace = train_layerwise(1, 1)
     assert trace.overlaps()[-1] == pytest.approx(1.0, abs=1e-10)
     assert trace.status == "overlap_one"
-    # derivative-free refinement resolves beta to about sqrt(machine eps)
+    # Newton resolves beta to rounding, well inside this bound
     assert trace.records[0].angles.beta == pytest.approx(np.pi / 4, abs=1e-7)
 
 
@@ -111,15 +111,15 @@ def test_layerwise_deterministic():
     ],
 )
 def test_each_layer_refines_beta_once(monkeypatch, train):
-    # the grid decides the mirror tie, so one golden-section search per layer
+    # the grid decides the mirror tie, so one Newton refinement per layer
     calls = [0]
-    search = training.golden_section_max
+    search = training.newton_max
 
     def counted(*args):
         calls[0] += 1
         return search(*args)
 
-    monkeypatch.setattr(training, "golden_section_max", counted)
+    monkeypatch.setattr(training, "newton_max", counted)
     trace = train(np.random.default_rng(2))
     assert calls[0] == trace.depth
 
@@ -127,7 +127,7 @@ def test_each_layer_refines_beta_once(monkeypatch, train):
 @pytest.mark.parametrize("n", range(3, 13))
 def test_real_states_take_the_smaller_beta_of_the_mirror_pair(n):
     # real amplitudes give g(pi - beta) = g(beta); the maximizer is the one in
-    # [0, pi/2], up to golden section's resolution when the peak is at pi/2
+    # [0, pi/2], up to the refinement's resolution when the peak is at pi/2
     settings = OptimizerSettings()
     rand = np.random.default_rng(40 + n)
     states = [symcore.plus_state(n)]
@@ -166,6 +166,61 @@ def test_maximizer_reaches_the_grid_maximum_at_tiny_overlaps():
         terms = symcore.LayerTerms.from_eigen(t)
         _, g, _ = training._layer_step(terms, abs(gen.row @ t) ** 2, 1.0, settings, None)
         assert g >= terms.grid(settings.beta_grid_points).max() * (1.0 - 1e-9)
+
+
+def _greedy_layer_terms(n, depth):
+    """(terms, overlap) before each layer of train_layerwise(n, depth)."""
+    trace = train_layerwise(n, depth)
+    gen = symcore.mixer(n)
+    states, heads = gen.forward(gen.plus, trace.gammas(), trace.betas())
+    return [(symcore.LayerTerms.from_eigen(t), symcore.reported_overlap(h)) for t, h in zip(states, heads)][:-1]
+
+
+@pytest.mark.parametrize("n", [3, 6, 12, 24, 40])
+def test_newton_refinement_is_stationary_on_greedy_layers(monkeypatch, n):
+    # where Newton converges without falling back, g'(beta*) is rounding:
+    # the curve's slope scale is n g
+    fallbacks = [0]
+    search = training.golden_section_max
+
+    def counted(*args):
+        fallbacks[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(training, "golden_section_max", counted)
+    settings = OptimizerSettings()
+    converged = 0
+    for terms, overlap in _greedy_layer_terms(n, n + 2):
+        fallbacks[0] = 0
+        angles, g, _ = training._layer_step(terms, overlap, 1.0, settings, None)
+        if fallbacks[0] or angles.beta == 0.0:
+            continue
+        converged += 1
+        _, slope, curvature = terms.derivatives(angles.beta)
+        assert abs(slope) <= 1e-13 * n * g
+        assert curvature < 0.0
+    assert converged >= n
+
+
+def test_newton_falls_back_to_golden_section_when_a_step_leaves_the_bracket(monkeypatch):
+    # layer 17 of greedy n = 15 peaks inside the first grid cell: from cell/2
+    # the Newton step crosses beta = 0, and golden section finishes on [0, cell/2]
+    settings = OptimizerSettings()
+    cell = np.pi / settings.beta_grid_points
+    terms, overlap = _greedy_layer_terms(15, 17)[-1]
+    brackets = []
+    search = training.golden_section_max
+
+    def recorded(f, lo, hi, tol):
+        brackets.append((lo, hi))
+        return search(f, lo, hi, tol)
+
+    monkeypatch.setattr(training, "golden_section_max", recorded)
+    angles, g, _ = training._layer_step(terms, overlap, 1.0, settings, None)
+    assert brackets == [(0.0, cell / 2)]
+    _, alone, _ = search(terms.value, 0.0, cell, training.REFINE_TOLERANCE)
+    assert 0.0 < angles.beta < cell / 2
+    assert g >= alone * (1.0 - 1e-15)
 
 
 # ------------------------------------------------------------------- cutoff
@@ -332,10 +387,10 @@ def test_cutoff_desaturates_past_plateau():
 )
 def test_trainer_records_counted_evaluations(monkeypatch, train):
     # every recorded evaluation is one beta at which the layer terms computed
-    # the curve: the grid's points, then one per scalar call
+    # the curve: the grid's points, then one per scalar or derivatives call
     points = [0]
     terms = symcore.LayerTerms
-    grid, value, split = terms.grid, terms.value, terms.split
+    grid, value, split, derivatives = terms.grid, terms.value, terms.split, terms.derivatives
 
     def counted_grid(self, m):
         points[0] += m
@@ -349,9 +404,14 @@ def test_trainer_records_counted_evaluations(monkeypatch, train):
         points[0] += np.size(betas)
         return split(self, betas)
 
+    def counted_derivatives(self, beta):
+        points[0] += 1
+        return derivatives(self, beta)
+
     monkeypatch.setattr(terms, "grid", counted_grid)
     monkeypatch.setattr(terms, "value", counted_value)
     monkeypatch.setattr(terms, "split", counted_split)
+    monkeypatch.setattr(terms, "derivatives", counted_derivatives)
     for seed in range(3):
         points[0] = 0
         trace = train(np.random.default_rng(seed))
@@ -519,6 +579,15 @@ def test_noisy_without_noise_matches_layerwise():
     lw = train_layerwise(3, 4)
     noisy = train_layerwise_noisy(3, 4, noise, rng=np.random.default_rng(0))
     assert np.max(np.abs(lw.overlaps() - noisy.overlaps())) < 1e-8
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_noisy_without_noise_matches_layerwise_to_rounding(n):
+    # both trainers refine beta to rounding, so their depth-n traces agree
+    # far below golden section's sqrt(eps) resolution
+    lw = train_layerwise(n, n)
+    noisy = train_layerwise_noisy(n, n, NoiseConfig(0.0), rng=np.random.default_rng(0))
+    assert np.max(np.abs(lw.overlaps() - noisy.overlaps())) <= 1e-13
 
 
 def test_noisy_reproducible_from_stream():
