@@ -160,26 +160,34 @@ class MixerGenerator:
         Layer i rephases the target and applies the mixer, t -> exp(-i*betas[i]
         *lambda) * (t + (exp(-i*gammas[i]) - 1) (r . t) r), O(n).  states[i] is
         t after i layers and heads[i] = r . states[i] its target amplitude; one
-        call or one call per layer gives the same heads bitwise.
+        call or one call per layer gives the same heads bitwise.  The angles
+        may carry trailing start axes, gammas and betas of shape (p, ...), all
+        run from the one t; states and heads then have shapes (p+1, ..., n+1)
+        and (p+1, ...).
         """
         return self._sweep(t, gammas, betas)[:2]
 
     def _sweep(self, t: np.ndarray, gammas, betas):
-        """forward's states and heads, then the kicks and phases it applied."""
+        """forward's states and heads, then the kicks and phases it applied.
+
+        A one-start sweep multiplies numpy scalars where a batched one
+        multiplies arrays, so each row of a batch agrees with its own sweep to
+        rounding, not bitwise.
+        """
         row = self.row
         kicks = np.exp(-1j * np.asarray(gammas, dtype=float)) - 1.0
         phases = np.exp(-1j * np.multiply.outer(np.asarray(betas, dtype=float), self.eigenvalues))
-        states = np.empty((kicks.size + 1, self.n + 1), dtype=complex)
-        heads = np.empty(kicks.size + 1, dtype=complex)
+        states = np.empty((kicks.shape[0] + 1, *phases.shape[1:]), dtype=complex)
+        heads = np.empty(states.shape[:-1], dtype=complex)
         states[0] = t
         t = states[0]
-        head = heads[0] = row @ t
-        for i, kick in enumerate(kicks.tolist()):
-            t = states[i + 1] = phases[i] * (t + (kick * head) * row)
-            head = heads[i + 1] = row @ t
+        head = heads[0] = t @ row
+        for i, kick in enumerate(kicks):
+            t = states[i + 1] = phases[i] * (t + (kick * head)[..., None] * row)
+            head = heads[i + 1] = t @ row
         return states, heads, kicks, phases
 
-    def neg_overlap(self, params) -> tuple[float, np.ndarray]:
+    def neg_overlap(self, params) -> tuple[float | np.ndarray, np.ndarray]:
         """-|A_0|^2 of a schedule run from |+>^n, and its gradient.
 
         params holds the 2p angles in layer order, [gamma_1, beta_1, ...,
@@ -188,30 +196,36 @@ class MixerGenerator:
         then gives dA_0/dbeta = w . (-i lambda t) and dA_0/dgamma = -i
         exp(-i*gamma) (r . t_in) (w . r), the reverse-mode gradient of Jones &
         Gacon, arXiv:2009.02823, at O(n) per layer.
+
+        params of shape (..., 2p) hold one schedule per leading index, and
+        one sweep of each direction runs them all: the values have shape (...)
+        and the gradients (..., 2p).  Each row agrees with its own 1-D call to
+        rounding (see _sweep); a 1-D call returns a float and a (2p,) array.
         """
-        params = np.asarray(params, dtype=float)
+        # layer axis first, as _sweep takes it
+        params = np.moveaxis(np.asarray(params, dtype=float), -1, 0)
         gammas, betas = params[0::2], params[1::2]
         states, heads, kicks, phases = self._sweep(self.plus, gammas, betas)
         row = self.row
         # bras[i] is the bra w with A_0 = w . states[i + 1], and alongs[i] =
         # (w exp(-i betas[i] lambda)) . r meets the kick of layer i
-        depth = gammas.size
-        bras = np.empty((depth, self.n + 1), dtype=complex)
-        alongs = np.empty(depth, dtype=complex)
+        depth = gammas.shape[0]
+        bras = np.empty_like(states[1:])
+        alongs = np.empty_like(heads[1:])
         bra = row
         for i in range(depth - 1, -1, -1):
             bras[i] = bra
             bra = bra * phases[i]
             alongs[i] = along = bra @ row
-            bra = bra + (kicks[i] * along) * row
+            bra = bra + (kicks[i] * along)[..., None] * row
         d_gamma = -1j * (kicks + 1.0) * heads[:-1] * alongs
         d_beta = -1j * ((bras * states[1:]) @ self.eigenvalues)
         # d|A_0|^2 = 2 Re(conj(A_0) dA_0)
         weight = -2.0 * heads[-1].conjugate()
-        grad = np.empty(2 * depth)
+        grad = np.empty((2 * depth, *heads.shape[1:]))
         grad[0::2] = (weight * d_gamma).real
         grad[1::2] = (weight * d_beta).real
-        return -abs(heads[-1]) ** 2, grad
+        return -abs(heads[-1]) ** 2, np.moveaxis(grad, 0, -1)
 
 
 @lru_cache(maxsize=None)

@@ -26,6 +26,14 @@ NEWTON_TOLERANCE = 1e-15
 TIE_TOLERANCE = 1e-12
 # largest gradient norm of log|A_0|^2 accepted at train_global's winning end point
 GLOBAL_GRADIENT_TOLERANCE = 1e-6
+# lockstep_bfgs stops a start once max|grad f| is at most STOP_GRADIENT, or a
+# step decreases f by at most STOP_DECREASE relative to max(|f|, 1), or after
+# GLOBAL_MAX_ITERATIONS accepted steps
+STOP_GRADIENT = 1e-10
+STOP_DECREASE = 1e-15
+GLOBAL_MAX_ITERATIONS = 2000
+# sufficient-decrease constant of the Armijo backtracking
+ARMIJO = 1e-4
 # A trace has reached the target once its overlap is within DEFAULT_EPS_ONE of
 # 1, and a layer gaining at most DEFAULT_EPS_SAT has saturated.  These are the
 # trace status thresholds and analysis.detect_saturation's defaults.
@@ -102,8 +110,8 @@ class TrainingTrace:
         return np.diff(np.concatenate([[2.0 ** (-self.n)], ovs]))
 
 
-# scipy.optimize loads on the first cutoff root or train_global call, not on
-# import; callers and tracers look these two names up on this module.
+# scipy.optimize loads on the first cutoff root, not on import; callers and
+# tracers look brentq up on this module.
 def brentq(*args, **kwargs):
     """scipy.optimize.brentq, imported on first call."""
     from scipy.optimize import brentq
@@ -112,7 +120,11 @@ def brentq(*args, **kwargs):
 
 
 def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first call."""
+    """scipy.optimize.minimize, imported on first call.
+
+    Nothing in satlab calls it: train_global runs lockstep_bfgs.  The name
+    stays because the benchmark's tracer swaps it by name.
+    """
     from scipy.optimize import minimize
 
     return minimize(*args, **kwargs)
@@ -283,26 +295,160 @@ def _schedule_to_params(schedule) -> np.ndarray:
     return np.array(out)
 
 
+@dataclass(frozen=True)
+class LockstepResult:
+    """lockstep_bfgs's end points: one row per start.
+
+    x, fun and jac are each start's last accepted point, its objective value
+    and gradient; reasons says why each start stopped ("gradient",
+    "decrease", "line search" or "iteration cap"); evaluations counts the
+    objective's rows over all calls; path[k] holds every start's objective
+    after k rounds.
+    """
+
+    x: np.ndarray
+    fun: np.ndarray
+    jac: np.ndarray
+    reasons: list[str]
+    evaluations: int
+    path: np.ndarray
+
+
+def _first_step(jac: np.ndarray) -> np.ndarray:
+    """Step length min(1, 1/|g|) along -g, while H is the identity."""
+    return 1.0 / np.maximum(np.linalg.norm(jac, axis=1), 1.0)
+
+
+def lockstep_bfgs(objective, x0) -> LockstepResult:
+    """Minimize from every row of x0 at once by BFGS with Armijo backtracking.
+
+    objective maps an (S, m) array of points to their values (S,) and
+    gradients (S, m).  Each round makes one objective call on one trial point
+    per running start.  Every start keeps its own dense inverse Hessian H,
+    steps along d = -H g (-g, with H reset, where that is no descent
+    direction), from step 1, or min(1, 1/|g|) while H is the identity, and
+    accepts the trial once f falls by ARMIJO times the predicted decrease;
+    otherwise the step shrinks by safeguarded quadratic interpolation, to
+    between 0.1 and 0.5 of itself.  No start's objective ever rises.  H is
+    scaled by s.y / y.y on its first update and skips updates with s.y <= 0.
+
+    A start stops on the first of: max|g| <= STOP_GRADIENT ("gradient"), an
+    accepted step decreasing f by at most STOP_DECREASE relative to
+    max(|f|, 1) ("decrease"), a shrunk step that no longer moves the point
+    ("line search"), or GLOBAL_MAX_ITERATIONS accepted steps ("iteration
+    cap").  They mirror the stopping rules of scipy's L-BFGS-B (pgtol, ftol,
+    ABNORMAL_TERMINATION_IN_LNSRCH, maxiter).
+    """
+    x = np.array(x0, dtype=float)
+    starts, size = x.shape
+    fun, jac = objective(x)
+    evaluations = starts
+    identity = np.eye(size)
+    hessian = np.broadcast_to(identity, (starts, size, size)).copy()
+    fresh = np.ones(starts, dtype=bool)  # H is still the identity
+    direction, step = -jac, _first_step(jac)
+    iterations = np.zeros(starts, dtype=int)
+    reasons = np.where(np.max(np.abs(jac), axis=1) <= STOP_GRADIENT, "gradient", "").astype(object)
+    path = [fun.copy()]
+
+    while (running := reasons == "").any():
+        rows = np.flatnonzero(running)
+        trial = x[rows] + step[rows, None] * direction[rows]
+        values, grads = objective(trial)
+        evaluations += rows.size
+        predicted = step[rows] * np.einsum("ij,ij->i", jac[rows], direction[rows])
+        accept = values <= fun[rows] + ARMIJO * predicted
+
+        # rejected trials: shrink the step to the minimizer of the quadratic
+        # through f, the slope and the trial, or stop where it no longer moves
+        back, miss = rows[~accept], ~accept
+        excess = values[miss] - fun[back] - predicted[miss]
+        step[back] *= np.fmax(np.fmin(-0.5 * predicted[miss] / excess, 0.5), 0.1)
+        stuck = np.all(x[back] + step[back, None] * direction[back] == x[back], axis=1)
+        reasons[back[stuck]] = "line search"
+
+        # accepted trials: update H by BFGS, then take the next direction
+        took = rows[accept]
+        new_x, new_f, new_g = trial[accept], values[accept], grads[accept]
+        s, y = new_x - x[took], new_g - jac[took]
+        drop = (fun[took] - new_f) / np.maximum(np.abs(new_f), 1.0)
+        x[took], fun[took], jac[took] = new_x, new_f, new_g
+        iterations[took] += 1
+        h, sy = hessian[took], np.einsum("ij,ij->i", s, y)
+        ok = sy > 0.0
+        first = ok & fresh[took]
+        h[first] *= (sy[first] / np.einsum("ij,ij->i", y[first], y[first]))[:, None, None]
+        rho = np.where(ok, 1.0 / np.where(ok, sy, 1.0), 0.0)
+        hy = np.einsum("kij,kj->ki", h, y)
+        h += (rho + rho * rho * np.einsum("ij,ij->i", y, hy))[:, None, None] * (s[:, :, None] * s[:, None, :])
+        h -= rho[:, None, None] * (s[:, :, None] * hy[:, None, :] + hy[:, :, None] * s[:, None, :])
+        d = -np.einsum("kij,kj->ki", h, new_g)
+        uphill = ~(np.einsum("ij,ij->i", d, new_g) < 0.0)
+        h[uphill], d[uphill] = identity, -new_g[uphill]
+        fresh[took] = (fresh[took] & ~ok) | uphill
+        hessian[took], direction[took] = h, d
+        step[took] = np.where(fresh[took], _first_step(new_g), 1.0)
+        reasons[took] = np.select(
+            [np.max(np.abs(new_g), axis=1) <= STOP_GRADIENT, drop <= STOP_DECREASE,
+             iterations[took] >= GLOBAL_MAX_ITERATIONS],
+            ["gradient", "decrease", "iteration cap"],
+            "",
+        )
+        path.append(fun.copy())
+    return LockstepResult(x, fun, jac, reasons.tolist(), evaluations, np.array(path))
+
+
+def _global_starts(depth: int, settings: OptimizerSettings, seed_schedules) -> np.ndarray:
+    """train_global's (S, 2 depth) starting points: the seed schedules, then
+    settings.global_restarts draws from SeedSequence((settings.seed, r))."""
+    starts = [_schedule_to_params(s) for s in seed_schedules]
+    for i, x0 in enumerate(starts):
+        if x0.size != 2 * depth:
+            raise ValueError(f"seed schedule {i} has {x0.size // 2} layers, expected {depth}")
+    for r in range(settings.global_restarts):
+        rng = np.random.default_rng(np.random.SeedSequence((settings.seed, r)))
+        gammas = rng.uniform(0.0, 2.0 * math.pi, depth)
+        betas = rng.uniform(0.0, math.pi, depth)
+        starts.append(np.column_stack([gammas, betas]).ravel())
+    return np.array(starts)
+
+
+def _global_objective(n: int):
+    """f = -2^n |A_0|^2 and its gradient, batched over rows of params.
+
+    Overlaps shrink like 2^-n and the stopping rules are absolute where
+    |f| < 1, so train_global minimizes the overlap in units of |+>^n's.
+    """
+    gen, scale = symcore.mixer(n), 2.0**n
+
+    def objective(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values, grads = gen.neg_overlap(params)
+        return scale * values, scale * grads
+
+    return objective
+
+
 def train_global(
     n: int,
     depth: int,
     settings: OptimizerSettings | None = None,
     seed_schedules=(),
 ) -> TrainingTrace:
-    """Multistart L-BFGS-B over all 2p angles at once, on adjoint gradients.
+    """Multistart BFGS over all 2p angles at once, on adjoint gradients.
 
-    Each start runs L-BFGS-B on f = -2^n |A_0|^2 and its exact gradient, from
-    MixerGenerator.neg_overlap.  The starts are the extra starting schedules
-    (e.g. a greedy solution), each of exactly depth layers, then
-    settings.global_restarts points uniform in the principal ranges, drawn
-    from SeedSequence((settings.seed, r)).  The best end point is kept; it is
-    never claimed to be the global optimum.
+    The starts are the extra starting schedules (e.g. a greedy solution), each
+    of exactly depth layers, then settings.global_restarts points uniform in
+    the principal ranges, drawn from SeedSequence((settings.seed, r)).  All
+    of them run in lockstep (lockstep_bfgs) on f = -2^n |A_0|^2 and its exact
+    gradient, one batched MixerGenerator.neg_overlap call per round.  The
+    best end point is kept, the first of equal ones; it is never claimed to
+    be the global optimum.
 
-    The line search never raises f, so every end point is a candidate,
-    whatever its status.  Near the largest overlap 1 the line search can no
-    longer resolve a decrease against rounding, and some starts stop with
-    ABNORMAL_TERMINATION_IN_LNSRCH; their end points are kept like the others.
-    Convergence is checked on the winner instead: RuntimeError is raised
+    No start's f ever rises, so every end point is a candidate, whatever made
+    it stop.  Near the largest overlap 1 backtracking can no longer resolve a
+    decrease against rounding, and some starts stop on "line search"; their
+    end points are kept like the others.  Convergence is checked on the
+    winner instead: RuntimeError, naming why the winner stopped, is raised
     unless |grad f| / |f| is at most GLOBAL_GRADIENT_TOLERANCE there.  The
     per-depth overlap profile of the winner, with its angles reduced to the
     principal ranges, is read from the heads of one MixerGenerator.forward;
@@ -311,49 +457,21 @@ def train_global(
     if n < 1 or depth < 1:
         raise ValueError("n and depth must be >= 1")
     settings = settings or OptimizerSettings()
-    gen = symcore.mixer(n)
-
-    inits = [_schedule_to_params(s) for s in seed_schedules]
-    for i, x0 in enumerate(inits):
-        if x0.size != 2 * depth:
-            raise ValueError(f"seed schedule {i} has {x0.size // 2} layers, expected {depth}")
-    for r in range(settings.global_restarts):
-        rng = np.random.default_rng(np.random.SeedSequence((settings.seed, r)))
-        gammas = rng.uniform(0.0, 2.0 * math.pi, depth)
-        betas = rng.uniform(0.0, math.pi, depth)
-        inits.append(np.column_stack([gammas, betas]).ravel())
-
-    # Overlaps shrink like 2^-n and L-BFGS-B's stopping rules are absolute
-    # where |f| < 1, so each start minimizes the overlap in units of |+>^n's.
-    scale = 2.0**n
-
-    def objective(params: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = gen.neg_overlap(params)
-        return scale * value, scale * grad
-
-    best, evals = None, 0
-    for x0 in inits:
-        # L-BFGS-B's defaults (ftol 2.2e-9, gtol 1e-5) leave the winner of
-        # train_global(4, 6) a relative slope of 1e-5; these tolerances run
-        # each start to the rounding floor
-        res = minimize(
-            objective, x0, jac=True, method="L-BFGS-B", options={"ftol": 1e-15, "gtol": 1e-10}
-        )
-        evals += int(res.nfev)
-        if best is None or res.fun < best.fun:
-            best = res
-    slope = float(np.linalg.norm(best.jac) / abs(best.fun))
+    result = lockstep_bfgs(_global_objective(n), _global_starts(depth, settings, seed_schedules))
+    best = int(np.argmin(result.fun))
+    slope = float(np.linalg.norm(result.jac[best]) / abs(result.fun[best]))
     if slope > GLOBAL_GRADIENT_TOLERANCE:
         raise RuntimeError(
             f"train_global({n}, {depth}): best end point has relative gradient norm {slope:.3g} "
-            f"> {GLOBAL_GRADIENT_TOLERANCE} ({best.message})"
+            f"> {GLOBAL_GRADIENT_TOLERANCE} (start {best} stopped on {result.reasons[best]})"
         )
 
-    angles = [LayerAngles(gamma, beta) for gamma, beta in best.x.reshape(depth, 2)]
+    angles = [LayerAngles(gamma, beta) for gamma, beta in result.x[best].reshape(depth, 2)]
+    gen = symcore.mixer(n)
     _, heads = gen.forward(gen.plus, [a.gamma for a in angles], [a.beta for a in angles])
     trace = TrainingTrace(n)
     for c, head in enumerate(heads[1:], start=1):
-        overlap, count = symcore.reported_overlap(head), evals if c == depth else 0
+        overlap, count = symcore.reported_overlap(head), result.evaluations if c == depth else 0
         trace.records.append(LayerRecord(c, angles[c - 1], overlap, float(abs(head)), 0.0, count))
     return trace
 

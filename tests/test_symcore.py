@@ -210,6 +210,44 @@ def test_neg_overlap_matches_layer_kernel_and_central_differences(n, depth):
     assert np.max(np.abs(grad - central)) <= 1e-8
 
 
+@pytest.mark.parametrize("starts", [1, 5, 33])
+@pytest.mark.parametrize("depth", range(1, 7))
+@pytest.mark.parametrize("n", [1, 2, 4, 12, 40])
+def test_batched_neg_overlap_rows_match_their_own_calls(n, depth, starts):
+    gen = mixer(n)
+    rand = np.random.default_rng(1900 + 100 * n + 10 * depth + starts)
+    params = np.stack(
+        [rand.uniform(0, 2 * np.pi, (starts, depth)), rand.uniform(0, np.pi, (starts, depth))], axis=2
+    ).reshape(starts, 2 * depth)
+    values, grads = gen.neg_overlap(params)
+    assert values.shape == (starts,) and grads.shape == (starts, 2 * depth)
+    for row, value, grad in zip(params, values, grads):
+        one_value, one_grad = gen.neg_overlap(row)
+        # value and gradient are 2 Re(conj(A_0) x): the batched and the 1-D
+        # sweep round A_0 differently by O(eps), which moves each by about
+        # eps |x| = eps (|value| + |gradient|) / |A_0|
+        scale = (abs(one_value) + np.max(np.abs(one_grad))) / np.sqrt(abs(one_value))
+        assert abs(value - one_value) <= 1e-14 * scale
+        assert np.max(np.abs(grad - one_grad)) <= 1e-14 * scale
+    # central differences of the batched values, every row at once
+    h = 1e-6
+    for k in range(2 * depth):
+        step = np.zeros(2 * depth)
+        step[k] = h
+        central = (gen.neg_overlap(params + step)[0] - gen.neg_overlap(params - step)[0]) / (2 * h)
+        assert np.max(np.abs(grads[:, k] - central)) <= 1e-8
+
+
+def test_batched_neg_overlap_keeps_leading_axes():
+    gen = mixer(3)
+    params = np.random.default_rng(7).uniform(0, np.pi, (2, 3, 4))
+    values, grads = gen.neg_overlap(params)
+    assert values.shape == (2, 3) and grads.shape == (2, 3, 4)
+    flat_values, flat_grads = gen.neg_overlap(params.reshape(6, 4))
+    np.testing.assert_allclose(values.ravel(), flat_values, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(grads.reshape(6, 4), flat_grads, rtol=1e-14, atol=1e-15)
+
+
 def test_empty_schedule_is_plus_state():
     assert np.allclose(run_schedule(3, []).amps, plus_state(3).amps)
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult, minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 
 from satlab import densecore, symcore, training
 from satlab.densecore import NoiseConfig
@@ -554,22 +554,77 @@ def test_global_winner_is_stationary():
 
 def test_global_refuses_a_non_stationary_winner(monkeypatch):
     # an optimizer that stops where it starts leaves a random start's slope
-    def stay(fun, x0, **kwargs):
-        value, grad = fun(x0)
-        return OptimizeResult(x=x0, fun=value, jac=grad, nfev=1, success=False, message="stub")
+    def stay(objective, x0):
+        values, grads = objective(x0)
+        return training.LockstepResult(x0, values, grads, ["stub"] * len(x0), len(x0), values[None])
 
-    monkeypatch.setattr(training, "minimize", stay)
-    with pytest.raises(RuntimeError, match="gradient norm"):
+    monkeypatch.setattr(training, "lockstep_bfgs", stay)
+    with pytest.raises(RuntimeError, match="gradient norm .* stopped on stub"):
         train_global(4, 3, OptimizerSettings(global_restarts=2))
 
 
 @pytest.mark.parametrize("seed_depth", [1, 5])
 def test_global_rejects_seed_of_wrong_depth(seed_depth, monkeypatch):
     # refused before the first objective evaluation
-    monkeypatch.setattr(training, "minimize", lambda *a, **k: pytest.fail("optimizer ran"))
+    monkeypatch.setattr(training, "lockstep_bfgs", lambda *a, **k: pytest.fail("optimizer ran"))
     seed = train_layerwise(3, seed_depth).schedule()
     with pytest.raises(ValueError, match="expected 2"):
         train_global(3, 2, seed_schedules=[seed])
+
+
+def test_every_start_records_why_it_stopped():
+    settings = OptimizerSettings(seed=1)
+    lw = train_layerwise(4, 6, settings)
+    starts = training._global_starts(6, settings, [lw.schedule()])
+    result = training.lockstep_bfgs(training._global_objective(4), starts)
+    assert len(result.reasons) == len(starts) == 33
+    assert set(result.reasons) <= {"gradient", "decrease", "line search"}
+    # one row per start and round; the last round stopped the last start
+    assert result.path.shape[1] == 33 and np.array_equal(result.path[-1], result.fun)
+    assert result.evaluations == train_global(4, 6, settings, [lw.schedule()]).records[-1].evaluations
+
+
+def test_iteration_cap_stops_the_starts_and_names_itself(monkeypatch):
+    monkeypatch.setattr(training, "GLOBAL_MAX_ITERATIONS", 3)
+    settings = OptimizerSettings(global_restarts=4)
+    result = training.lockstep_bfgs(training._global_objective(4), training._global_starts(6, settings, ()))
+    assert result.reasons == ["iteration cap"] * 4
+    # three accepted steps each, whatever the backtracking took
+    assert all(np.count_nonzero(np.diff(column)) == 3 for column in result.path.T)
+    with pytest.raises(RuntimeError, match="stopped on iteration cap"):
+        train_global(4, 6, settings)
+
+
+def test_lockstep_stops_a_start_that_begins_stationary():
+    # |+>^n is a critical point of every depth-1 schedule at gamma = beta = 0
+    result = training.lockstep_bfgs(training._global_objective(3), np.zeros((2, 2)))
+    assert result.reasons == ["gradient", "gradient"] and result.evaluations == 2
+
+
+# The quality grid: n = 2..8, depths n..n+2, at seed 0 with 4 restarts plus
+# the greedy seed (the part of seeds 0..4 with 32 restarts that fits the
+# suite's time; CHANGES.md reports the full grid).
+@pytest.mark.parametrize("n, depth", [(n, depth) for n in range(2, 9) for depth in range(n, n + 3)])
+def test_lockstep_matches_per_start_lbfgsb(n, depth):
+    settings = OptimizerSettings(global_restarts=4, seed=0)
+    lw = train_layerwise(n, depth, settings)
+    starts = training._global_starts(depth, settings, [lw.schedule()])
+    objective = training._global_objective(n)
+    result = training.lockstep_bfgs(objective, starts)
+
+    def one_start(params):
+        value, grad = objective(params)
+        return float(value), grad
+
+    best = min(
+        minimize(one_start, x0, jac=True, method="L-BFGS-B", options={"ftol": 1e-15, "gtol": 1e-10}).fun
+        for x0 in starts
+    )
+    assert result.fun.min() <= best + 1e-12 * abs(best)
+    # no start's objective rises, so the greedy-seeded row ends no lower than
+    # its seed
+    assert np.all(np.diff(result.path, axis=0) <= 0.0)
+    assert -result.path[0, 0] / 2.0**n == pytest.approx(lw.overlaps()[-1], rel=1e-13)
 
 
 # -------------------------------------------------------------------- noisy
