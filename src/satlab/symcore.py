@@ -8,10 +8,13 @@ the whole circuit lives in the (n+1)-dimensional span of the Dicke states
 
 Noiseless circuits run in the mixer's eigenbasis (MixerGenerator.forward); the
 trainers carry these eigen-coordinates, and run_schedule returns Dicke amplitudes.
-They read only the mixer's closed-form first eigenvector row and its integer
-eigenvalues.  The eigenvector matrix V is built on first use by
-numpy.linalg.eigh; only run_schedule's Dicke amplitudes, evolve (apply_mixer)
-and LayerTerms.from_sums (layer_terms and the noisy path) read it.
+All of them read only the mixer's closed form: its first eigenvector row, its
+integer eigenvalues and the product bra <0|mixer(beta) = prod_q (cos(beta)<0| -
+i sin(beta)<1|), whose Fourier coefficients (MixerGenerator.bra_coefs) give the
+layer terms of a Dicke state or a noisy dense state.  The eigenvector matrix V
+is built by numpy.linalg.eigh for evolve (apply_mixer) alone, a Dicke-basis
+oracle that no reported number goes through, and only up to
+MAX_EIGENVECTOR_QUBITS.
 """
 
 from __future__ import annotations
@@ -32,6 +35,12 @@ MAX_SYMMETRIC_QUBITS = 1022
 # Largest excess over 1 that reported_overlap reads as rounding; the largest
 # seen, over greedy-seeded train_global at n = 1..6, is 1.8e-15.
 OVERLAP_EXCESS_TOL = 1e-12
+# Largest qubit count for which MixerGenerator.eigenvectors builds V.  Its
+# columns are signed so that V[0] > 0, and V[0, 0] = V[0, n] = 2^(-n/2) sinks
+# into eigh's rounding: against the exact Krawtchouk columns every entry is
+# within 6e-15 up to n = 109, and the end column is negated at n = 110, 114,
+# 115, ...; at the ceiling 2^(-50) = 8.9e-16.
+MAX_EIGENVECTOR_QUBITS = 100
 
 
 @lru_cache(maxsize=None)
@@ -110,12 +119,12 @@ class MixerGenerator:
     k+1 ways, and the normalization ratio supplies the square root.  Its
     eigenvalues are the integers lambda_l = -n + 2l, held exactly, and the
     first row of its eigenvectors is r = plus_state's amplitudes, held in
-    closed form as row; |+>^n is e_n in this basis.  The eigenvectors V are
-    built on first use by numpy.linalg.eigh, each column signed so that
-    V[0] > 0 like r.  Only run_schedule's Dicke amplitudes, evolve
-    (apply_mixer) and LayerTerms.from_sums (layer_terms,
-    densecore.layer_terms_dense) read V, so the noiseless trainers never
-    build it.
+    closed form as row; |+>^n is e_n in this basis.  bra_coefs holds the
+    Fourier coefficients of the product bra <0|mixer(beta), which
+    LayerTerms.from_sums reads.  The eigenvectors V are built on first use
+    by numpy.linalg.eigh, each column signed so that V[0] > 0 like r, and
+    only up to MAX_EIGENVECTOR_QUBITS; only evolve (apply_mixer) reads V, so
+    no trainer, run_schedule or layer-terms path builds it.
     """
 
     def __init__(self, n: int):
@@ -131,13 +140,39 @@ class MixerGenerator:
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
-        """V, read-only and cached, built on first use in O(n^3)."""
+        """V, read-only and cached, built on first use in O(n^3).
+
+        Raises ValueError past MAX_EIGENVECTOR_QUBITS, where its column signs
+        are no longer verified.
+        """
+        if self.n > MAX_EIGENVECTOR_QUBITS:
+            raise ValueError(
+                f"eigenvectors are verified up to n = {MAX_EIGENVECTOR_QUBITS}, got n = {self.n}"
+            )
         k = np.arange(self.n)
         off = np.sqrt((k + 1.0) * (self.n - k))
         _, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
         vectors *= np.copysign(1.0, vectors[0])
         vectors.setflags(write=False)
         return vectors
+
+    @cached_property
+    def bra_coefs(self) -> np.ndarray:
+        """w, read-only and cached: cos^{n-k}(beta) (-i sin(beta))^k = sum_l
+        w[k, l] exp(-i lambda_l beta), built on first use in O(n^2 log n).
+
+        Row k is <0|mixer(beta)|e_k> / sqrt(C(n,k)), so w[k] = V[0] * V[k] /
+        sqrt(C(n,k)), which is real.  Times exp(-i n beta) it is a polynomial
+        of degree n in exp(-2i beta), so its values at beta_j = pi j / (n+1)
+        give w by one inverse FFT, the inverse of LayerTerms.grid's.
+        """
+        n = self.n
+        k = np.arange(n + 1)[:, None]
+        betas = np.pi * np.arange(n + 1) / (n + 1)
+        values = np.cos(betas) ** (n - k) * np.sin(betas) ** k * (-1j) ** (k % 4)
+        coefs = np.fft.ifft(values * np.exp(-1j * n * betas), axis=1).real
+        coefs.setflags(write=False)
+        return coefs
 
     @cached_property
     def derivative_rows(self) -> np.ndarray:
@@ -253,11 +288,30 @@ def apply_mixer(state: SymmetricState, beta: float) -> SymmetricState:
 
 
 def run_schedule(n: int, schedule) -> SymmetricState:
-    """Run the full circuit from |+>^n by MixerGenerator.forward: amps = V t, A_0 = r . t."""
+    """Run the full circuit from |+>^n: the heads of MixerGenerator.forward,
+    then every Dicke amplitude from them in O(pn).
+
+    Layer j's phase separator is I + (exp(-i gamma_j) - 1)|0><0|, a rank-1
+    kick, so after p layers the state is mixer(B_1)|+>^n plus, for each j,
+    (exp(-i gamma_j) - 1) h_{j-1} mixer(B_j)|0...0>, where h_{j-1} is the
+    head before layer j and B_j = beta_j + ... + beta_p.  Both are product
+    states: mixer(B)|+>^n = exp(-i n B)|+>^n, and mixer(B)|0...0> has
+    A_k = sqrt(C(n,k)) cos^{n-k}(B) (-i sin(B))^k.  A_0 is forward's last
+    head, bitwise what the trainers report.
+    """
     angles = [_as_angles(layer) for layer in schedule]
+    gammas = np.array([a.gamma for a in angles])
+    betas = np.array([a.beta for a in angles])
     gen = mixer(n)
-    states, heads = gen.forward(gen.plus, [a.gamma for a in angles], [a.beta for a in angles])
-    amps = gen.eigenvectors @ states[-1]
+    _, heads = gen.forward(gen.plus, gammas, betas)
+    # exp(-i B_j) as products of unit phases, which round less than the cosine
+    # and sine of a summed B_j
+    tails = np.cumprod(np.exp(-1j * betas[::-1]))[::-1]
+    k = np.arange(n + 1)
+    bras = tails.real[:, None] ** (n - k) * (-tails.imag)[:, None] ** k * (-1j) ** (k % 4)
+    kicks = (np.exp(-1j * gammas) - 1.0) * heads[:-1]
+    plus = (tails[0] ** n if angles else 1.0) * 2.0 ** (-n / 2.0)
+    amps = binomial_sqrt(n) * (plus + kicks @ bras)
     amps[0] = heads[-1]
     return SymmetricState(n, amps)
 
@@ -292,10 +346,11 @@ class LayerTerms:
 
     Both terms are held in their Fourier form over the mixer's eigenvalues
     lambda_l = -n + 2l, A = sum_l coefs[0, l] exp(-i lambda_l beta) and
-    likewise B with coefs[1], since cos^{n-k}(beta) (-i sin(beta))^k
-    sqrt(C(n,k)) = <0|mixer(beta)|e_k> = sum_l V[0,l] V[k,l] exp(-i lambda_l
-    beta).  A scalar beta then costs O(n).  On the grid beta_j = pi j / M the
-    common factor exp(i n beta_j) drops out of the moduli, and what is left is
+    likewise B with coefs[1], since cos^{n-k}(beta) (-i sin(beta))^k = sum_l
+    w[k, l] exp(-i lambda_l beta) with w = MixerGenerator.bra_coefs
+    (from_sums); from the eigen-coordinates of a noiseless circuit they take
+    only the row r (from_eigen).  A scalar beta then costs O(n).  On the
+    grid beta_j = pi j / M the common factor exp(i n beta_j) drops out of the moduli, and what is left is
     one length-M FFT of the coefficients (folded modulo M when n + 1 > M).  At
     beta = 0 the mixer is the identity, and at_zero = (A(0), B(0)) holds the
     exact values, so the beta = 0 snap and the gamma = 0 tie rule compare
@@ -315,13 +370,22 @@ class LayerTerms:
 
     @classmethod
     def from_sums(cls, a: complex, a_weight: int, sums: np.ndarray) -> LayerTerms:
-        """Terms of a, a_weight and sums, O(n^2): coefs[0] = a / sqrt(C(n,m))
-        V[0] * V[m] and coefs[1] = V[0] * (V^T (sums / sqrt(C(n,k))))."""
-        n, m = sums.size - 1, a_weight
-        v = mixer(n).eigenvectors
-        root = binomial_sqrt(n)
-        coefs = np.stack([(a / root[m]) * v[0] * v[m], v[0] * (v.T @ (sums / root))])
-        return cls(coefs, (a if m == 0 else 0.0, sums[0]))
+        """Terms of a, a_weight and sums, O(n^2): with w = the mixer's
+        bra_coefs, coefs[0] = a w[a_weight] and coefs[1] = sums @ w.
+
+        The |+>^n part of the sums, sum(sums) r * r with r * r = C(n,k) / 2^n,
+        is split off first and added back in closed form: |+>^n is e_n in the
+        eigenbasis, so (r * r) @ w = 2^-n e_n.  A shallow circuit at large n
+        is close to |+>^n, and the small rest of its sums would otherwise
+        drown in the rounding of sums @ w.
+        """
+        n = sums.size - 1
+        gen = mixer(n)
+        total = sums.sum()
+        b_coefs = (sums - total * gen.row * gen.row) @ gen.bra_coefs
+        b_coefs[n] += total * 2.0**-n
+        coefs = np.stack([a * gen.bra_coefs[a_weight], b_coefs])
+        return cls(coefs, (a if a_weight == 0 else 0.0, sums[0]))
 
     def split(self, betas) -> tuple[np.ndarray, np.ndarray]:
         """(A, B) at each beta."""

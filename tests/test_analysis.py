@@ -147,7 +147,7 @@ def test_probe_on_target_state():
     assert gain == 0.0 and beta == 0.0
 
 
-@pytest.mark.parametrize("n", range(3, 12))
+@pytest.mark.parametrize("n", [*range(3, 12), 110, 400, 1022])
 def test_probe_on_nontrainable_family(n):
     # the refined value near beta = 0 lands within rounding of the exact g(0),
     # and the tie rule gives beta = 0 exactly
@@ -158,6 +158,17 @@ def test_probe_on_nontrainable_family(n):
         a0 = math.sqrt(1 - a2**2)
         state = make_nontrainable_state(n, a0, a2, phases=tuple(rand.uniform(0, 2 * np.pi, 2)))
         assert trainability_probe(state) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [100, 110])
+def test_probe_on_greedy_prefix_matches_the_next_greedy_layer(n):
+    # the probe reads the prefix's Dicke amplitudes, where greedy reads its
+    # eigen-coordinates; past n of about 130 the amplitudes' absolute
+    # rounding swamps overlaps this small (3.5e-32 at n = 110)
+    trace = train_layerwise(n, 6)
+    gain, beta = trainability_probe(run_schedule(n, trace.schedule()[:5]))
+    assert gain == pytest.approx(trace.overlaps()[5] - trace.overlaps()[4], rel=0.02)
+    assert beta == pytest.approx(trace.records[5].angles.beta, rel=0.05)
 
 
 def test_probe_boundary_member():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize, minimize_scalar
 
-from satlab import densecore, symcore, training
+from satlab import analysis, densecore, harness, symcore, training
 from satlab.densecore import NoiseConfig
 from satlab.training import (
     OptimizerSettings,
@@ -443,18 +443,25 @@ def test_cutoff_reproducible_from_seed():
 
 
 @pytest.mark.parametrize(
-    "n, train",
+    "n, run",
     [
         (27, lambda n: train_layerwise(n, 3)),
         (43, lambda n: train_cutoff(n, 3, 0.7, rng=np.random.default_rng(5))),
         (47, lambda n: train_global(n, 2, OptimizerSettings(global_restarts=2))),
+        (53, lambda n: symcore.run_schedule(n, [(0.4, 0.3)])),
+        (31, lambda n: symcore.layer_terms(symcore.plus_state(n))),
+        (29, lambda n: analysis.trainability_probe(symcore.run_schedule(n, [(0.4, 0.3)]))),
+        (33, lambda n: symcore.gamma_eliminated_curve(symcore.plus_state(n), [0.1, 0.2])),
+        (5, lambda n: train_layerwise_noisy(n, 2, NoiseConfig(0.5, kind="bitflip"), rng=np.random.default_rng(5))),
+        (10, lambda n: harness.run_experiment(harness.ExperimentConfig(kind="conditions", n=n))),
     ],
-    ids=["layerwise", "cutoff", "global"],
+    ids=["layerwise", "cutoff", "global", "run_schedule", "layer_terms", "probe", "curve", "noisy", "conditions"],
 )
-def test_noiseless_trainers_never_build_the_eigenvectors(n, train):
-    # they read only the closed-form row and the eigenvalues
+def test_noiseless_trainers_never_build_the_eigenvectors(n, run):
+    # the trainers, the Dicke amplitudes and every layer-terms path read only
+    # the closed forms: the row, the eigenvalues and the bra's coefficients
     symcore.mixer.cache_clear()
-    train(n)
+    run(n)
     assert "eigenvectors" not in symcore.mixer(n).__dict__
 
 
