@@ -150,14 +150,12 @@ def make_nontrainable_state(
 
     The state a0*e^{i phase0}|e_0> + a2*e^{i phase2}|e_2> cannot be improved by
     one QAOA layer whenever a2 <= a0 / sqrt(C(n,2)); moduli outside that bound
-    are rejected, as are non-normalized pairs.
+    are rejected, and SymmetricState refuses non-normalized pairs.
     """
     if n < 2:
         raise ValueError("the family needs n >= 2")
     if a0 < 0 or a2 < 0:
         raise ValueError("moduli must be nonnegative")
-    if abs(a0**2 + a2**2 - 1.0) > 1e-9:
-        raise ValueError(f"moduli must satisfy a0^2 + a2^2 = 1, got {a0**2 + a2**2}")
     c2 = binomial_sqrt(n)[2]
     if a2 > a0 / c2 * (1.0 + 1e-12) + 1e-15:
         raise ValueError(f"a2 = {a2} exceeds the non-trainability bound a0/sqrt(C(n,2)) = {a0 / c2}")

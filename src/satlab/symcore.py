@@ -32,6 +32,8 @@ NORM_TOL = 1e-8
 # a normal float, and train_global's 2^n overflows at n = 1024.  ExperimentConfig
 # rejects larger n; the library functions and trainers do not check it.
 MAX_SYMMETRIC_QUBITS = 1022
+# relative gap within which a smaller beta or gamma ties a larger one's value
+TIE_TOLERANCE = 1e-12
 # Largest excess over 1 that reported_overlap reads as rounding; the largest
 # seen, over greedy-seeded train_global at n = 1..6, is 1.8e-15.
 OVERLAP_EXCESS_TOL = 1e-12
@@ -349,12 +351,12 @@ class LayerTerms:
     likewise B with coefs[1], since cos^{n-k}(beta) (-i sin(beta))^k = sum_l
     w[k, l] exp(-i lambda_l beta) with w = MixerGenerator.bra_coefs
     (from_sums); from the eigen-coordinates of a noiseless circuit they take
-    only the row r (from_eigen).  A scalar beta then costs O(n).  On the
-    grid beta_j = pi j / M the common factor exp(i n beta_j) drops out of the moduli, and what is left is
-    one length-M FFT of the coefficients (folded modulo M when n + 1 > M).  At
-    beta = 0 the mixer is the identity, and at_zero = (A(0), B(0)) holds the
-    exact values, so the beta = 0 snap and the gamma = 0 tie rule compare
-    exact values.
+    only the row r (from_eigen).  One beta costs O(n) in at, which value and
+    best_gamma read; split is curve's batch path.  On the grid beta_j = pi j
+    / M the factor exp(i n beta_j) drops out of the moduli, leaving one
+    length-M FFT of the coefficients (folded modulo M when n + 1 > M).  At
+    beta = 0 the mixer is the identity, and at, split and grid all return
+    the exact at_zero = (A(0), B(0)), so the beta = 0 snap is exact.
     """
 
     coefs: np.ndarray
@@ -387,14 +389,19 @@ class LayerTerms:
         coefs = np.stack([a * gen.bra_coefs[a_weight], b_coefs])
         return cls(coefs, (a if a_weight == 0 else 0.0, sums[0]))
 
+    def at(self, beta: float) -> tuple[complex, complex]:
+        """(A, B) at one beta, O(n); exact at beta = 0, from at_zero."""
+        if beta == 0.0:
+            return self.at_zero
+        freqs = mixer(self.coefs.shape[1] - 1).eigenvalues
+        return tuple((self.coefs @ np.exp(freqs * (-1j * beta))).tolist())
+
     def split(self, betas) -> tuple[np.ndarray, np.ndarray]:
-        """(A, B) at each beta."""
+        """(A, B) at each beta: the batch path of curve."""
         betas = np.atleast_1d(np.asarray(betas, dtype=float))
         freqs = mixer(self.coefs.shape[1] - 1).eigenvalues
         a_term, b_term = self.coefs @ np.exp(-1j * np.multiply.outer(freqs, betas))
-        zero = betas == 0.0
-        if zero.any():
-            a_term[zero], b_term[zero] = self.at_zero
+        a_term[betas == 0.0], b_term[betas == 0.0] = self.at_zero
         return a_term, b_term
 
     def curve(self, betas) -> np.ndarray:
@@ -406,12 +413,8 @@ class LayerTerms:
         return np.abs(a_term) + np.abs(b_term)
 
     def value(self, beta: float) -> float:
-        """The curve at one beta as a float: the scalar path of curve, O(n)."""
-        if beta == 0.0:
-            a_term, b_term = self.at_zero
-        else:
-            freqs = mixer(self.coefs.shape[1] - 1).eigenvalues
-            a_term, b_term = self.coefs @ np.exp(freqs * (-1j * beta))
+        """The curve at one beta as a float, from at."""
+        a_term, b_term = self.at(beta)
         return float(abs(a_term) + abs(b_term))
 
     def derivatives(self, beta: float) -> tuple[float, float, float]:
@@ -447,12 +450,12 @@ class LayerTerms:
         return vals
 
     def best_gamma(self, beta: float) -> tuple[float, float]:
-        """(g, gamma_star): the curve at beta and a gamma attaining it, as
-        described for gamma_eliminated_overlap."""
-        a_term, b_term = self.split(float(beta))
-        a, b = complex(a_term[0]), complex(b_term[0])
-        g = abs(a) + abs(b)
-        if abs(a) == 0.0 or abs(b) == 0.0:
+        """(g, gamma_star): value(beta) and arg A - arg B, which lines up the
+        terms, or 0 by the tie rule where every gamma ties: where the span of
+        the modulus over gamma, 2 min(|A|, |B|), is within TIE_TOLERANCE of g."""
+        a, b = self.at(beta)
+        g = float(abs(a) + abs(b))
+        if 2.0 * min(abs(a), abs(b)) <= TIE_TOLERANCE * g:
             return g, 0.0
         return g, float((np.angle(a) - np.angle(b)) % (2.0 * math.pi))
 
@@ -474,7 +477,8 @@ def gamma_eliminated_overlap(state: SymmetricState, beta: float) -> tuple[float,
 
     Returns (g, gamma_star): g is the maximum over gamma of the target
     amplitude modulus, and gamma_star attains it by aligning the phases of the
-    two terms.  When either term vanishes every gamma ties and 0 is returned.
+    two terms.  Where a term vanishes up to TIE_TOLERANCE, every gamma ties
+    and 0 is returned (LayerTerms.best_gamma).
     """
     return layer_terms(state).best_gamma(beta)
 

@@ -15,15 +15,13 @@ import numpy as np
 
 from . import densecore, symcore
 from .densecore import NoiseConfig
-from .symcore import LayerAngles
+from .symcore import TIE_TOLERANCE, LayerAngles
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # width of the bracket at which the golden-section fallback stops
 REFINE_TOLERANCE = 1e-10
 # Newton step |g'/g''| below which the refined beta has converged
 NEWTON_TOLERANCE = 1e-15
-# relative gap within which a smaller beta ties a larger one's curve value
-TIE_TOLERANCE = 1e-12
 # largest gradient norm of log|A_0|^2 accepted at train_global's winning end point
 GLOBAL_GRADIENT_TOLERANCE = 1e-6
 # lockstep_bfgs stops a start once max|grad f| is at most STOP_GRADIENT, or a
@@ -61,15 +59,13 @@ class OptimizerSettings:
 
 @dataclass(frozen=True, slots=True)
 class LayerRecord:
-    """One trained layer: depth (from 1), angles, reported overlap, amplitude,
-    wall_time in seconds and evaluations.  amplitude is the curve value at the
-    angles for greedy and cutoff training and the realized |A_0| for noisy and
-    global training; train_global puts all its starts' evaluations on the last."""
+    """What one trained layer realized and cost: its angles, the reported
+    overlap after it, wall_time in seconds and evaluations; its depth is its
+    list index plus one.  train_global puts its whole run's wall time and all
+    its starts' evaluations on the last record, 0 on the others."""
 
-    depth: int
     angles: LayerAngles
     overlap: float
-    amplitude: float
     wall_time: float
     evaluations: int
 
@@ -207,9 +203,9 @@ def _layer_step(
     rule: on each side the root nearest the maximizer lies between it and the
     nearest grid point reaching the target, index M standing for pi, where
     g(pi) = g(0); an end the scalar path puts above the target moves one cell
-    on.  brentq finds the roots and rng picks one uniformly.  gamma then aligns
-    the two terms at the chosen beta.  The count is the number of betas at
-    which the curve was computed.
+    on.  brentq finds the roots and rng picks one uniformly.  best_gamma then
+    gives gamma at the chosen beta by the same tie rule.  The count is the
+    number of betas at which the curve was computed.
     """
     m = settings.beta_grid_points
     cell = math.pi / m
@@ -278,12 +274,12 @@ def train_cutoff(
     gen = symcore.mixer(n)
     t, overlap = gen.plus, symcore.reported_overlap(gen.row[n])
     trace = TrainingTrace(n)
-    for depth in range(1, max_depth + 1):
+    for _ in range(max_depth):
         t0 = time.perf_counter()
-        angles, g, evals = _layer_step(symcore.LayerTerms.from_eigen(t), overlap, fraction, settings, rng)
+        angles, _, evals = _layer_step(symcore.LayerTerms.from_eigen(t), overlap, fraction, settings, rng)
         states, heads = gen.forward(t, [angles.gamma], [angles.beta])
         t, overlap = states[-1], symcore.reported_overlap(heads[-1])
-        trace.records.append(LayerRecord(depth, angles, overlap, g, time.perf_counter() - t0, evals))
+        trace.records.append(LayerRecord(angles, overlap, time.perf_counter() - t0, evals))
     return trace
 
 
@@ -452,10 +448,12 @@ def train_global(
     unless |grad f| / |f| is at most GLOBAL_GRADIENT_TOLERANCE there.  The
     per-depth overlap profile of the winner, with its angles reduced to the
     principal ranges, is read from the heads of one MixerGenerator.forward;
-    the objective evaluations of all starts are carried on the final record.
+    the run's wall time and the objective evaluations of all starts are
+    carried on the final record.
     """
     if n < 1 or depth < 1:
         raise ValueError("n and depth must be >= 1")
+    t0 = time.perf_counter()
     settings = settings or OptimizerSettings()
     result = lockstep_bfgs(_global_objective(n), _global_starts(depth, settings, seed_schedules))
     best = int(np.argmin(result.fun))
@@ -469,10 +467,9 @@ def train_global(
     angles = [LayerAngles(gamma, beta) for gamma, beta in result.x[best].reshape(depth, 2)]
     gen = symcore.mixer(n)
     _, heads = gen.forward(gen.plus, [a.gamma for a in angles], [a.beta for a in angles])
-    trace = TrainingTrace(n)
-    for c, head in enumerate(heads[1:], start=1):
-        overlap, count = symcore.reported_overlap(head), result.evaluations if c == depth else 0
-        trace.records.append(LayerRecord(c, angles[c - 1], overlap, float(abs(head)), 0.0, count))
+    overlaps = [symcore.reported_overlap(head) for head in heads[1:]]
+    trace = TrainingTrace(n, [LayerRecord(a, o, 0.0, 0) for a, o in zip(angles[:-1], overlaps)])
+    trace.records.append(LayerRecord(angles[-1], overlaps[-1], time.perf_counter() - t0, result.evaluations))
     return trace
 
 
@@ -502,14 +499,12 @@ def train_layerwise_noisy(
 
     prefix = densecore.plus_state_dense(n)
     trace = TrainingTrace(n)
-    for depth in range(1, max_depth + 1):
+    for _ in range(max_depth):
         t0 = time.perf_counter()
         slots = densecore.sample_layer_noise(n, noise, rng)
         terms = densecore.layer_terms_dense(prefix, n, slots)
         angles, _, evals = _layer_step(terms, abs(prefix[0]) ** 2, 1.0, settings, rng)
         prefix = densecore.apply_layer_dense(prefix, n, angles.gamma, angles.beta, slots)
         overlap = symcore.reported_overlap(prefix[0])
-        trace.records.append(
-            LayerRecord(depth, angles, overlap, float(abs(prefix[0])), time.perf_counter() - t0, evals)
-        )
+        trace.records.append(LayerRecord(angles, overlap, time.perf_counter() - t0, evals))
     return trace

@@ -33,8 +33,8 @@ def basis_state(n, k):
 def synthetic_trace(n, overlaps, betas=None):
     trace = TrainingTrace(n)
     betas = betas if betas is not None else [0.1] * len(overlaps)
-    for d, (ov, beta) in enumerate(zip(overlaps, betas), start=1):
-        trace.records.append(LayerRecord(d, LayerAngles(0.0, beta), ov, math.sqrt(ov), 0.0, 0))
+    for ov, beta in zip(overlaps, betas):
+        trace.records.append(LayerRecord(LayerAngles(0.0, beta), ov, 0.0, 0))
     return trace
 
 

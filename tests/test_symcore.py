@@ -406,6 +406,52 @@ def test_layer_terms_exact_at_beta_zero():
     assert terms.value(0.0) == terms.grid(16)[0] == abs(s.amps[0])
 
 
+def _random_terms(n, rand):
+    coefs = rand.normal(size=(2, n + 1)) + 1j * rand.normal(size=(2, n + 1))
+    return symcore.LayerTerms(coefs, (complex(coefs[0].sum()), complex(coefs[1].sum())))
+
+
+def test_value_is_best_gammas_curve_value_bitwise():
+    rand = np.random.default_rng(61)
+    for n in (1, 4, 9, 30):
+        terms = _random_terms(n, rand)
+        for beta in [0.0, *rand.uniform(0, np.pi, 20)]:
+            assert terms.value(beta) == terms.best_gamma(beta)[0]
+
+
+def test_at_matches_split():
+    rand = np.random.default_rng(62)
+    terms = _random_terms(7, rand)
+    betas = [0.0, *rand.uniform(0, np.pi, 10)]
+    a_terms, b_terms = terms.split(betas)
+    for beta, a_term, b_term in zip(betas, a_terms, b_terms):
+        a, b = terms.at(beta)
+        assert a == pytest.approx(a_term, abs=1e-14) and b == pytest.approx(b_term, abs=1e-14)
+    assert terms.at(0.0) == terms.at_zero
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0, 2.5, 4.0, 5.5])
+def test_rounding_sized_term_takes_gamma_zero(theta):
+    # A vanishes but for a rounding-size term, so every gamma ties and the
+    # tie rule gives gamma = 0, whatever the phase of the rounding
+    rand = np.random.default_rng(63)
+    n = 4
+    sums = rand.normal(size=n + 1) + 1j * rand.normal(size=n + 1)
+    terms = symcore.LayerTerms.from_sums(0.0, 2, sums / np.linalg.norm(sums))
+    coefs = terms.coefs.copy()
+    coefs[0] += 1e-17 * np.exp(1j * theta)
+    noisy = symcore.LayerTerms(coefs, terms.at_zero)
+    for beta in rand.uniform(0.1, np.pi - 0.1, 10):
+        g, gamma = noisy.best_gamma(beta)
+        assert gamma == 0.0 and g == pytest.approx(terms.value(beta), abs=1e-15)
+    # a term above the tolerance is still aligned
+    coefs[0] += 1e-3 * np.exp(1j * theta)
+    beta = 0.7
+    g, gamma = symcore.LayerTerms(coefs, terms.at_zero).best_gamma(beta)
+    a, b = symcore.LayerTerms(coefs, terms.at_zero).at(beta)
+    assert abs(a * np.exp(-1j * gamma) + b) == pytest.approx(g, rel=1e-13)
+
+
 # ------------------------------------------------------------- derivatives
 
 def test_derivatives_on_target_state():

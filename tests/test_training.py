@@ -23,10 +23,22 @@ def test_single_qubit_reaches_unit_overlap():
     assert trace.records[0].angles.beta == pytest.approx(np.pi / 4, abs=1e-7)
 
 
-def test_overlap_equals_squared_amplitude():
+def test_overlap_equals_squared_amplitude(monkeypatch):
+    # the curve value g that _layer_step returns squares to the overlap the
+    # greedy layer realizes
+    amplitudes = []
+    step = training._layer_step
+
+    def recorded_step(*args):
+        angles, g, evals = step(*args)
+        amplitudes.append(g)
+        return angles, g, evals
+
+    monkeypatch.setattr(training, "_layer_step", recorded_step)
     trace = train_layerwise(4, 5)
-    for record in trace.records:
-        assert record.overlap == pytest.approx(record.amplitude**2, abs=1e-12)
+    assert len(amplitudes) == trace.depth
+    for record, g in zip(trace.records, amplitudes):
+        assert record.overlap == pytest.approx(g**2, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 6])
@@ -387,18 +399,18 @@ def test_cutoff_desaturates_past_plateau():
 )
 def test_trainer_records_counted_evaluations(monkeypatch, train):
     # every recorded evaluation is one beta at which the layer terms computed
-    # the curve: the grid's points, then one per scalar or derivatives call
+    # the curve: the grid's points, then one per point or derivatives call
     points = [0]
     terms = symcore.LayerTerms
-    grid, value, split, derivatives = terms.grid, terms.value, terms.split, terms.derivatives
+    grid, at, split, derivatives = terms.grid, terms.at, terms.split, terms.derivatives
 
     def counted_grid(self, m):
         points[0] += m
         return grid(self, m)
 
-    def counted_value(self, beta):
+    def counted_at(self, beta):
         points[0] += 1
-        return value(self, beta)
+        return at(self, beta)
 
     def counted_split(self, betas):
         points[0] += np.size(betas)
@@ -409,13 +421,36 @@ def test_trainer_records_counted_evaluations(monkeypatch, train):
         return derivatives(self, beta)
 
     monkeypatch.setattr(terms, "grid", counted_grid)
-    monkeypatch.setattr(terms, "value", counted_value)
+    monkeypatch.setattr(terms, "at", counted_at)
     monkeypatch.setattr(terms, "split", counted_split)
     monkeypatch.setattr(terms, "derivatives", counted_derivatives)
     for seed in range(3):
         points[0] = 0
         trace = train(np.random.default_rng(seed))
         assert sum(r.evaluations for r in trace.records) == points[0]
+
+
+def test_layer_steps_never_take_the_batch_path(monkeypatch):
+    # one beta at a time goes through LayerTerms.at; split serves only curve
+    def refuse(self, betas):
+        raise AssertionError("split called")
+
+    monkeypatch.setattr(symcore.LayerTerms, "split", refuse)
+    train_layerwise(4, 5)
+    train_cutoff(4, 5, 0.8, rng=np.random.default_rng(3))
+    train_layerwise_noisy(4, 4, NoiseConfig(0.3), rng=np.random.default_rng(3))
+    train_layerwise_noisy(4, 4, NoiseConfig(0.5, kind="bitflip"), rng=np.random.default_rng(3))
+
+
+def test_bitflip_layer_with_rounding_sized_term_takes_gamma_zero():
+    # the noise experiment's p = 0.5 bit-flip contrast, seed 1, trial 2: the
+    # second layer sits at beta = pi/2, where its A term is zero but for
+    # rounding (about 1e-17), so every gamma ties and the tie rule takes gamma = 0
+    p_grid = harness.KINDS["noise"]["p_grid"]
+    seed = np.random.SeedSequence((1, 1000 + p_grid.index(0.5), 2))
+    trace = train_layerwise_noisy(4, 4, NoiseConfig(0.5, kind="bitflip"), rng=np.random.default_rng(seed))
+    assert trace.records[1].angles.beta == pytest.approx(np.pi / 2, abs=1e-9)
+    assert trace.records[1].angles.gamma == 0.0
 
 
 def test_trainers_that_draw_require_a_generator():
@@ -496,6 +531,9 @@ def test_global_profile_is_the_replay_of_its_schedule():
     for c, record in enumerate(gl.records, start=1):
         assert record.overlap == symcore.overlap(symcore.run_schedule(4, schedule[:c]))
     assert [r.evaluations > 0 for r in gl.records] == [False, False, True]
+    # the run's wall time sits on the record that carries its evaluations
+    assert gl.records[-1].wall_time > 0.0
+    assert [r.wall_time for r in gl.records[:-1]] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize(
