@@ -1,8 +1,8 @@
 """Timing rung for one layer's beta step, outside the Tier-1 testpaths.
 
-Times one training._layer_step, one LayerTerms.value and one
-LayerTerms.derivatives call on the terms of a mid-depth greedy layer, at
-n = 4, 12 and 40.  Run with
+Times one greedy training._layer_step, one cutoff step at fraction 0.8 (its
+left root fixed), one LayerTerms.value and one LayerTerms.derivatives call on
+the terms of a mid-depth greedy layer, at n = 4, 12 and 40.  Run with
 
     PYTHONPATH=src python -m pytest bench/test_layer_step.py
 
@@ -14,6 +14,14 @@ import pytest
 from satlab import symcore, training
 
 BETA = 0.3
+FRACTION = 0.8
+
+
+class LeftRoot:
+    """Generator stand-in that picks the left cutoff root every time."""
+
+    def integers(self, count):
+        return 0
 
 
 @pytest.fixture(scope="module", params=[4, 12, 40], ids=lambda n: f"n={n}")
@@ -30,6 +38,14 @@ def test_layer_step(benchmark, layer):
     settings = training.OptimizerSettings()
     _, g, _ = benchmark(training._layer_step, terms, overlap, 1.0, settings, None)
     assert g**2 >= overlap
+
+
+def test_cutoff_step(benchmark, layer):
+    terms, overlap = layer
+    settings = training.OptimizerSettings()
+    _, g_star, _ = training._layer_step(terms, overlap, 1.0, settings, None)
+    _, g, _ = benchmark(training._layer_step, terms, overlap, FRACTION, settings, LeftRoot())
+    assert g**2 == pytest.approx(overlap + FRACTION * (g_star**2 - overlap), rel=1e-9)
 
 
 def test_value(benchmark, layer):

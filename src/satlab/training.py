@@ -18,9 +18,7 @@ from .densecore import NoiseConfig
 from .symcore import TIE_TOLERANCE, LayerAngles
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# width of the bracket at which the golden-section fallback stops
-REFINE_TOLERANCE = 1e-10
-# Newton step |g'/g''| below which the refined beta has converged
+# step in beta at which newton_bisect has converged
 NEWTON_TOLERANCE = 1e-15
 # largest gradient norm of log|A_0|^2 accepted at train_global's winning end point
 GLOBAL_GRADIENT_TOLERANCE = 1e-6
@@ -106,28 +104,28 @@ class TrainingTrace:
         return np.diff(np.concatenate([[2.0 ** (-self.n)], ovs]))
 
 
-# scipy.optimize loads on the first cutoff root, not on import; callers and
-# tracers look brentq up on this module.
 def brentq(*args, **kwargs):
-    """scipy.optimize.brentq, imported on first call."""
+    """scipy.optimize.brentq, imported on first call.  No satlab path calls it:
+    the benchmark's tracer pins the name until ROADMAP item 4's retarget."""
     from scipy.optimize import brentq
 
     return brentq(*args, **kwargs)
 
 
 def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first call.
-
-    Nothing in satlab calls it: train_global runs lockstep_bfgs.  The name
-    stays because the benchmark's tracer swaps it by name.
-    """
+    """scipy.optimize.minimize, imported on first call.  No satlab path calls
+    it: the benchmark's tracer pins the name until ROADMAP item 4's retarget."""
     from scipy.optimize import minimize
 
     return minimize(*args, **kwargs)
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float, int]:
-    """Golden-section maximization on [lo, hi]; returns (x, f(x), evaluations)."""
+    """Golden-section maximization on [lo, hi]; returns (x, f(x), evaluations).
+
+    No satlab path calls it: the benchmark's tracer pins the name until
+    ROADMAP item 4's retarget deletes it, and the tests use it as a reference.
+    """
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
@@ -147,36 +145,34 @@ def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, floa
     return x, f(x), evals + 1
 
 
-def newton_max(terms: symcore.LayerTerms, beta: float, lo: float, hi: float) -> tuple[float, float, int]:
-    """Safeguarded Newton maximization of the curve from beta in (lo, hi):
-    (x, g(x), evaluations).
+def newton_bisect(f, beta: float, lo: float, hi: float) -> tuple[float, float, int]:
+    """Safeguarded Newton-bisection for the sign change of h from beta in
+    (lo, hi): (x, g(x), evaluations), where f(x) = (g, h, h') and h > 0 means
+    the sign change lies right of x.
 
-    Each LayerTerms.derivatives call narrows the bracket by the sign of g'.
-    The iteration stops once the step |g'/g''| is at most NEWTON_TOLERANCE.
-    Where g'' >= 0 or a step leaves the bracket, golden section finishes on
-    the narrowed bracket.  The bracket shrinks on every call, so the loop
-    ends.
+    Each call of f narrows the bracket by the sign of h.  The step is
+    Newton's, -h/h', where h' < 0 and the step lands strictly inside the
+    bracket, and goes to the bracket's midpoint otherwise.  The search stops
+    at h = 0, once a step is at most NEWTON_TOLERANCE, or once the bracket no
+    longer splits; every rule is in beta, so the search is scale-free.  Every
+    point lies strictly inside the shrinking bracket, so the loop ends.
     """
     evals = 0
     while True:
-        g, slope, curvature = terms.derivatives(beta)
+        g, h, slope = f(beta)
         evals += 1
-        if slope == 0.0:
-            return beta, g, evals
-        if slope > 0.0:
+        if h > 0.0:
             lo = beta
-        else:
+        elif h < 0.0:
             hi = beta
-        if curvature >= 0.0:
-            break
-        step = -slope / curvature
-        if abs(step) <= NEWTON_TOLERANCE:
+        else:
+            return beta, g, evals
+        step = -h / slope if slope < 0.0 else math.inf
+        if not (abs(step) <= NEWTON_TOLERANCE or lo < beta + step < hi):
+            step = math.copysign(0.5 * (hi - lo), h)  # to the bracket's midpoint
+        if abs(step) <= NEWTON_TOLERANCE or not lo < beta + step < hi:
             return beta, g, evals
         beta += step
-        if not lo < beta < hi:
-            break
-    beta, g, more = golden_section_max(terms.value, lo, hi, REFINE_TOLERANCE)
-    return beta, g, evals + more
 
 
 def _layer_step(
@@ -190,30 +186,30 @@ def _layer_step(
 
     The curve is sampled once, on the grid beta_j = pi j / M, and two rules
     read the sample.  Tie rule: the smallest beta within a relative
-    TIE_TOLERANCE of the best value wins.  newton_max refines the maximizer
-    over the two cells around the first grid point tying the grid's maximum (so
-    a real state's mirror pair g(pi - beta) = g(beta) gives the smaller beta),
-    from that grid point, or from half a cell when it is beta = 0, and falls
-    back to golden section when Newton cannot go on; beta = 0 wins if the
-    exact grid[0] ties the result.
+    TIE_TOLERANCE of the best value wins.  newton_bisect on h = g' refines the
+    maximizer over the two cells around the first grid point tying the grid's
+    maximum (so a real state's mirror pair g(pi - beta) = g(beta) gives the
+    smaller beta), from that grid point, or from half a cell when it is
+    beta = 0; beta = 0 wins if the exact grid[0] ties the result.
 
     The layer aims at overlap + fraction * (O_max - overlap), O_max being the
     best overlap one layer reaches.  It keeps the maximizer, drawing nothing
     from rng, at fraction 1, without gain or at beta = 0.  Otherwise, bracket
-    rule: on each side the root nearest the maximizer lies between it and the
-    nearest grid point reaching the target, index M standing for pi, where
-    g(pi) = g(0); an end the scalar path puts above the target moves one cell
-    on.  brentq finds the roots and rng picks one uniformly.  best_gamma then
-    gives gamma at the chosen beta by the same tie rule.  The count is the
-    number of betas at which the curve was computed.
+    rule: on each side the root nearest the maximizer lies in the cell from
+    the nearest grid point reaching the target toward the maximizer, index M
+    standing for pi, where g(pi) = g(0).  newton_bisect finds each root from
+    the middle of its cell, on h = target - g^2 left of the maximizer and
+    g^2 - target right of it, and rng picks one root uniformly.  best_gamma
+    then gives gamma at the chosen beta by the same tie rule.  The count is
+    the number of betas at which the curve was computed.
     """
     m = settings.beta_grid_points
     cell = math.pi / m
     grid = terms.grid(m)
     peak = int(np.argmax(grid >= grid.max() * (1.0 - TIE_TOLERANCE))) * cell
     # g has a kink at beta = 0, so Newton starts inside the first cell there
-    beta, g, evals = newton_max(
-        terms, peak or cell / 2.0, max(peak - cell, 0.0), min(peak + cell, math.pi)
+    beta, g, evals = newton_bisect(
+        terms.derivatives, peak or cell / 2.0, max(peak - cell, 0.0), min(peak + cell, math.pi)
     )
     if grid[0] >= g * (1.0 - TIE_TOLERANCE):
         beta, g = 0.0, float(grid[0])
@@ -222,25 +218,26 @@ def _layer_step(
     if fraction < 1.0 and beta != 0.0 and gain > 0.0:
         target = overlap + fraction * gain
 
-        def shortfall(b: float) -> float:
-            nonlocal evals
-            evals += 1
-            return terms.value(b) ** 2 - target
+        def excess(side: float):
+            # h = side * (target - g^2) is positive left of the root
+            def f(b: float) -> tuple[float, float, float]:
+                value, slope, _ = terms.derivatives(b)
+                return value, side * (target - value * value), -2.0 * side * value * slope
+
+            return f
 
         reached = np.flatnonzero(np.append(grid, grid[0]) ** 2 <= target)
         after = math.floor(beta / cell) + 1
+        left, right = reached[reached < after][-1:].tolist(), reached[reached >= after][:1].tolist()
+        cells = [(1.0, i * cell, min((i + 1) * cell, beta)) for i in left]
+        cells += [(-1.0, max((i - 1) * cell, beta), min(i * cell, math.pi)) for i in right]
         roots = []  # the left root, then the right
-        for step, ends in ((-1, reached[reached < after][-1:]), (1, reached[reached >= after][:1])):
-            for i in ends.tolist():
-                end = min(i * cell, math.pi)
-                short = shortfall(end)
-                if short > 0.0 and 0 < i < m:
-                    end = min(end + step * cell, math.pi)
-                    short = shortfall(end)
-                if short <= 0.0:
-                    roots.append(brentq(shortfall, *sorted((beta, end)), xtol=1e-13))
+        for side, lo, hi in cells:
+            root, _, more = newton_bisect(excess(side), 0.5 * (lo + hi), lo, hi)
+            roots.append(root)
+            evals += more
         if roots:
-            beta = float(roots[rng.integers(len(roots))])
+            beta = roots[rng.integers(len(roots))]
     g, gamma = terms.best_gamma(beta)
     return LayerAngles(gamma, beta), g, m + evals + 1
 

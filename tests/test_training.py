@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import brentq, minimize, minimize_scalar
 
 from satlab import analysis, densecore, harness, symcore, training
 from satlab.densecore import NoiseConfig
@@ -114,6 +114,35 @@ def test_layerwise_deterministic():
     assert np.array_equal(a.betas(), b.betas())
 
 
+def _record_searches(monkeypatch):
+    """Patch training.newton_bisect to log every search: one (f, lo, hi,
+    points) per call, points holding (beta, h, h') at each evaluation."""
+    searches = []
+    search = training.newton_bisect
+
+    def recorded(f, beta, lo, hi):
+        points = []
+        searches.append((f, lo, hi, points))
+
+        def logged(b):
+            g, h, slope = f(b)
+            points.append((b, h, slope))
+            return g, h, slope
+
+        return search(logged, beta, lo, hi)
+
+    monkeypatch.setattr(training, "newton_bisect", recorded)
+    return searches
+
+
+def _bisected(points):
+    """Whether a logged search took any step other than Newton's."""
+    return any(
+        not (slope < 0.0 and after == beta + -h / slope)
+        for (beta, h, slope), (after, _, _) in zip(points, points[1:])
+    )
+
+
 @pytest.mark.parametrize(
     "train",
     [
@@ -123,17 +152,30 @@ def test_layerwise_deterministic():
     ],
 )
 def test_each_layer_refines_beta_once(monkeypatch, train):
-    # the grid decides the mirror tie, so one Newton refinement per layer
-    calls = [0]
-    search = training.newton_max
-
-    def counted(*args):
-        calls[0] += 1
-        return search(*args)
-
-    monkeypatch.setattr(training, "newton_max", counted)
+    # the grid decides the mirror tie, so one peak search per layer, and at
+    # most one more search per cutoff root
+    searches = _record_searches(monkeypatch)
     trace = train(np.random.default_rng(2))
-    assert calls[0] == trace.depth
+    peaks = [f for f, *_ in searches if getattr(f, "__func__", None) is symcore.LayerTerms.derivatives]
+    assert len(peaks) == trace.depth
+    assert len(searches) <= 3 * trace.depth
+
+
+def test_no_computing_path_reaches_the_pinned_shims(monkeypatch):
+    # golden_section_max, brentq and minimize stay defined only for the
+    # benchmark's tracer; every trainer and the probe must run without them
+    def refuse(*args, **kwargs):
+        raise AssertionError("a computing path reached a pinned shim")
+
+    for name in ("golden_section_max", "brentq", "minimize"):
+        monkeypatch.setattr(training, name, refuse)
+    rng = np.random.default_rng(8)
+    greedy = train_layerwise(4, 4)
+    train_cutoff(4, 4, 0.8, rng=rng)
+    for noise in (NoiseConfig(0.3), NoiseConfig(0.3, kind="bitflip"), NoiseConfig(0.3, granularity="single_qubit")):
+        train_layerwise_noisy(3, 3, noise, rng=rng)
+    train_global(4, 4, OptimizerSettings(global_restarts=2), seed_schedules=[greedy.schedule()])
+    analysis.trainability_probe(symcore.random_symmetric_state(5, rng))
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -190,22 +232,15 @@ def _greedy_layer_terms(n, depth):
 
 @pytest.mark.parametrize("n", [3, 6, 12, 24, 40])
 def test_newton_refinement_is_stationary_on_greedy_layers(monkeypatch, n):
-    # where Newton converges without falling back, g'(beta*) is rounding:
-    # the curve's slope scale is n g
-    fallbacks = [0]
-    search = training.golden_section_max
-
-    def counted(*args):
-        fallbacks[0] += 1
-        return search(*args)
-
-    monkeypatch.setattr(training, "golden_section_max", counted)
+    # where Newton converges without bisecting, g'(beta*) is rounding: the
+    # curve's slope scale is n g
+    searches = _record_searches(monkeypatch)
     settings = OptimizerSettings()
     converged = 0
     for terms, overlap in _greedy_layer_terms(n, n + 2):
-        fallbacks[0] = 0
+        searches.clear()
         angles, g, _ = training._layer_step(terms, overlap, 1.0, settings, None)
-        if fallbacks[0] or angles.beta == 0.0:
+        if _bisected(searches[0][3]) or angles.beta == 0.0:
             continue
         converged += 1
         _, slope, curvature = terms.derivatives(angles.beta)
@@ -214,23 +249,20 @@ def test_newton_refinement_is_stationary_on_greedy_layers(monkeypatch, n):
     assert converged >= n
 
 
-def test_newton_falls_back_to_golden_section_when_a_step_leaves_the_bracket(monkeypatch):
+def test_newton_falls_back_to_bisection_when_a_step_leaves_the_bracket(monkeypatch):
     # layer 17 of greedy n = 15 peaks inside the first grid cell: from cell/2
-    # the Newton step crosses beta = 0, and golden section finishes on [0, cell/2]
+    # the Newton step crosses beta = 0, and bisection takes over on [0, cell/2]
     settings = OptimizerSettings()
     cell = np.pi / settings.beta_grid_points
     terms, overlap = _greedy_layer_terms(15, 17)[-1]
-    brackets = []
-    search = training.golden_section_max
-
-    def recorded(f, lo, hi, tol):
-        brackets.append((lo, hi))
-        return search(f, lo, hi, tol)
-
-    monkeypatch.setattr(training, "golden_section_max", recorded)
+    searches = _record_searches(monkeypatch)
     angles, g, _ = training._layer_step(terms, overlap, 1.0, settings, None)
-    assert brackets == [(0.0, cell / 2)]
-    _, alone, _ = search(terms.value, 0.0, cell, training.REFINE_TOLERANCE)
+    [(_, lo, hi, points)] = searches
+    (start, slope, curvature), (second, _, _) = points[:2]
+    assert (lo, hi, start) == (0.0, cell, cell / 2)
+    assert slope < 0.0 and curvature < 0.0 and start - slope / curvature <= 0.0
+    assert second == 0.5 * (0.0 + cell / 2)
+    _, alone, _ = training.golden_section_max(terms.value, 0.0, cell, 1e-10)
     assert 0.0 < angles.beta < cell / 2
     assert g >= alone * (1.0 - 1e-15)
 
@@ -330,10 +362,36 @@ def test_cutoff_takes_the_roots_nearest_the_maximizer(n, fraction):
         assert beta_star < right and abs(right - crossing) <= cell
 
 
+@pytest.mark.parametrize("fraction", [0.3, 0.6, 0.9])
+def test_cutoff_roots_match_brentq_on_the_same_bracket(monkeypatch, fraction):
+    # each root search's bracket holds one sign change of g^2 - target, which
+    # scipy's brentq resolves as the reference
+    settings = OptimizerSettings()
+    rand = np.random.default_rng(int(fraction * 10))
+    searches = _record_searches(monkeypatch)
+    checked = 0
+    for n in range(3, 13):
+        for _ in range(3):
+            state = symcore.random_symmetric_state(n, rand)
+            terms = symcore.layer_terms(state)
+            overlap = symcore.overlap(state)
+            _, g_star, _ = training._layer_step(terms, overlap, 1.0, settings, None)
+            target = overlap + fraction * (g_star**2 - overlap)
+            for pick in (0, 1):
+                searches.clear()
+                beta = training._layer_step(terms, overlap, fraction, settings, RootPicks(pick))[0].beta
+                _, lo, hi, points = searches[1 + pick]
+                reference = brentq(lambda b: terms.value(b) ** 2 - target, lo, hi, xtol=1e-15)
+                assert points[-1][0] == beta
+                assert abs(beta - reference) <= 1e-13
+                checked += 1
+    assert checked == 60
+
+
 def test_cutoff_right_root_when_the_grid_ties_the_target():
     # a target equal to g^2 at a grid point past the maximizer: the scalar
-    # path puts that point above the target about half the time, and the
-    # bracket end must then move on rather than give brentq one sign twice
+    # path puts that point above the target about half the time, and the root
+    # search must still end at the target, next to that grid point
     settings = OptimizerSettings()
     cell = np.pi / settings.beta_grid_points
     rand = np.random.default_rng(3)
