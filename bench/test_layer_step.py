@@ -2,16 +2,20 @@
 
 Times one greedy training._layer_step, one cutoff step at fraction 0.8 (its
 left root fixed), one LayerTerms.value and one LayerTerms.derivatives call on
-the terms of a mid-depth greedy layer, at n = 4, 12 and 40.  Run with
+the terms of a mid-depth greedy layer, at n = 4, 12 and 40.  A noisy rung
+times one whole layer of train_layerwise_noisy (sample its noise, split its
+terms, take the step, apply it) after n // 2 noisy layers, at n = 4 and 12,
+with phase noise at p = 0.5 and either granularity.  Run with
 
     PYTHONPATH=src python -m pytest bench/test_layer_step.py
 
 pytest-benchmark keeps its saved runs under .benchmarks/.
 """
 
+import numpy as np
 import pytest
 
-from satlab import symcore, training
+from satlab import densecore, symcore, training
 
 BETA = 0.3
 FRACTION = 0.8
@@ -57,3 +61,31 @@ def test_derivatives(benchmark, layer):
     terms, _ = layer
     g, _, _ = benchmark(terms.derivatives, BETA)
     assert g == pytest.approx(terms.value(BETA), rel=1e-14)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(4, "layer"), (4, "single_qubit"), (12, "layer"), (12, "single_qubit")],
+    ids=lambda p: f"n={p[0]}-{p[1]}",
+)
+def noisy_prefix(request):
+    n, granularity = request.param
+    noise = densecore.NoiseConfig(0.5, granularity=granularity)
+    trace = training.train_layerwise_noisy(n, n // 2, noise, rng=np.random.default_rng(0))
+    prefix = densecore.run_schedule_dense(n, trace.schedule(), noise, np.random.default_rng(0))
+    return n, noise, prefix.amps
+
+
+def noisy_layer(n, noise, prefix, settings, rng):
+    frozen = densecore.sample_layer_noise(n, noise, rng)
+    terms = densecore.layer_terms_dense(prefix, n, frozen[0])
+    angles, _, _ = training._layer_step(terms, abs(prefix[0]) ** 2, 1.0, settings, rng)
+    return densecore.apply_layer_dense(prefix, n, angles.gamma, angles.beta, frozen)
+
+
+def test_noisy_layer(benchmark, noisy_prefix):
+    n, noise, prefix = noisy_prefix
+    settings = training.OptimizerSettings()
+    out = benchmark(noisy_layer, n, noise, prefix, settings, np.random.default_rng(1))
+    # phase kicks never move the target amplitude, so the layer cannot lose overlap
+    assert abs(out[0]) ** 2 >= abs(prefix[0]) ** 2 - 1e-12

@@ -46,20 +46,23 @@ class DenseState:
 
 # what counts as one noise slot: the whole layer unitary or one gate
 GRANULARITIES = ("layer", "single_qubit")
+# a noiseless layer's frozen noise: empty event lists before and after the mixer
+NOISELESS = ((np.empty(0, dtype=np.intp), np.empty(0)),) * 2
 
 
 @dataclass(frozen=True)
 class NoiseConfig:
     """Coherent noise channel settings.
 
-    A noisy layer has n + 1 noise slots: slot 0 follows the phase separator
-    and slot q + 1 follows the X rotation of qubit q.  In a slot that draws,
-    each qubit independently with probability p_noise receives
-    S(phi) = diag(1, exp(i*phi)), phi drawn fresh from N(0, phase_stddev^2).
-    granularity chooses which slots draw: "layer" draws slots 0 and n (after
-    the phase separator and after the whole mixer) and leaves the others
-    empty, while "single_qubit" draws all n + 1.  kind="bitflip" swaps S(phi)
-    for a deterministic X flip and exists only as a contrast experiment.
+    A noisy layer draws its events in n + 1 noise slots: slot 0 follows the
+    phase separator and slot q + 1 follows the X rotation of qubit q.  In a
+    slot that draws, each qubit independently with probability p_noise
+    receives S(phi) = diag(1, exp(i*phi)), phi drawn fresh from
+    N(0, phase_stddev^2).  granularity chooses which slots draw: "layer" draws
+    slots 0 and n (after the phase separator and after the whole mixer), while
+    "single_qubit" draws all n + 1.  kind="bitflip" swaps S(phi) for a
+    deterministic X flip and exists only as a contrast experiment.  A layer
+    applies the draws folded into events before and after its mixer.
     """
 
     p_noise: float
@@ -161,7 +164,7 @@ def sample_noise_slot(n: int, noise: NoiseConfig, rng: np.random.Generator):
 
 
 def apply_noise_events(amps: np.ndarray, n: int, events) -> np.ndarray:
-    """Apply one slot's events: S(phi) = diag(1, e^{i phi}) or an X flip."""
+    """Apply an event list: S(phi) = diag(1, e^{i phi}) or an X flip per listed qubit."""
     qubits, phis = events
     if len(qubits) == 0:
         return amps
@@ -175,55 +178,52 @@ def apply_noise_events(amps: np.ndarray, n: int, events) -> np.ndarray:
     return amps
 
 
-def sample_layer_noise(n: int, noise: NoiseConfig, rng: np.random.Generator) -> list:
-    """Sample one layer's n + 1 noise slots; layer granularity draws only 0 and n."""
-    if noise.granularity == "single_qubit":
-        return [sample_noise_slot(n, noise, rng) for _ in range(n + 1)]
-    first, last = (sample_noise_slot(n, noise, rng) for _ in range(2))
-    empty = (np.empty(0, dtype=np.intp), None if noise.kind == "bitflip" else np.empty(0))
-    return [first, *[empty] * (n - 1), last]
+def sample_layer_noise(n: int, noise: NoiseConfig, rng: np.random.Generator) -> tuple:
+    """Sample one layer's frozen noise as (pre, post), the events before and after its mixer.
+
+    The slots (see NoiseConfig) are drawn in order.  A phase kick on qubit q
+    in slot s <= q precedes X_q and commutes with the other rotations, so it
+    joins pre; a later kick joins post; kicks on one qubit add up.  X flips
+    commute with the X rotations: a layer's flips are one mask in pre.
+    """
+    kicks, flips = np.zeros((2, n)), np.zeros(n, dtype=bool)
+    for s in range(n + 1) if noise.granularity == "single_qubit" else (0, n):
+        qubits, phis = sample_noise_slot(n, noise, rng)
+        if phis is None:
+            flips[qubits] ^= True
+        else:
+            kicks[(qubits < s).astype(np.intp), qubits] += phis  # row 0 pre, row 1 post
+    if noise.kind == "bitflip":
+        return (np.flatnonzero(flips), None), (np.empty(0, dtype=np.intp), None)
+    return tuple((np.flatnonzero(row), row[row != 0.0]) for row in kicks)
 
 
-def apply_layer_dense(amps: np.ndarray, n: int, gamma: float, beta: float, slots=None) -> np.ndarray:
-    """One circuit layer, with its n + 1 pre-sampled noise slots (see NoiseConfig) if given."""
+def apply_layer_dense(amps: np.ndarray, n: int, gamma: float, beta: float, frozen=NOISELESS) -> np.ndarray:
+    """One circuit layer: rephase, pre, the n X rotations, post, for frozen = (pre, post)."""
+    pre, post = frozen
     amps = amps.copy()
     amps[0] *= np.exp(-1j * gamma)
-    if slots is not None:
-        amps = apply_noise_events(amps, n, slots[0])
+    amps = apply_noise_events(amps, n, pre)
     for q in range(n):
         amps = apply_x_rotation(amps, beta, q, n)
-        if slots is not None:
-            amps = apply_noise_events(amps, n, slots[q + 1])
-    return amps
+    return apply_noise_events(amps, n, post)
 
 
-def layer_terms_dense(amps: np.ndarray, n: int, slots) -> LayerTerms:
+def layer_terms_dense(amps: np.ndarray, n: int, pre) -> LayerTerms:
     """Split the target amplitude of one noisy layer by its gamma dependence.
 
-    slots are the layer's n + 1 pre-sampled noise slots, as for
-    apply_layer_dense.  Tracing <0| back through the layer keeps it a product
-    bra, so the result has the noiseless form of symcore.LayerTerms with other
-    coefficients.  Phase kicks fix |0>: a kick on qubit q reaches <0| only
-    when it precedes X_q, i.e. sits in a slot s <= q (slot s > 0 follows
-    X_{s-1}).  It then multiplies the weight sums by e^{i phi.x}.  X
-    flips commute with the X rotations, so all of a layer's flips act as one
-    mask f applied before the mixer: the sums group amplitudes by their
-    distance from f, and the |0...0> term carries weight |f|.
+    pre is the layer's frozen noise before its mixer (sample_layer_noise);
+    post fixes <0| and drops out.  Tracing <0| back through the layer keeps
+    it a product bra, so the result has the noiseless form of
+    symcore.LayerTerms with other coefficients.  Phase kicks multiply the
+    weight sums by e^{i phi.x}.  A flip mask f moves the amplitudes: the sums
+    group them by their distance from f, and the |0...0> term has weight |f|.
     """
+    qubits, phis = pre
     rest = amps.copy()
     rest[0] = 0.0
-    if slots[0][1] is None:
-        flips = np.zeros(n, dtype=bool)
-        for qubits, _ in slots:
-            flips[qubits] ^= True
-        events, a_weight = (np.flatnonzero(flips), None), int(flips.sum())
-    else:
-        phis = np.zeros(n)
-        for s, (qubits, kicks) in enumerate(slots):
-            ahead = qubits >= s
-            phis[qubits[ahead]] += kicks[ahead]
-        events, a_weight = (np.flatnonzero(phis), phis[phis != 0.0]), 0
-    return LayerTerms.from_sums(amps[0], a_weight, _weight_sums(apply_noise_events(rest, n, events), n))
+    a_weight = len(qubits) if phis is None else 0
+    return LayerTerms.from_sums(amps[0], a_weight, _weight_sums(apply_noise_events(rest, n, pre), n))
 
 
 def run_schedule_dense(
@@ -244,6 +244,6 @@ def run_schedule_dense(
     amps = plus_state_dense(n)
     for layer in schedule:
         angles = _as_angles(layer)
-        slots = None if noise is None else sample_layer_noise(n, noise, rng)
-        amps = apply_layer_dense(amps, n, angles.gamma, angles.beta, slots)
+        frozen = NOISELESS if noise is None else sample_layer_noise(n, noise, rng)
+        amps = apply_layer_dense(amps, n, angles.gamma, angles.beta, frozen)
     return DenseState(n, amps)

@@ -199,9 +199,10 @@ def _layer_step(
     the nearest grid point reaching the target toward the maximizer, index M
     standing for pi, where g(pi) = g(0).  newton_bisect finds each root from
     the middle of its cell, on h = target - g^2 left of the maximizer and
-    g^2 - target right of it, and rng picks one root uniformly.  best_gamma
-    then gives gamma at the chosen beta by the same tie rule.  The count is
-    the number of betas at which the curve was computed.
+    g^2 - target right of it, read as h = 0 within 4 ulps of the target,
+    where rounding leaves h no sign to follow; rng picks one root uniformly.
+    best_gamma then gives gamma at the chosen beta by the same tie rule.  The
+    count is the number of betas at which the curve was computed.
     """
     m = settings.beta_grid_points
     cell = math.pi / m
@@ -217,12 +218,14 @@ def _layer_step(
     gain = g**2 - overlap
     if fraction < 1.0 and beta != 0.0 and gain > 0.0:
         target = overlap + fraction * gain
+        floor = 4.0 * math.ulp(target)  # near a root, target - g^2 takes only a few ulps
 
         def excess(side: float):
-            # h = side * (target - g^2) is positive left of the root
+            # h = side * (target - g^2) is positive left of the root, and 0 at the floor
             def f(b: float) -> tuple[float, float, float]:
                 value, slope, _ = terms.derivatives(b)
-                return value, side * (target - value * value), -2.0 * side * value * slope
+                short = target - value * value
+                return value, (side * short if abs(short) > floor else 0.0), -2.0 * side * value * slope
 
             return f
 
@@ -479,8 +482,9 @@ def train_layerwise_noisy(
 ) -> TrainingTrace:
     """Greedy layerwise training with frozen coherent noise per layer.
 
-    When a layer is appended its noise events are sampled once and frozen, so
-    the layer is optimized against a fixed systematic error; earlier layers
+    When a layer is appended its noise is sampled once and frozen as the
+    events before and after its mixer (densecore.sample_layer_noise), so the
+    layer is optimized against a fixed systematic error; earlier layers
     keep their own frozen noise.  The target amplitude of the noisy layer
     still splits as A(beta) exp(-i*gamma) + B(beta) (densecore.layer_terms_dense),
     so the layer takes the noiseless trainers' _layer_step at fraction 1.  The
@@ -498,10 +502,10 @@ def train_layerwise_noisy(
     trace = TrainingTrace(n)
     for _ in range(max_depth):
         t0 = time.perf_counter()
-        slots = densecore.sample_layer_noise(n, noise, rng)
-        terms = densecore.layer_terms_dense(prefix, n, slots)
+        frozen = densecore.sample_layer_noise(n, noise, rng)
+        terms = densecore.layer_terms_dense(prefix, n, frozen[0])
         angles, _, evals = _layer_step(terms, abs(prefix[0]) ** 2, 1.0, settings, rng)
-        prefix = densecore.apply_layer_dense(prefix, n, angles.gamma, angles.beta, slots)
+        prefix = densecore.apply_layer_dense(prefix, n, angles.gamma, angles.beta, frozen)
         overlap = symcore.reported_overlap(prefix[0])
         trace.records.append(LayerRecord(angles, overlap, time.perf_counter() - t0, evals))
     return trace

@@ -126,43 +126,54 @@ def test_single_qubit_granularity_runs_and_differs():
     assert not np.allclose(out_coarse.amps, out_fine.amps)
 
 
-def assert_same_events(got, want):
-    assert np.array_equal(got[0], want[0])
-    assert (got[1] is None and want[1] is None) or np.array_equal(got[1], want[1])
+def gate_by_gate_layer(psi, n, gamma, beta, slots):
+    """Reference layer: rephase, slot 0, then each X_q followed by slot q + 1."""
+    out = psi.copy()
+    out[0] *= np.exp(-1j * gamma)
+    out = apply_noise_events(out, n, slots[0])
+    for q in range(n):
+        out = apply_noise_events(apply_x_rotation(out, beta, q, n), n, slots[q + 1])
+    return out
 
 
 @pytest.mark.parametrize("kind", ["phase", "bitflip"])
 def test_noise_slot_layout(kind):
-    # every layer has n + 1 slots; layer granularity draws slots 0 and n from
-    # the same stream positions as two sample_noise_slot calls
-    n = 5
-    coarse = NoiseConfig(0.6, granularity="layer", kind=kind)
-    rng, twin = np.random.default_rng(21), np.random.default_rng(21)
-    slots = sample_layer_noise(n, coarse, rng)
-    assert len(slots) == n + 1
-    for got in (slots[0], slots[n]):
-        assert_same_events(got, sample_noise_slot(n, coarse, twin))
-        assert len(got[0]) > 0
-    assert all(len(qubits) == 0 for qubits, _ in slots[1:n])
-    assert rng.random() == twin.random()
+    # sample_layer_noise draws from the same stream positions as one
+    # sample_noise_slot call per drawn slot (0 and n at layer granularity, all
+    # n + 1 at single_qubit) and leaves the generator in the same state.  Its
+    # (pre, post) fold applies as the gate-by-gate layer does: bitwise, except
+    # that single_qubit phase kicks on one qubit are summed before they are
+    # exponentiated
+    rand = np.random.default_rng(21)
+    empty = (np.empty(0, dtype=np.intp), None if kind == "bitflip" else np.empty(0))
+    for granularity in ("layer", "single_qubit"):
+        noise = NoiseConfig(0.6, granularity=granularity, kind=kind)
+        events = 0
+        for n in range(1, 9):
+            for _ in range(30):
+                seed = int(rand.integers(2**32))
+                rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+                pre, post = sample_layer_noise(n, noise, rng)
+                if granularity == "layer":
+                    first, last = sample_noise_slot(n, noise, twin), sample_noise_slot(n, noise, twin)
+                    slots = [first, *[empty] * (n - 1), last]
+                else:
+                    slots = [sample_noise_slot(n, noise, twin) for _ in range(n + 1)]
+                assert rng.random() == twin.random()
+                if kind == "bitflip":
+                    assert len(post[0]) == 0
+                events += len(pre[0]) + len(post[0])
 
-    fine = NoiseConfig(0.6, granularity="single_qubit", kind=kind)
-    slots_fine = sample_layer_noise(n, fine, rng)
-    assert len(slots_fine) == n + 1
-    for got in slots_fine:
-        assert_same_events(got, sample_noise_slot(n, fine, twin))
-
-    # rephase, slot 0, the n X rotations, slot n
-    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    psi /= np.linalg.norm(psi)
-    gamma, beta = 0.7, 1.1
-    by_hand = psi.copy()
-    by_hand[0] *= np.exp(-1j * gamma)
-    by_hand = apply_noise_events(by_hand, n, slots[0])
-    for q in range(n):
-        by_hand = apply_x_rotation(by_hand, beta, q, n)
-    by_hand = apply_noise_events(by_hand, n, slots[n])
-    assert np.array_equal(apply_layer_dense(psi, n, gamma, beta, slots), by_hand)
+                psi = rand.normal(size=1 << n) + 1j * rand.normal(size=1 << n)
+                psi /= np.linalg.norm(psi)
+                gamma, beta = rand.uniform(0, 2 * np.pi), rand.uniform(0, np.pi)
+                got = apply_layer_dense(psi, n, gamma, beta, (pre, post))
+                want = gate_by_gate_layer(psi, n, gamma, beta, slots)
+                if granularity == "layer" or kind == "bitflip":
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.max(np.abs(got - want)) <= 1e-15
+        assert events > 0
 
 
 def test_determinism_bit_identical():
@@ -325,13 +336,9 @@ def test_noisy_layer_fft_grid_matches_direct_curve(granularity, kind):
     for _ in range(8):
         psi = rand.normal(size=1 << n) + 1j * rand.normal(size=1 << n)
         psi /= np.linalg.norm(psi)
-        slots = sample_layer_noise(n, noise, rand)
-        terms = layer_terms_dense(psi, n, slots)
-        mask = 0
-        if kind == "bitflip":
-            for qubits, _ in slots:
-                for q in qubits:
-                    mask ^= 1 << int(q)
+        pre, _ = sample_layer_noise(n, noise, rand)
+        terms = layer_terms_dense(psi, n, pre)
+        mask = sum(1 << int(q) for q in pre[0]) if kind == "bitflip" else 0
         for m in (2, 3, 2048):
             betas = np.linspace(0, np.pi, m, endpoint=False)
             assert np.max(np.abs(terms.grid(m) - terms.curve(betas))) < 1e-13

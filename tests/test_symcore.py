@@ -513,8 +513,8 @@ def test_layer_terms_derivatives_match_central_differences(n):
             densecore.NoiseConfig(0.5, kind="bitflip"),
         ):
             psi = rand.normal(size=1 << n) + 1j * rand.normal(size=1 << n)
-            slots = densecore.sample_layer_noise(n, noise, rand)
-            all_terms.append(densecore.layer_terms_dense(psi / np.linalg.norm(psi), n, slots))
+            pre, _ = densecore.sample_layer_noise(n, noise, rand)
+            all_terms.append(densecore.layer_terms_dense(psi / np.linalg.norm(psi), n, pre))
     h = 1e-4 / n
     for terms in all_terms:
         f = terms.value

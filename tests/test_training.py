@@ -388,6 +388,18 @@ def test_cutoff_roots_match_brentq_on_the_same_bracket(monkeypatch, fraction):
     assert checked == 60
 
 
+def test_cutoff_root_searches_stop_at_the_rounding_floor(monkeypatch):
+    # near a root target - g^2 takes only a few ulps and gives no sign to
+    # follow: the search stops there rather than crawl on by steps of ~1e-13
+    searches = _record_searches(monkeypatch)
+    for seed in range(40):
+        train_cutoff(4, 8, 0.9, rng=np.random.default_rng(seed))
+    peak = symcore.LayerTerms.derivatives
+    roots = [points for f, *_, points in searches if getattr(f, "__func__", None) is not peak]
+    assert len(roots) > 0
+    assert max(map(len, roots)) <= 8
+
+
 def test_cutoff_right_root_when_the_grid_ties_the_target():
     # a target equal to g^2 at a grid point past the maximizer: the scalar
     # path puts that point above the target about half the time, and the root
@@ -756,6 +768,21 @@ def test_noisy_reproducible_from_stream():
     assert np.array_equal(a.betas(), b.betas())
 
 
+@pytest.mark.parametrize("kind", ["phase", "bitflip"])
+@pytest.mark.parametrize("granularity", ["layer", "single_qubit"])
+def test_noisy_trainer_replays_bitwise(granularity, kind):
+    # every recorded overlap is that of the dense circuit run on the trained
+    # schedule so far, with the noise drawn again from the same generator
+    noise = NoiseConfig(0.5, granularity=granularity, kind=kind)
+    for n in (3, 4, 6):
+        for seed in range(5):
+            trace = train_layerwise_noisy(n, n, noise, rng=np.random.default_rng(seed))
+            schedule = trace.schedule()
+            for depth, recorded in enumerate(trace.overlaps(), start=1):
+                replay = densecore.run_schedule_dense(n, schedule[:depth], noise, np.random.default_rng(seed))
+                assert recorded == densecore.overlap_dense(replay)
+
+
 def test_noisy_phase_noise_keeps_monotone_overlaps():
     # the identity layer is always available and phase kicks never move the
     # target amplitude, so greedy noisy training cannot lose overlap
@@ -785,10 +812,10 @@ def test_noisy_layer_terms_match_dense_layer(granularity, kind):
             for _ in range(6):
                 psi = rand.normal(size=1 << n) + 1j * rand.normal(size=1 << n)
                 psi /= np.linalg.norm(psi)
-                slots = densecore.sample_layer_noise(n, noise, rand)
+                frozen = densecore.sample_layer_noise(n, noise, rand)
                 gamma, beta = rand.uniform(0, 2 * np.pi), rand.uniform(0, np.pi)
-                a_term, b_term = densecore.layer_terms_dense(psi, n, slots).split(beta)
-                direct = densecore.apply_layer_dense(psi, n, gamma, beta, slots)[0]
+                a_term, b_term = densecore.layer_terms_dense(psi, n, frozen[0]).split(beta)
+                direct = densecore.apply_layer_dense(psi, n, gamma, beta, frozen)[0]
                 assert abs(a_term[0] * np.exp(-1j * gamma) + b_term[0] - direct) < 1e-12
 
 
@@ -808,16 +835,16 @@ def test_noisy_layers_reach_dense_grid_maximum(p, granularity):
         rng = np.random.default_rng(key)
         prefix = densecore.plus_state_dense(n)
         for record in trace.records:
-            slots = densecore.sample_layer_noise(n, noise, rng)
+            frozen = densecore.sample_layer_noise(n, noise, rng)
             best = 0.0
             for b in betas:
-                at0 = densecore.apply_layer_dense(prefix, n, 0.0, b, slots)[0]
-                at_pi = densecore.apply_layer_dense(prefix, n, np.pi, b, slots)[0]
+                at0 = densecore.apply_layer_dense(prefix, n, 0.0, b, frozen)[0]
+                at_pi = densecore.apply_layer_dense(prefix, n, np.pi, b, frozen)[0]
                 u, v = (at0 - at_pi) / 2, (at0 + at_pi) / 2
                 best = max(best, np.max(np.abs(u * phases + v) ** 2))
             assert record.overlap >= best - 1e-12
             prefix = densecore.apply_layer_dense(
-                prefix, n, record.angles.gamma, record.angles.beta, slots
+                prefix, n, record.angles.gamma, record.angles.beta, frozen
             )
 
 
