@@ -1,15 +1,17 @@
 """Timing rung for one layer's beta step, outside the Tier-1 testpaths.
 
 Times one greedy training._layer_step, one cutoff step at fraction 0.8 (its
-left root fixed), one LayerTerms.value and one LayerTerms.derivatives call on
-the terms of a mid-depth greedy layer, at n = 4, 12 and 40.  A noisy rung
+left root fixed), one LayerTerms.grid on the 2048-point beta grid, one
+LayerTerms.value and one LayerTerms.derivatives call on the terms of a
+mid-depth greedy layer, at n = 4, 12 and 40.  A noisy rung
 times one whole layer of train_layerwise_noisy (sample its noise, split its
 terms, take the step, apply it) after n // 2 noisy layers, at n = 4 and 12,
 with phase noise at p = 0.5 and either granularity.  Run with
 
     PYTHONPATH=src python -m pytest bench/test_layer_step.py
 
-pytest-benchmark keeps its saved runs under .benchmarks/.
+pytest-benchmark keeps its saved runs under .benchmarks/; bench/conftest.py
+adds the machine's slowness before and after each rung to its extra_info.
 """
 
 import numpy as np
@@ -50,6 +52,14 @@ def test_cutoff_step(benchmark, layer):
     _, g_star, _ = training._layer_step(terms, overlap, 1.0, settings, None)
     _, g, _ = benchmark(training._layer_step, terms, overlap, FRACTION, settings, LeftRoot())
     assert g**2 == pytest.approx(overlap + FRACTION * (g_star**2 - overlap), rel=1e-9)
+
+
+def test_grid(benchmark, layer):
+    terms, _ = layer
+    settings = training.OptimizerSettings()
+    grid = benchmark(terms.grid, settings.beta_grid_points)
+    betas = np.arange(settings.beta_grid_points) * (np.pi / settings.beta_grid_points)
+    assert np.max(np.abs(grid - terms.curve(betas))) <= 1e-13
 
 
 def test_value(benchmark, layer):

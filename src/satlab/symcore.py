@@ -123,10 +123,11 @@ class MixerGenerator:
     first row of its eigenvectors is r = plus_state's amplitudes, held in
     closed form as row; |+>^n is e_n in this basis.  bra_coefs holds the
     Fourier coefficients of the product bra <0|mixer(beta), which
-    LayerTerms.from_sums reads.  The eigenvectors V are built on first use
-    by numpy.linalg.eigh, each column signed so that V[0] > 0 like r, and
-    only up to MAX_EIGENVECTOR_QUBITS; only evolve (apply_mixer) reads V, so
-    no trainer, run_schedule or layer-terms path builds it.
+    LayerTerms.from_sums reads, and bra_moduli the moduli of its entries on
+    a beta grid, which LayerTerms.grid reads.  The eigenvectors V are built
+    on first use by numpy.linalg.eigh, each column signed so that V[0] > 0
+    like r, and only up to MAX_EIGENVECTOR_QUBITS; only evolve (apply_mixer)
+    reads V, so no trainer, run_schedule or layer-terms path builds it.
     """
 
     def __init__(self, n: int):
@@ -139,6 +140,7 @@ class MixerGenerator:
         self.plus[n] = 1.0
         for array in (self.eigenvalues, self.row, self.plus):
             array.setflags(write=False)
+        self._bra_moduli = {}
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
@@ -178,13 +180,25 @@ class MixerGenerator:
 
     @cached_property
     def derivative_rows(self) -> np.ndarray:
-        """Columns 1, -i*lambda, -lambda^2, read-only and cached: the Fourier
-        coefficients of F(beta) = sum_l c_l exp(-i lambda_l beta), each times
-        its phase, contract against them to (F, F', F'')."""
+        """Rows 1, -i*lambda, -lambda^2, read-only and cached: the Fourier
+        coefficients of F(beta) = sum_l c_l exp(-i lambda_l beta), times each
+        row, give those of F, F' and F''; row 1 is also the phase rate."""
         lam = self.eigenvalues
-        rows = np.stack([np.ones_like(lam), -1j * lam, -lam * lam], axis=1)
+        rows = np.stack([np.ones_like(lam), -1j * lam, -lam * lam])
         rows.setflags(write=False)
         return rows
+
+    def bra_moduli(self, points: int, weight: int) -> np.ndarray:
+        """|cos(beta_j)|^{n-m} |sin(beta_j)|^m at beta_j = pi j / points, for
+        m = weight: the modulus of <0|mixer(beta_j)|x> for any bitstring x of
+        weight m.  Read-only and cached per (points, weight)."""
+        table = self._bra_moduli.get((points, weight))
+        if table is None:
+            betas = np.arange(points) * (np.pi / points)
+            table = np.abs(np.cos(betas)) ** (self.n - weight) * np.abs(np.sin(betas)) ** weight
+            table.setflags(write=False)
+            self._bra_moduli[points, weight] = table
+        return table
 
     def evolve(self, amps: np.ndarray, beta: float) -> np.ndarray:
         """Apply exp(-i*beta*H) to a Dicke amplitude vector."""
@@ -333,6 +347,10 @@ def overlap(state: SymmetricState) -> float:
     return reported_overlap(state.amps[0])
 
 
+# (-i)^m by m mod 4, exactly
+_MINUS_I_POWERS = (1.0, -1j, -1.0, 1j)
+
+
 @dataclass(frozen=True, eq=False)
 class LayerTerms:
     """Target amplitude of one more layer, split by its gamma dependence.
@@ -346,34 +364,42 @@ class LayerTerms:
     amplitudes of weight k >= 1 (A_k sqrt(C(n,k))); coherent noise changes
     only these coefficients.
 
-    Both terms are held in their Fourier form over the mixer's eigenvalues
-    lambda_l = -n + 2l, A = sum_l coefs[0, l] exp(-i lambda_l beta) and
-    likewise B with coefs[1], since cos^{n-k}(beta) (-i sin(beta))^k = sum_l
-    w[k, l] exp(-i lambda_l beta) with w = MixerGenerator.bra_coefs
-    (from_sums); from the eigen-coordinates of a noiseless circuit they take
-    only the row r (from_eigen).  One beta costs O(n) in at, which value and
-    best_gamma read; split is curve's batch path.  On the grid beta_j = pi j
-    / M the factor exp(i n beta_j) drops out of the moduli, leaving one
-    length-M FFT of the coefficients (folded modulo M when n + 1 > M).  At
-    beta = 0 the mixer is the identity, and at, split and grid all return
-    the exact at_zero = (A(0), B(0)), so the beta = 0 snap is exact.
+    A is held by this closed form.  B is held in its Fourier form over the
+    mixer's eigenvalues lambda_l = -n + 2l, B = sum_l b_l exp(-i lambda_l
+    beta), since cos^{n-k}(beta) (-i sin(beta))^k = sum_l w[k, l] exp(-i
+    lambda_l beta) with w = MixerGenerator.bra_coefs (from_sums); from the
+    eigen-coordinates of a noiseless circuit b takes only the row r
+    (from_eigen), and b_zero is the exact B(0).  One beta costs O(n) in at,
+    which value and best_gamma read; split is curve's batch path.  On the
+    grid beta_j = pi j / M the factor exp(i n beta_j) drops out of |B|,
+    leaving one length-M FFT of b (folded modulo M when n + 1 > M), and |A|
+    is |a| times the mixer's cached table bra_moduli(M, m).  derivatives
+    contracts one cached kernel, b times the mixer's derivative_rows, and
+    differentiates |A| in closed form.  At beta = 0 the mixer is the
+    identity, and at, split and grid all return the exact at_zero = (A(0),
+    B(0)), so the beta = 0 snap is exact.
     """
 
-    coefs: np.ndarray
-    at_zero: tuple[complex, complex]
+    a: complex
+    a_weight: int
+    b: np.ndarray
+    b_zero: complex
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", complex(self.a))
 
     @classmethod
     def from_eigen(cls, t: np.ndarray) -> LayerTerms:
         """Noiseless terms of eigen-coordinates t, O(n): with A_0 = r . t,
-        coefs[0] = A_0 r * r, coefs[1] = r * (t - A_0 r) and B(0) = 0."""
+        a = A_0, a_weight = 0, b = r * (t - A_0 r) and B(0) = 0."""
         row = mixer(t.size - 1).row
         a0 = row @ t
-        return cls(np.stack([a0 * row * row, row * (t - a0 * row)]), (a0, 0.0))
+        return cls(a0, 0, row * (t - a0 * row), 0.0)
 
     @classmethod
     def from_sums(cls, a: complex, a_weight: int, sums: np.ndarray) -> LayerTerms:
         """Terms of a, a_weight and sums, O(n^2): with w = the mixer's
-        bra_coefs, coefs[0] = a w[a_weight] and coefs[1] = sums @ w.
+        bra_coefs, b = sums @ w.
 
         The |+>^n part of the sums, sum(sums) r * r with r * r = C(n,k) / 2^n,
         is split off first and added back in closed form: |+>^n is e_n in the
@@ -384,23 +410,42 @@ class LayerTerms:
         n = sums.size - 1
         gen = mixer(n)
         total = sums.sum()
-        b_coefs = (sums - total * gen.row * gen.row) @ gen.bra_coefs
-        b_coefs[n] += total * 2.0**-n
-        coefs = np.stack([a * gen.bra_coefs[a_weight], b_coefs])
-        return cls(coefs, (a if a_weight == 0 else 0.0, sums[0]))
+        b = (sums - total * gen.row * gen.row) @ gen.bra_coefs
+        b[n] += total * 2.0**-n
+        return cls(a, a_weight, b, sums[0])
+
+    @property
+    def n(self) -> int:
+        return self.b.size - 1
+
+    @property
+    def at_zero(self) -> tuple[complex, complex]:
+        """(A(0), B(0)), exact."""
+        return (self.a if self.a_weight == 0 else 0.0, self.b_zero)
+
+    @cached_property
+    def _kernel(self) -> tuple[np.ndarray, np.ndarray]:
+        """(-i lambda, K), made once per terms: K = b times the mixer's
+        derivative_rows, so K @ exp(-i lambda beta) is (B, B', B'')."""
+        rows = mixer(self.n).derivative_rows
+        return rows[1], rows * self.b
 
     def at(self, beta: float) -> tuple[complex, complex]:
         """(A, B) at one beta, O(n); exact at beta = 0, from at_zero."""
         if beta == 0.0:
             return self.at_zero
-        freqs = mixer(self.coefs.shape[1] - 1).eigenvalues
-        return tuple((self.coefs @ np.exp(freqs * (-1j * beta))).tolist())
+        rate, _ = self._kernel
+        m = self.a_weight
+        a_term = self.a * (math.cos(beta) ** (self.n - m) * math.sin(beta) ** m) * _MINUS_I_POWERS[m % 4]
+        return a_term, complex(self.b @ np.exp(rate * beta))
 
     def split(self, betas) -> tuple[np.ndarray, np.ndarray]:
         """(A, B) at each beta: the batch path of curve."""
         betas = np.atleast_1d(np.asarray(betas, dtype=float))
-        freqs = mixer(self.coefs.shape[1] - 1).eigenvalues
-        a_term, b_term = self.coefs @ np.exp(-1j * np.multiply.outer(freqs, betas))
+        rate, _ = self._kernel
+        m = self.a_weight
+        a_term = self.a * (np.cos(betas) ** (self.n - m) * np.sin(betas) ** m) * _MINUS_I_POWERS[m % 4]
+        b_term = self.b @ np.exp(np.multiply.outer(rate, betas))
         a_term[betas == 0.0], b_term[betas == 0.0] = self.at_zero
         return a_term, b_term
 
@@ -420,32 +465,39 @@ class LayerTerms:
     def derivatives(self, beta: float) -> tuple[float, float, float]:
         """(g, g', g'') of the curve at one beta > 0, O(n).
 
-        The k-th derivative of F = sum_l c_l exp(-i lambda_l beta) is
-        sum_l c_l (-i lambda_l)^k exp(-i lambda_l beta), for F = A and B.
-        Each modulus then contributes |F|' = Re(conj(F) F') / |F| and
-        |F|'' = (|F'|^2 + Re(conj(F) F'') - |F|'^2) / |F|; a term with |F| = 0
-        has no derivative there and is left out.  At beta = 0 the curve has
-        a kink (B(0) = 0 noiselessly), so beta must be positive.
+        The kernel gives (B, B', B'') by one exp and one matrix-vector
+        product, and |B|' = Re(conj(B) B') / |B|, |B|'' = (|B'|^2 +
+        Re(conj(B) B'') - |B|'^2) / |B|.  |A| = |a| |cos|^{n-m} |sin|^m has
+        the logarithmic derivative u' = m cot(beta) - (n - m) tan(beta), so
+        |A|' = |A| u' and |A|'' = |A| (u'^2 + u''), u'' = -m / sin^2(beta) -
+        (n - m) / cos^2(beta).  A term with modulus 0 has no derivative there
+        and is left out.  At beta = 0 the curve has a kink (B(0) = 0
+        noiselessly), so beta must be positive.
         """
-        gen = mixer(self.coefs.shape[1] - 1)
-        phased = self.coefs * np.exp(gen.eigenvalues * (-1j * beta))
+        rate, kernel = self._kernel
+        f, f1, f2 = (kernel @ np.exp(rate * beta)).tolist()
         g = slope = curvature = 0.0
-        for f, f1, f2 in (phased @ gen.derivative_rows).tolist():
-            modulus = abs(f)
-            if modulus == 0.0:
-                continue
-            first = (f.conjugate() * f1).real / modulus
-            second = (abs(f1) ** 2 + (f.conjugate() * f2).real - first * first) / modulus
-            g, slope, curvature = g + modulus, slope + first, curvature + second
+        if f:
+            g = abs(f)
+            slope = (f.conjugate() * f1).real / g
+            curvature = (abs(f1) ** 2 + (f.conjugate() * f2).real - slope * slope) / g
+        c, s = math.cos(beta), math.sin(beta)
+        m, k = self.a_weight, self.n - self.a_weight
+        modulus = abs(self.a) * abs(c) ** k * abs(s) ** m
+        if modulus:
+            u1 = m * c / s - k * s / c
+            u2 = -m / (s * s) - k / (c * c)
+            g, slope, curvature = g + modulus, slope + modulus * u1, curvature + modulus * (u1 * u1 + u2)
         return g, slope, curvature
 
     def grid(self, points: int) -> np.ndarray:
-        """The curve at beta_j = pi j / points for j = 0..points-1, by one FFT."""
-        size = self.coefs.shape[1]
-        folded = np.zeros((2, -(-size // points) * points), dtype=complex)
-        folded[:, :size] = self.coefs
-        spectra = np.fft.fft(folded.reshape(2, -1, points).sum(axis=1), axis=1)
-        vals = np.abs(spectra).sum(axis=0)
+        """The curve at beta_j = pi j / points for j = 0..points-1: |B| by one
+        FFT of b, plus |a| times the mixer's cached bra_moduli table."""
+        b = self.b
+        if b.size > points:  # fold the frequencies modulo points
+            b = np.pad(b, (0, -b.size % points)).reshape(-1, points).sum(axis=0)
+        vals = np.abs(np.fft.fft(b, points))
+        vals += abs(self.a) * mixer(self.n).bra_moduli(points, self.a_weight)
         vals[0] = abs(self.at_zero[0]) + abs(self.at_zero[1])
         return vals
 

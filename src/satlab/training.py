@@ -147,12 +147,13 @@ def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, floa
 
 def newton_bisect(f, beta: float, lo: float, hi: float) -> tuple[float, float, int]:
     """Safeguarded Newton-bisection for the sign change of h from beta in
-    (lo, hi): (x, g(x), evaluations), where f(x) = (g, h, h') and h > 0 means
-    the sign change lies right of x.
+    (lo, hi): (x, g(x), evaluations), where f(x) = (g, h, s) and h > 0 means
+    the sign change lies right of x.  s is the slope the step divides by:
+    h' for the peak, and Halley's h' - h h'' / (2 h') for the cutoff roots.
 
     Each call of f narrows the bracket by the sign of h.  The step is
-    Newton's, -h/h', where h' < 0 and the step lands strictly inside the
-    bracket, and goes to the bracket's midpoint otherwise.  The search stops
+    -h/s, where s < 0 and the step lands strictly inside the bracket, and
+    goes to the bracket's midpoint otherwise.  The search stops
     at h = 0, once a step is at most NEWTON_TOLERANCE, or once the bracket no
     longer splits; every rule is in beta, so the search is scale-free.  Every
     point lies strictly inside the shrinking bracket, so the loop ends.
@@ -189,29 +190,44 @@ def _layer_step(
     TIE_TOLERANCE of the best value wins.  newton_bisect on h = g' refines the
     maximizer over the two cells around the first grid point tying the grid's
     maximum (so a real state's mirror pair g(pi - beta) = g(beta) gives the
-    smaller beta), from that grid point, or from half a cell when it is
-    beta = 0; beta = 0 wins if the exact grid[0] ties the result.
+    smaller beta), from the vertex of the parabola through that grid point
+    and its two neighbours.  When that point is beta = 0, where g has a kink,
+    the lobes on both sides of the kink are searched, each from the middle
+    of its cell: (0, cell) and (pi - cell, pi), and the left one wins only if
+    it is higher beyond the tie rule.  beta = 0 wins if the exact grid[0]
+    ties the result.
 
     The layer aims at overlap + fraction * (O_max - overlap), O_max being the
     best overlap one layer reaches.  It keeps the maximizer, drawing nothing
     from rng, at fraction 1, without gain or at beta = 0.  Otherwise, bracket
     rule: on each side the root nearest the maximizer lies in the cell from
     the nearest grid point reaching the target toward the maximizer, index M
-    standing for pi, where g(pi) = g(0).  newton_bisect finds each root from
-    the middle of its cell, on h = target - g^2 left of the maximizer and
-    g^2 - target right of it, read as h = 0 within 4 ulps of the target,
-    where rounding leaves h no sign to follow; rng picks one root uniformly.
-    best_gamma then gives gamma at the chosen beta by the same tie rule.  The
-    count is the number of betas at which the curve was computed.
+    standing for pi, where g(pi) = g(0).  newton_bisect finds each root on h
+    = target - g^2 left of the maximizer and g^2 - target right of it, read
+    as h = 0 within 4 ulps of the target, where rounding leaves h no sign to
+    follow.  It starts where g^2 - target, linear between the cell's ends
+    (grid points, or the maximizer), crosses zero, and steps by Halley's
+    slope h' - h h'' / (2 h'); rng picks one root uniformly.  best_gamma then
+    gives gamma at the chosen beta by the same tie rule.  The count is the
+    number of betas at which the curve was computed.
     """
     m = settings.beta_grid_points
     cell = math.pi / m
     grid = terms.grid(m)
-    peak = int(np.argmax(grid >= grid.max() * (1.0 - TIE_TOLERANCE))) * cell
-    # g has a kink at beta = 0, so Newton starts inside the first cell there
-    beta, g, evals = newton_bisect(
-        terms.derivatives, peak or cell / 2.0, max(peak - cell, 0.0), min(peak + cell, math.pi)
-    )
+    peak = int(np.argmax(grid >= grid.max() * (1.0 - TIE_TOLERANCE)))
+    if peak:
+        left, top, right = grid[peak - 1], grid[peak], grid[(peak + 1) % m]
+        bend = left - 2.0 * top + right
+        offset = min(max(0.5 * (left - right) / bend, -0.5), 0.5) if bend < 0.0 else 0.0
+        beta, g, evals = newton_bisect(
+            terms.derivatives, (peak + offset) * cell, (peak - 1) * cell, min((peak + 1) * cell, math.pi)
+        )
+    else:
+        beta, g, evals = newton_bisect(terms.derivatives, cell / 2.0, 0.0, cell)
+        mirror, other, more = newton_bisect(terms.derivatives, math.pi - cell / 2.0, math.pi - cell, math.pi)
+        evals += more
+        if g < other * (1.0 - TIE_TOLERANCE):
+            beta, g = mirror, other
     if grid[0] >= g * (1.0 - TIE_TOLERANCE):
         beta, g = 0.0, float(grid[0])
 
@@ -223,20 +239,32 @@ def _layer_step(
         def excess(side: float):
             # h = side * (target - g^2) is positive left of the root, and 0 at the floor
             def f(b: float) -> tuple[float, float, float]:
-                value, slope, _ = terms.derivatives(b)
+                value, slope, curvature = terms.derivatives(b)
                 short = target - value * value
-                return value, (side * short if abs(short) > floor else 0.0), -2.0 * side * value * slope
+                h = side * short if abs(short) > floor else 0.0
+                dh = -2.0 * side * value * slope
+                ddh = -2.0 * side * (slope * slope + value * curvature)
+                return value, h, (dh - h * ddh / (2.0 * dh)) if dh else dh
 
             return f
 
-        reached = np.flatnonzero(np.append(grid, grid[0]) ** 2 <= target)
+        ends = np.append(grid, grid[0])  # index m stands for pi
+        reached = np.flatnonzero(ends**2 <= target)
         after = math.floor(beta / cell) + 1
-        left, right = reached[reached < after][-1:].tolist(), reached[reached >= after][:1].tolist()
-        cells = [(1.0, i * cell, min((i + 1) * cell, beta)) for i in left]
-        cells += [(-1.0, max((i - 1) * cell, beta), min(i * cell, math.pi)) for i in right]
-        roots = []  # the left root, then the right
-        for side, lo, hi in cells:
-            root, _, more = newton_bisect(excess(side), 0.5 * (lo + hi), lo, hi)
+        cells = []  # (side, lo, hi, g at lo, g at hi): the left root's, then the right's
+        for i in reached[reached < after][-1:].tolist():
+            hi, g_hi = ((i + 1) * cell, ends[i + 1]) if (i + 1) * cell < beta else (beta, g)
+            cells.append((1.0, i * cell, hi, ends[i], g_hi))
+        for i in reached[reached >= after][:1].tolist():
+            lo, g_lo = ((i - 1) * cell, ends[i - 1]) if (i - 1) * cell > beta else (beta, g)
+            cells.append((-1.0, lo, min(i * cell, math.pi), g_lo, ends[i]))
+        roots = []
+        for side, lo, hi, g_lo, g_hi in cells:
+            y_lo, y_hi = g_lo * g_lo - target, g_hi * g_hi - target
+            start = lo + (hi - lo) * (y_lo / (y_lo - y_hi)) if y_lo != y_hi else lo
+            if not lo < start < hi:
+                start = 0.5 * (lo + hi)
+            root, _, more = newton_bisect(excess(side), start, lo, hi)
             roots.append(root)
             evals += more
         if roots:

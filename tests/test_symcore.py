@@ -398,6 +398,22 @@ def test_fft_grid_matches_direct_curve(n):
         assert np.max(np.abs(scalar - terms.curve(betas))) < 1e-14
 
 
+@pytest.mark.parametrize("n", [1, 4, 9, 30])
+def test_fft_grid_matches_direct_curve_at_every_a_weight(n):
+    # grid adds |a| times the mixer's cached table to one FFT of b
+    rand = np.random.default_rng(80 + n)
+    sums = rand.normal(size=n + 1) + 1j * rand.normal(size=n + 1)
+    sums /= np.linalg.norm(sums)
+    gen = mixer(n)
+    for weight in range(n + 1):
+        terms = symcore.LayerTerms.from_sums(0.6 * np.exp(1j * weight), weight, sums)
+        for m in (2, 3, 64, 2048):
+            betas = np.linspace(0, np.pi, m, endpoint=False)
+            assert np.max(np.abs(terms.grid(m) - terms.curve(betas))) < 1e-13
+        table = gen.bra_moduli(2048, weight)
+        assert gen.bra_moduli(2048, weight) is table and not table.flags.writeable
+
+
 def test_layer_terms_exact_at_beta_zero():
     s = random_symmetric_state(6, np.random.default_rng(12))
     terms = symcore.layer_terms(s)
@@ -407,8 +423,9 @@ def test_layer_terms_exact_at_beta_zero():
 
 
 def _random_terms(n, rand):
-    coefs = rand.normal(size=(2, n + 1)) + 1j * rand.normal(size=(2, n + 1))
-    return symcore.LayerTerms(coefs, (complex(coefs[0].sum()), complex(coefs[1].sum())))
+    a, b_zero = rand.normal(size=2) + 1j * rand.normal(size=2)
+    b = rand.normal(size=n + 1) + 1j * rand.normal(size=n + 1)
+    return symcore.LayerTerms(a, int(rand.integers(n + 1)), b * (b_zero / b.sum()), b_zero)
 
 
 def test_value_is_best_gammas_curve_value_bitwise():
@@ -432,23 +449,21 @@ def test_at_matches_split():
 
 @pytest.mark.parametrize("theta", [0.0, 1.0, 2.5, 4.0, 5.5])
 def test_rounding_sized_term_takes_gamma_zero(theta):
-    # A vanishes but for a rounding-size term, so every gamma ties and the
-    # tie rule gives gamma = 0, whatever the phase of the rounding
+    # A vanishes but for a rounding-size a, so every gamma ties and the tie
+    # rule gives gamma = 0, whatever the phase of the rounding
     rand = np.random.default_rng(63)
     n = 4
     sums = rand.normal(size=n + 1) + 1j * rand.normal(size=n + 1)
     terms = symcore.LayerTerms.from_sums(0.0, 2, sums / np.linalg.norm(sums))
-    coefs = terms.coefs.copy()
-    coefs[0] += 1e-17 * np.exp(1j * theta)
-    noisy = symcore.LayerTerms(coefs, terms.at_zero)
+    noisy = symcore.LayerTerms(1e-17 * np.exp(1j * theta), 2, terms.b, terms.b_zero)
     for beta in rand.uniform(0.1, np.pi - 0.1, 10):
         g, gamma = noisy.best_gamma(beta)
         assert gamma == 0.0 and g == pytest.approx(terms.value(beta), abs=1e-15)
     # a term above the tolerance is still aligned
-    coefs[0] += 1e-3 * np.exp(1j * theta)
+    aligned = symcore.LayerTerms(1e-3 * np.exp(1j * theta), 2, terms.b, terms.b_zero)
     beta = 0.7
-    g, gamma = symcore.LayerTerms(coefs, terms.at_zero).best_gamma(beta)
-    a, b = symcore.LayerTerms(coefs, terms.at_zero).at(beta)
+    g, gamma = aligned.best_gamma(beta)
+    a, b = aligned.at(beta)
     assert abs(a * np.exp(-1j * gamma) + b) == pytest.approx(g, rel=1e-13)
 
 

@@ -250,21 +250,36 @@ def test_newton_refinement_is_stationary_on_greedy_layers(monkeypatch, n):
 
 
 def test_newton_falls_back_to_bisection_when_a_step_leaves_the_bracket(monkeypatch):
-    # layer 17 of greedy n = 15 peaks inside the first grid cell: from cell/2
-    # the Newton step crosses beta = 0, and bisection takes over on [0, cell/2]
+    # layer 17 of greedy n = 15 peaks at the beta = 0 kink, so the lobes on
+    # both sides of it are searched.  Right of it, from cell/2, the Newton
+    # step crosses beta = 0, and bisection takes over on [0, cell/2]; the
+    # lobe left of it, just below pi, is higher, and the layer takes it
     settings = OptimizerSettings()
     cell = np.pi / settings.beta_grid_points
     terms, overlap = _greedy_layer_terms(15, 17)[-1]
     searches = _record_searches(monkeypatch)
     angles, g, _ = training._layer_step(terms, overlap, 1.0, settings, None)
-    [(_, lo, hi, points)] = searches
+    [(_, lo, hi, points), (_, mirror_lo, mirror_hi, mirror_points)] = searches
     (start, slope, curvature), (second, _, _) = points[:2]
     assert (lo, hi, start) == (0.0, cell, cell / 2)
     assert slope < 0.0 and curvature < 0.0 and start - slope / curvature <= 0.0
     assert second == 0.5 * (0.0 + cell / 2)
-    _, alone, _ = training.golden_section_max(terms.value, 0.0, cell, 1e-10)
-    assert 0.0 < angles.beta < cell / 2
-    assert g >= alone * (1.0 - 1e-15)
+    assert (mirror_lo, mirror_hi, mirror_points[0][0]) == (np.pi - cell, np.pi, np.pi - cell / 2)
+    _, right, _ = training.golden_section_max(terms.value, 0.0, cell, 1e-10)
+    _, left, _ = training.golden_section_max(terms.value, np.pi - cell, np.pi, 1e-10)
+    assert left > right * (1.0 + symcore.TIE_TOLERANCE)
+    assert np.pi - cell < angles.beta < np.pi
+    assert g >= left * (1.0 - 1e-15)
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_greedy_finds_the_lobe_left_of_the_kink(n):
+    # at these n some saturated layers peak just below pi, left of the kink
+    # at beta = 0; a grid eight times finer sees that lobe from its own grid
+    # points, and the result must not depend on it
+    fine = train_layerwise(n, n + 2, OptimizerSettings(beta_grid_points=16384))
+    coarse = train_layerwise(n, n + 2)
+    assert np.allclose(coarse.overlaps(), fine.overlaps(), rtol=1e-12, atol=0.0)
 
 
 # ------------------------------------------------------------------- cutoff
@@ -321,7 +336,7 @@ def test_layer_step_is_scale_equivariant(n):
         states.append(symcore.random_symmetric_state(n, rand))
     for state in states:
         terms = symcore.layer_terms(state)
-        small = symcore.LayerTerms(terms.coefs * scale, tuple(z * scale for z in terms.at_zero))
+        small = symcore.LayerTerms(terms.a * scale, terms.a_weight, terms.b * scale, terms.b_zero * scale)
         overlap = symcore.overlap(state)
         for fraction, pick in ((1.0, None), (0.5, 0), (0.5, 1)):
             picks = RootPicks(pick, pick)  # one pick per call, none drawn at fraction 1
@@ -398,6 +413,21 @@ def test_cutoff_root_searches_stop_at_the_rounding_floor(monkeypatch):
     roots = [points for f, *_, points in searches if getattr(f, "__func__", None) is not peak]
     assert len(roots) > 0
     assert max(map(len, roots)) <= 8
+
+
+def test_cutoff_layers_take_few_evaluations_after_the_grid():
+    # the peak search starts at the grid's parabola vertex and each root
+    # search at the grid's linear interpolation, by Halley steps: on average
+    # at most 8 curve evaluations per layer after the grid and before
+    # best_gamma's one
+    m = OptimizerSettings().beta_grid_points
+    counts = [
+        record.evaluations - m - 1
+        for fraction in (0.6, 0.7, 0.8, 0.9)
+        for seed in range(25)
+        for record in train_cutoff(4, 8, fraction, rng=np.random.default_rng(seed)).records
+    ]
+    assert np.mean(counts) <= 8.0
 
 
 def test_cutoff_right_root_when_the_grid_ties_the_target():
