@@ -218,6 +218,24 @@ class MixerGenerator:
         """
         return self._sweep(t, gammas, betas)[:2]
 
+    def layer(self, t: np.ndarray, head: complex, gamma: float, beta: float) -> tuple[np.ndarray, complex]:
+        """One layer on eigen-coordinates t with head r . t: (t, head) after
+        it, by forward's own update, so a trainer that carries (t, head) layer
+        by layer reports forward's heads bitwise."""
+        return self._update(t, head, *self._factors(gamma, beta))
+
+    def _factors(self, gammas, betas):
+        """The kicks exp(-i*gamma) - 1 and phases exp(-i*beta*lambda) of the
+        given angles, scalars or arrays alike."""
+        kicks = np.exp(-1j * np.asarray(gammas, dtype=float)) - 1.0
+        phases = np.exp(-1j * np.multiply.outer(np.asarray(betas, dtype=float), self.eigenvalues))
+        return kicks, phases
+
+    def _update(self, t, head, kick, phase):
+        """forward's layer update: (t, head) after one layer with this kick and phase."""
+        t = phase * (t + (kick * head)[..., None] * self.row)
+        return t, t @ self.row
+
     def _sweep(self, t: np.ndarray, gammas, betas):
         """forward's states and heads, then the kicks and phases it applied.
 
@@ -225,17 +243,14 @@ class MixerGenerator:
         multiplies arrays, so each row of a batch agrees with its own sweep to
         rounding, not bitwise.
         """
-        row = self.row
-        kicks = np.exp(-1j * np.asarray(gammas, dtype=float)) - 1.0
-        phases = np.exp(-1j * np.multiply.outer(np.asarray(betas, dtype=float), self.eigenvalues))
+        kicks, phases = self._factors(gammas, betas)
         states = np.empty((kicks.shape[0] + 1, *phases.shape[1:]), dtype=complex)
         heads = np.empty(states.shape[:-1], dtype=complex)
         states[0] = t
         t = states[0]
-        head = heads[0] = t @ row
+        head = heads[0] = t @ self.row
         for i, kick in enumerate(kicks):
-            t = states[i + 1] = phases[i] * (t + (kick * head)[..., None] * row)
-            head = heads[i + 1] = t @ row
+            t, head = states[i + 1], heads[i + 1] = self._update(t, head, kick, phases[i])
         return states, heads, kicks, phases
 
     def neg_overlap(self, params) -> tuple[float | np.ndarray, np.ndarray]:
@@ -389,11 +404,13 @@ class LayerTerms:
         object.__setattr__(self, "a", complex(self.a))
 
     @classmethod
-    def from_eigen(cls, t: np.ndarray) -> LayerTerms:
+    def from_eigen(cls, t: np.ndarray, head: complex | None = None) -> LayerTerms:
         """Noiseless terms of eigen-coordinates t, O(n): with A_0 = r . t,
-        a = A_0, a_weight = 0, b = r * (t - A_0 r) and B(0) = 0."""
+        a = A_0, a_weight = 0, b = r * (t - A_0 r) and B(0) = 0.  head, if
+        given, is A_0 as MixerGenerator.layer or forward computed it; the
+        terms are then bitwise those computed without it."""
         row = mixer(t.size - 1).row
-        a0 = row @ t
+        a0 = t @ row if head is None else head
         return cls(a0, 0, row * (t - a0 * row), 0.0)
 
     @classmethod

@@ -248,16 +248,18 @@ def _layer_step(
 
             return f
 
-        ends = np.append(grid, grid[0])  # index m stands for pi
-        reached = np.flatnonzero(ends**2 <= target)
-        after = math.floor(beta / cell) + 1
+        reached = np.flatnonzero(grid * grid <= target)
+        split = int(np.searchsorted(reached, math.floor(beta / cell) + 1))
         cells = []  # (side, lo, hi, g at lo, g at hi): the left root's, then the right's
-        for i in reached[reached < after][-1:].tolist():
-            hi, g_hi = ((i + 1) * cell, ends[i + 1]) if (i + 1) * cell < beta else (beta, g)
-            cells.append((1.0, i * cell, hi, ends[i], g_hi))
-        for i in reached[reached >= after][:1].tolist():
-            lo, g_lo = ((i - 1) * cell, ends[i - 1]) if (i - 1) * cell > beta else (beta, g)
-            cells.append((-1.0, lo, min(i * cell, math.pi), g_lo, ends[i]))
+        if split:
+            i = int(reached[split - 1])
+            hi, g_hi = ((i + 1) * cell, grid[i + 1]) if (i + 1) * cell < beta else (beta, g)
+            cells.append((1.0, i * cell, hi, grid[i], g_hi))
+        if split < reached.size or (reached.size and reached[0] == 0):
+            # index m stands for pi, where g(pi) = g(0): reached exactly when index 0 is
+            i = int(reached[split]) if split < reached.size else m
+            lo, g_lo = ((i - 1) * cell, grid[i - 1]) if (i - 1) * cell > beta else (beta, g)
+            cells.append((-1.0, lo, min(i * cell, math.pi), g_lo, grid[i % m]))
         roots = []
         for side, lo, hi, g_lo, g_hi in cells:
             y_lo, y_hi = g_lo * g_lo - target, g_hi * g_hi - target
@@ -300,13 +302,15 @@ def train_cutoff(
         raise ValueError("train_cutoff below fraction 1 draws from rng; pass a numpy Generator")
     settings = settings or OptimizerSettings()
     gen = symcore.mixer(n)
-    t, overlap = gen.plus, symcore.reported_overlap(gen.row[n])
+    t = gen.plus
+    head = t @ gen.row
+    overlap = symcore.reported_overlap(head)
     trace = TrainingTrace(n)
     for _ in range(max_depth):
         t0 = time.perf_counter()
-        angles, _, evals = _layer_step(symcore.LayerTerms.from_eigen(t), overlap, fraction, settings, rng)
-        states, heads = gen.forward(t, [angles.gamma], [angles.beta])
-        t, overlap = states[-1], symcore.reported_overlap(heads[-1])
+        angles, _, evals = _layer_step(symcore.LayerTerms.from_eigen(t, head), overlap, fraction, settings, rng)
+        t, head = gen.layer(t, head, angles.gamma, angles.beta)
+        overlap = symcore.reported_overlap(head)
         trace.records.append(LayerRecord(angles, overlap, time.perf_counter() - t0, evals))
     return trace
 
