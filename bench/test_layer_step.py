@@ -3,7 +3,10 @@
 Times one greedy training._layer_step, one cutoff step at fraction 0.8 (its
 left root fixed), one LayerTerms.grid on the 2048-point beta grid, one
 LayerTerms.value and one LayerTerms.derivatives call on the terms of a
-mid-depth greedy layer, at n = 4, 12 and 40.  A noisy rung
+mid-depth greedy layer, at n = 4, 12 and 40.  A noiseless rung times one
+whole trained layer as train_cutoff runs it, greedy and cutoff, at the same
+n: the terms from the carried eigen-coordinates and head, the step, then
+MixerGenerator.layer.  A noisy rung
 times one whole layer of train_layerwise_noisy (sample its noise, split its
 terms, take the step, apply it) after n // 2 noisy layers, at n = 4 and 12,
 with phase noise at p = 0.5 and either granularity.  Run with
@@ -31,12 +34,19 @@ class LeftRoot:
 
 
 @pytest.fixture(scope="module", params=[4, 12, 40], ids=lambda n: f"n={n}")
-def layer(request):
+def carried(request):
+    """The mixer, and the eigen-coordinates and head after n // 2 greedy layers."""
     n = request.param
     trace = training.train_layerwise(n, n // 2)
     gen = symcore.mixer(n)
     states, heads = gen.forward(gen.plus, trace.gammas(), trace.betas())
-    return symcore.LayerTerms.from_eigen(states[-1]), symcore.reported_overlap(heads[-1])
+    return gen, states[-1], heads[-1]
+
+
+@pytest.fixture(scope="module")
+def layer(carried):
+    _, t, head = carried
+    return symcore.LayerTerms.from_eigen(t, head), symcore.reported_overlap(head)
 
 
 def test_layer_step(benchmark, layer):
@@ -71,6 +81,24 @@ def test_derivatives(benchmark, layer):
     terms, _ = layer
     g, _, _ = benchmark(terms.derivatives, BETA)
     assert g == pytest.approx(terms.value(BETA), rel=1e-14)
+
+
+def noiseless_layer(gen, t, head, fraction, settings, rng):
+    terms = symcore.LayerTerms.from_eigen(t, head)
+    angles, _, _ = training._layer_step(terms, symcore.reported_overlap(head), fraction, settings, rng)
+    return gen.layer(t, head, angles.gamma, angles.beta)
+
+
+@pytest.mark.parametrize("fraction", [1.0, FRACTION], ids=["greedy", "cutoff"])
+def test_noiseless_layer(benchmark, carried, fraction):
+    gen, t, head = carried
+    settings = training.OptimizerSettings()
+    overlap = symcore.reported_overlap(head)
+    terms = symcore.LayerTerms.from_eigen(t, head)
+    _, g_star, _ = training._layer_step(terms, overlap, 1.0, settings, None)
+    _, after = benchmark(noiseless_layer, gen, t, head, fraction, settings, LeftRoot())
+    target = overlap + fraction * (g_star**2 - overlap)
+    assert symcore.reported_overlap(after) == pytest.approx(target, rel=1e-9)
 
 
 @pytest.fixture(

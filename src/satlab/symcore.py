@@ -447,6 +447,17 @@ class LayerTerms:
         rows = mixer(self.n).derivative_rows
         return rows[1], rows * self.b
 
+    def kink_offset(self) -> float:
+        """|B'(0)| / (n |a|): the beta > 0 at which the curve's model at its
+        beta = 0 kink, |a| (1 - n beta^2 / 2) + |B'(0)| beta, peaks.  g'(0+)
+        = |B'(0)| there and -n |a| is the curvature of |A|.  The model holds
+        on both sides, as g(pi - beta) has the same one below pi.  inf
+        unless the curve has that kink: a_weight = 0, a != 0 and B(0) = 0."""
+        if self.a_weight or not self.a or self.b_zero:
+            return math.inf
+        rate, _ = self._kernel
+        return float(abs(self.b @ rate)) / (self.n * abs(self.a))
+
     def at(self, beta: float) -> tuple[complex, complex]:
         """(A, B) at one beta, O(n); exact at beta = 0, from at_zero."""
         if beta == 0.0:

@@ -58,9 +58,11 @@ class OptimizerSettings:
 @dataclass(frozen=True, slots=True)
 class LayerRecord:
     """What one trained layer realized and cost: its angles, the reported
-    overlap after it, wall_time in seconds and evaluations; its depth is its
-    list index plus one.  train_global puts its whole run's wall time and all
-    its starts' evaluations on the last record, 0 on the others."""
+    overlap after it, wall_time in seconds and evaluations, the points at
+    which the curve was actually computed (a peak search's predicted last
+    step is not one); its depth is its list index plus one.  train_global
+    puts its whole run's wall time and all its starts' evaluations on the
+    last record, 0 on the others."""
 
     angles: LayerAngles
     overlap: float
@@ -145,9 +147,9 @@ def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, floa
     return x, f(x), evals + 1
 
 
-def newton_bisect(f, beta: float, lo: float, hi: float) -> tuple[float, float, int]:
+def newton_bisect(f, beta: float, lo: float, hi: float, peak: bool = False) -> tuple[float, float, int]:
     """Safeguarded Newton-bisection for the sign change of h from beta in
-    (lo, hi): (x, g(x), evaluations), where f(x) = (g, h, s) and h > 0 means
+    (lo, hi): (x, g, evaluations), where f(x) = (g, h, s) and h > 0 means
     the sign change lies right of x.  s is the slope the step divides by:
     h' for the peak, and Halley's h' - h h'' / (2 h') for the cutoff roots.
 
@@ -155,10 +157,18 @@ def newton_bisect(f, beta: float, lo: float, hi: float) -> tuple[float, float, i
     -h/s, where s < 0 and the step lands strictly inside the bracket, and
     goes to the bracket's midpoint otherwise.  The search stops
     at h = 0, once a step is at most NEWTON_TOLERANCE, or once the bracket no
-    longer splits; every rule is in beta, so the search is scale-free.  Every
-    point lies strictly inside the shrinking bracket, so the loop ends.
+    longer splits, and returns the last point it evaluated and g there.
+
+    peak marks the peak search, where f gives (g, g', g''): from its second
+    point on it also stops at a Newton step inside the bracket that is small
+    enough for the step after it, predicted as |h''| step^2 / (2 |s|) with
+    h'' the change of s per unit beta over the last two points, to be at
+    most NEWTON_TOLERANCE.  It then returns beta + step and the quadratic
+    model's value there, g + h step / 2, without calling f at it.  Every
+    rule is in beta, so the search is scale-free.  Every point lies strictly
+    inside the shrinking bracket, so the loop ends.
     """
-    evals = 0
+    evals, last = 0, None
     while True:
         g, h, slope = f(beta)
         evals += 1
@@ -169,10 +179,16 @@ def newton_bisect(f, beta: float, lo: float, hi: float) -> tuple[float, float, i
         else:
             return beta, g, evals
         step = -h / slope if slope < 0.0 else math.inf
-        if not (abs(step) <= NEWTON_TOLERANCE or lo < beta + step < hi):
+        newton = lo < beta + step < hi
+        if not (abs(step) <= NEWTON_TOLERANCE or newton):
             step = math.copysign(0.5 * (hi - lo), h)  # to the bracket's midpoint
         if abs(step) <= NEWTON_TOLERANCE or not lo < beta + step < hi:
             return beta, g, evals
+        if peak and newton and last is not None:
+            before, was = last
+            if step * step * abs(slope - was) <= 2.0 * NEWTON_TOLERANCE * abs(slope * (beta - before)):
+                return beta + step, g + 0.5 * h * step, evals
+        last = beta, slope
         beta += step
 
 
@@ -191,25 +207,30 @@ def _layer_step(
     maximizer over the two cells around the first grid point tying the grid's
     maximum (so a real state's mirror pair g(pi - beta) = g(beta) gives the
     smaller beta), from the vertex of the parabola through that grid point
-    and its two neighbours.  When that point is beta = 0, where g has a kink,
-    the lobes on both sides of the kink are searched, each from the middle
-    of its cell: (0, cell) and (pi - cell, pi), and the left one wins only if
-    it is higher beyond the tie rule.  beta = 0 wins if the exact grid[0]
-    ties the result.
+    and its two neighbours; as a peak search it may stop on a predicted
+    step and return the model's value.  When that point is beta = 0, where
+    g has a kink, the lobes on both sides of the kink are searched: (0,
+    cell) from the kink model's peak LayerTerms.kink_offset(), and (pi -
+    cell, pi) from its mirror, each from the middle of its cell where that
+    offset is not inside it; the left one wins only if it is higher beyond
+    the tie rule.  beta = 0 wins if the exact grid[0] ties the result.
 
     The layer aims at overlap + fraction * (O_max - overlap), O_max being the
     best overlap one layer reaches.  It keeps the maximizer, drawing nothing
     from rng, at fraction 1, without gain or at beta = 0.  Otherwise, bracket
     rule: on each side the root nearest the maximizer lies in the cell from
     the nearest grid point reaching the target toward the maximizer, index M
-    standing for pi, where g(pi) = g(0).  newton_bisect finds each root on h
+    standing for pi, where g(pi) = g(0); one pass finds the grid points
+    reaching the target and a binary search splits them at the maximizer's
+    cell.  newton_bisect finds each root on h
     = target - g^2 left of the maximizer and g^2 - target right of it, read
     as h = 0 within 4 ulps of the target, where rounding leaves h no sign to
     follow.  It starts where g^2 - target, linear between the cell's ends
     (grid points, or the maximizer), crosses zero, and steps by Halley's
     slope h' - h h'' / (2 h'); rng picks one root uniformly.  best_gamma then
     gives gamma at the chosen beta by the same tie rule.  The count is the
-    number of betas at which the curve was computed.
+    number of betas at which the curve was computed: the grid, each
+    search's evaluations and best_gamma's one.
     """
     m = settings.beta_grid_points
     cell = math.pi / m
@@ -220,11 +241,14 @@ def _layer_step(
         bend = left - 2.0 * top + right
         offset = min(max(0.5 * (left - right) / bend, -0.5), 0.5) if bend < 0.0 else 0.0
         beta, g, evals = newton_bisect(
-            terms.derivatives, (peak + offset) * cell, (peak - 1) * cell, min((peak + 1) * cell, math.pi)
+            terms.derivatives, (peak + offset) * cell, (peak - 1) * cell, min((peak + 1) * cell, math.pi), peak=True
         )
     else:
-        beta, g, evals = newton_bisect(terms.derivatives, cell / 2.0, 0.0, cell)
-        mirror, other, more = newton_bisect(terms.derivatives, math.pi - cell / 2.0, math.pi - cell, math.pi)
+        start = terms.kink_offset()
+        if not 0.0 < start < cell:
+            start = cell / 2.0
+        beta, g, evals = newton_bisect(terms.derivatives, start, 0.0, cell, peak=True)
+        mirror, other, more = newton_bisect(terms.derivatives, math.pi - start, math.pi - cell, math.pi, peak=True)
         evals += more
         if g < other * (1.0 - TIE_TOLERANCE):
             beta, g = mirror, other

@@ -201,6 +201,24 @@ def test_run_schedule_equals_layer_composition_exactly(n):
         assert np.max(np.abs(amps - state.amps)) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [1, 4, 40])
+def test_layer_carries_forward_heads_and_terms_bitwise(n):
+    # MixerGenerator.layer is forward's own update, so (t, head) carried one
+    # layer at a time equals one forward call bitwise, and the terms built
+    # with the carried head equal those that compute it
+    gen = mixer(n)
+    rand = np.random.default_rng(750 + n)
+    schedule = random_schedule(n, 7, rand)
+    states, heads = gen.forward(gen.plus, [a.gamma for a in schedule], [a.beta for a in schedule])
+    t, head = gen.plus, gen.plus @ gen.row
+    for layer, state, expected in zip(schedule, states[1:], heads[1:]):
+        with_head, without = symcore.LayerTerms.from_eigen(t, head), symcore.LayerTerms.from_eigen(t)
+        assert with_head.a == without.a and with_head.b_zero == without.b_zero
+        assert with_head.a_weight == without.a_weight and np.array_equal(with_head.b, without.b)
+        t, head = gen.layer(t, head, layer.gamma, layer.beta)
+        assert np.array_equal(t, state) and head == expected
+
+
 def test_layer_kernel_leaves_its_input_alone():
     gen = mixer(3)
     t = np.array([0.1, 0.2, 0.3j, np.sqrt(0.86)])

@@ -120,7 +120,7 @@ def _record_searches(monkeypatch):
     searches = []
     search = training.newton_bisect
 
-    def recorded(f, beta, lo, hi):
+    def recorded(f, beta, lo, hi, peak=False):
         points = []
         searches.append((f, lo, hi, points))
 
@@ -129,7 +129,7 @@ def _record_searches(monkeypatch):
             points.append((b, h, slope))
             return g, h, slope
 
-        return search(logged, beta, lo, hi)
+        return search(logged, beta, lo, hi, peak)
 
     monkeypatch.setattr(training, "newton_bisect", recorded)
     return searches
@@ -250,26 +250,91 @@ def test_newton_refinement_is_stationary_on_greedy_layers(monkeypatch, n):
 
 
 def test_newton_falls_back_to_bisection_when_a_step_leaves_the_bracket(monkeypatch):
+    # on g = cos(beta - 0.1) from 1.2 in (0, 1.4), the Newton step -tan(1.1)
+    # leaves the bracket on the left, so the search bisects (0, 1.2) and then
+    # goes on by Newton steps to the peak
+    def f(beta):
+        return np.cos(beta - 0.1), -np.sin(beta - 0.1), -np.cos(beta - 0.1)
+
+    searches = _record_searches(monkeypatch)
+    beta, g, evals = training.newton_bisect(f, 1.2, 0.0, 1.4, True)
+    [(_, _, _, points)] = searches
+    (start, slope, curvature), (second, _, _) = points[:2]
+    assert start == 1.2 and not 0.0 < start - slope / curvature < 1.4
+    assert second == 0.5 * (0.0 + 1.2)
+    assert _bisected(points) and not _bisected(points[1:])
+    assert evals == len(points)
+    assert beta == pytest.approx(0.1, abs=1e-15) and g == pytest.approx(1.0, rel=1e-15)
+
     # layer 17 of greedy n = 15 peaks at the beta = 0 kink, so the lobes on
-    # both sides of it are searched.  Right of it, from cell/2, the Newton
-    # step crosses beta = 0, and bisection takes over on [0, cell/2]; the
+    # both sides of it are searched, each from the kink's model peak; the
     # lobe left of it, just below pi, is higher, and the layer takes it
     settings = OptimizerSettings()
     cell = np.pi / settings.beta_grid_points
     terms, overlap = _greedy_layer_terms(15, 17)[-1]
-    searches = _record_searches(monkeypatch)
+    searches.clear()
     angles, g, _ = training._layer_step(terms, overlap, 1.0, settings, None)
     [(_, lo, hi, points), (_, mirror_lo, mirror_hi, mirror_points)] = searches
-    (start, slope, curvature), (second, _, _) = points[:2]
-    assert (lo, hi, start) == (0.0, cell, cell / 2)
-    assert slope < 0.0 and curvature < 0.0 and start - slope / curvature <= 0.0
-    assert second == 0.5 * (0.0 + cell / 2)
-    assert (mirror_lo, mirror_hi, mirror_points[0][0]) == (np.pi - cell, np.pi, np.pi - cell / 2)
+    offset = terms.kink_offset()
+    assert 0.0 < offset < cell / 2
+    assert (lo, hi, points[0][0]) == (0.0, cell, offset)
+    assert (mirror_lo, mirror_hi, mirror_points[0][0]) == (np.pi - cell, np.pi, np.pi - offset)
     _, right, _ = training.golden_section_max(terms.value, 0.0, cell, 1e-10)
     _, left, _ = training.golden_section_max(terms.value, np.pi - cell, np.pi, 1e-10)
     assert left > right * (1.0 + symcore.TIE_TOLERANCE)
     assert np.pi - cell < angles.beta < np.pi
     assert g >= left * (1.0 - 1e-15)
+
+
+def _greedy_sweep_searches(monkeypatch):
+    """(terms, bracket, result, points) of every peak search over greedy
+    n = 3..40 to depth n + 2, and those layers' records."""
+    searches, records = [], []
+    search = training.newton_bisect
+
+    def recorded(f, beta, lo, hi, peak=False):
+        points = []
+
+        def logged(b):
+            points.append(b)
+            return f(b)
+
+        out = search(logged, beta, lo, hi, peak)
+        if peak:
+            searches.append((f.__self__, (lo, hi), out, points))
+        return out
+
+    monkeypatch.setattr(training, "newton_bisect", recorded)
+    for n in range(3, 41):
+        records.extend(train_layerwise(n, n + 2).records)
+    return searches, records
+
+
+def test_greedy_layers_take_few_evaluations_after_the_grid(monkeypatch):
+    # interior peak searches stop on the predicted step, and the kink
+    # searches start at the kink's model peak: measured 2.63 evaluations per
+    # layer after the grid and before best_gamma's one (4.34 before both),
+    # and at most 5 in a kink search (16 before)
+    m = OptimizerSettings().beta_grid_points
+    cell = np.pi / m
+    searches, records = _greedy_sweep_searches(monkeypatch)
+    assert np.mean([r.evaluations - m - 1 for r in records]) <= 2.65
+    kinks = [len(points) for _, bracket, _, points in searches if bracket in ((0.0, cell), (np.pi - cell, np.pi))]
+    assert len(kinks) > 0
+    assert max(kinks) <= 6
+
+
+def test_peak_search_returns_the_curve_value_at_its_beta(monkeypatch):
+    # a search that stops on the predicted step returns the model's value at
+    # beta + step, where the curve was not computed; it is the curve's value
+    # to the rounding of the curve's (n + 1)-term sum, which grows with n
+    # (3.8e-15 relative at n = 39, from points 1e-10 apart)
+    searches, _ = _greedy_sweep_searches(monkeypatch)
+    predicted = 0
+    for terms, _, (beta, g, _), points in searches:
+        predicted += beta not in points
+        assert abs(g - terms.value(beta)) <= 2e-16 * (terms.n + 1) * g
+    assert predicted > len(searches) / 2
 
 
 @pytest.mark.parametrize("n", [15, 16])
