@@ -257,7 +257,7 @@ def test_newton_falls_back_to_bisection_when_a_step_leaves_the_bracket(monkeypat
         return np.cos(beta - 0.1), -np.sin(beta - 0.1), -np.cos(beta - 0.1)
 
     searches = _record_searches(monkeypatch)
-    beta, g, evals = training.newton_bisect(f, 1.2, 0.0, 1.4, True)
+    beta, g, evals = training.newton_bisect(f, 1.2, 0.0, 1.4, peak=True)
     [(_, _, _, points)] = searches
     (start, slope, curvature), (second, _, _) = points[:2]
     assert start == 1.2 and not 0.0 < start - slope / curvature < 1.4
@@ -519,6 +519,32 @@ def test_cutoff_right_root_when_the_grid_ties_the_target():
         assert terms.value(right) ** 2 == pytest.approx(target, abs=1e-12)
         assert abs(right - j * cell) <= cell
     assert ties > 0
+
+
+def test_cutoff_right_root_in_the_last_cell_before_pi():
+    # noiselessly g(pi) = g(0), so grid index M stands for pi and is reached
+    # when index 0 is: a target between g(0)^2 and g(pi - cell)^2, above every
+    # grid point past the maximizer, is reached only in (pi - cell, pi)
+    settings = OptimizerSettings()
+    m = settings.beta_grid_points
+    cell = np.pi / m
+    rand = np.random.default_rng(5)
+    checked = 0
+    for _ in range(40):
+        state = symcore.random_symmetric_state(int(rand.integers(3, 9)), rand)
+        terms = symcore.layer_terms(state)
+        overlap = symcore.overlap(state)
+        grid = terms.grid(m)
+        angles, g_star, _ = training._layer_step(terms, overlap, 1.0, settings, None)
+        target = 0.5 * (grid[0] ** 2 + grid[m - 1] ** 2)
+        if not np.all(grid[int(angles.beta // cell) + 1 :] ** 2 > target):
+            continue
+        fraction = (target - overlap) / (g_star**2 - overlap)
+        right = training._layer_step(terms, overlap, fraction, settings, RootPicks(1))[0].beta
+        assert np.pi - cell < right < np.pi
+        assert terms.value(right) ** 2 == pytest.approx(target, abs=1e-12)
+        checked += 1
+    assert checked >= 10
 
 
 def test_cutoff_applies_to_gains_below_rounding_scale():
