@@ -404,14 +404,12 @@ class LayerTerms:
         object.__setattr__(self, "a", complex(self.a))
 
     @classmethod
-    def from_eigen(cls, t: np.ndarray, head: complex | None = None) -> LayerTerms:
-        """Noiseless terms of eigen-coordinates t, O(n): with A_0 = r . t,
-        a = A_0, a_weight = 0, b = r * (t - A_0 r) and B(0) = 0.  head, if
-        given, is A_0 as MixerGenerator.layer or forward computed it; the
-        terms are then bitwise those computed without it."""
+    def from_eigen(cls, t: np.ndarray, head: complex) -> LayerTerms:
+        """Noiseless terms of eigen-coordinates t with head A_0 = r . t, as
+        MixerGenerator.layer or forward computed it, O(n): a = A_0,
+        a_weight = 0, b = r * (t - A_0 r) and B(0) = 0."""
         row = mixer(t.size - 1).row
-        a0 = t @ row if head is None else head
-        return cls(a0, 0, row * (t - a0 * row), 0.0)
+        return cls(head, 0, row * (t - head * row), 0.0)
 
     @classmethod
     def from_sums(cls, a: complex, a_weight: int, sums: np.ndarray) -> LayerTerms:

@@ -159,14 +159,15 @@ def newton_bisect(f, beta: float, lo: float, hi: float, peak: bool = False) -> t
     at h = 0, once a step is at most NEWTON_TOLERANCE, or once the bracket no
     longer splits, and returns the last point it evaluated and g there.
 
-    peak marks the peak search, where f gives (g, g', g''): from its second
-    point on it also stops at a Newton step inside the bracket that is small
-    enough for the step after it, predicted as |h''| step^2 / (2 |s|) with
-    h'' the change of s per unit beta over the last two points, to be at
-    most NEWTON_TOLERANCE.  It then returns beta + step and the quadratic
-    model's value there, g + h step / 2, without calling f at it.  Every
-    rule is in beta, so the search is scale-free.  Every point lies strictly
-    inside the shrinking bracket, so the loop ends.
+    peak marks the peak search, where f gives (g, g', g''): at a point that
+    a Newton step reached, it also stops at a Newton step inside the bracket
+    that is small enough for the step after it, predicted as |h''| step^2 /
+    (2 |s|) with h'' the change of s per unit beta over these two
+    consecutive Newton points, to be at most NEWTON_TOLERANCE.  It then
+    returns beta + step and the quadratic model's value there, g + h step /
+    2, without calling f at it.  Every rule is in beta, so the search is
+    scale-free.  Every point lies strictly inside the shrinking bracket, so
+    the loop ends.
     """
     evals, last = 0, None
     while True:
@@ -188,7 +189,7 @@ def newton_bisect(f, beta: float, lo: float, hi: float, peak: bool = False) -> t
             before, was = last
             if step * step * abs(slope - was) <= 2.0 * NEWTON_TOLERANCE * abs(slope * (beta - before)):
                 return beta + step, g + 0.5 * h * step, evals
-        last = beta, slope
+        last = (beta, slope) if newton else None
         beta += step
 
 

@@ -215,9 +215,9 @@ def test_maximizer_reaches_the_grid_maximum_at_tiny_overlaps():
     settings = OptimizerSettings()
     trace = train_cutoff(100, 100, 0.3, rng=np.random.default_rng(0))
     gen = symcore.mixer(100)
-    states, _ = gen.forward(gen.plus, trace.gammas(), trace.betas())
-    for t in states[:-1]:
-        terms = symcore.LayerTerms.from_eigen(t)
+    states, heads = gen.forward(gen.plus, trace.gammas(), trace.betas())
+    for t, head in zip(states[:-1], heads[:-1]):
+        terms = symcore.LayerTerms.from_eigen(t, head)
         _, g, _ = training._layer_step(terms, abs(gen.row @ t) ** 2, 1.0, settings, None)
         assert g >= terms.grid(settings.beta_grid_points).max() * (1.0 - 1e-9)
 
@@ -227,7 +227,7 @@ def _greedy_layer_terms(n, depth):
     trace = train_layerwise(n, depth)
     gen = symcore.mixer(n)
     states, heads = gen.forward(gen.plus, trace.gammas(), trace.betas())
-    return [(symcore.LayerTerms.from_eigen(t), symcore.reported_overlap(h)) for t, h in zip(states, heads)][:-1]
+    return [(symcore.LayerTerms.from_eigen(t, h), symcore.reported_overlap(h)) for t, h in zip(states, heads)][:-1]
 
 
 @pytest.mark.parametrize("n", [3, 6, 12, 24, 40])
@@ -286,7 +286,8 @@ def test_newton_falls_back_to_bisection_when_a_step_leaves_the_bracket(monkeypat
     assert g >= left * (1.0 - 1e-15)
 
 
-def _greedy_sweep_searches(monkeypatch):
+@pytest.fixture(scope="module")
+def greedy_sweep():
     """(terms, bracket, result, points) of every peak search over greedy
     n = 3..40 to depth n + 2, and those layers' records."""
     searches, records = [], []
@@ -304,32 +305,34 @@ def _greedy_sweep_searches(monkeypatch):
             searches.append((f.__self__, (lo, hi), out, points))
         return out
 
-    monkeypatch.setattr(training, "newton_bisect", recorded)
-    for n in range(3, 41):
-        records.extend(train_layerwise(n, n + 2).records)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "newton_bisect", recorded)
+        for n in range(3, 41):
+            records.extend(train_layerwise(n, n + 2).records)
     return searches, records
 
 
-def test_greedy_layers_take_few_evaluations_after_the_grid(monkeypatch):
+def test_greedy_layers_take_few_evaluations_after_the_grid(greedy_sweep):
     # interior peak searches stop on the predicted step, and the kink
     # searches start at the kink's model peak: measured 2.63 evaluations per
     # layer after the grid and before best_gamma's one (4.34 before both),
     # and at most 5 in a kink search (16 before)
     m = OptimizerSettings().beta_grid_points
     cell = np.pi / m
-    searches, records = _greedy_sweep_searches(monkeypatch)
+    searches, records = greedy_sweep
     assert np.mean([r.evaluations - m - 1 for r in records]) <= 2.65
     kinks = [len(points) for _, bracket, _, points in searches if bracket in ((0.0, cell), (np.pi - cell, np.pi))]
     assert len(kinks) > 0
     assert max(kinks) <= 6
 
 
-def test_peak_search_returns_the_curve_value_at_its_beta(monkeypatch):
+def test_peak_search_returns_the_curve_value_at_its_beta(greedy_sweep):
     # a search that stops on the predicted step returns the model's value at
     # beta + step, where the curve was not computed; it is the curve's value
-    # to the rounding of the curve's (n + 1)-term sum, which grows with n
-    # (3.8e-15 relative at n = 39, from points 1e-10 apart)
-    searches, _ = _greedy_sweep_searches(monkeypatch)
+    # to the rounding of the curve's (n + 1)-term sum, which grows with n:
+    # 3.8e-15 relative at n = 39 against value or derivatives at beta alike,
+    # where those two agree within 4.1e-16 at any one beta
+    searches, _ = greedy_sweep
     predicted = 0
     for terms, _, (beta, g, _), points in searches:
         predicted += beta not in points
