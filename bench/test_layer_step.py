@@ -1,15 +1,16 @@
 """Timing rung for one layer's beta step, outside the Tier-1 testpaths.
 
 Times one greedy training._layer_step, one cutoff step at fraction 0.8 (its
-left root fixed), one LayerTerms.grid on the 2048-point beta grid, one
-LayerTerms.value and one LayerTerms.derivatives call on the terms of a
-mid-depth greedy layer, at n = 4, 12 and 40.  A noiseless rung times one
-whole trained layer as train_cutoff runs it, greedy and cutoff, at the same
-n: the terms from the carried eigen-coordinates and head, the step, then
-MixerGenerator.layer.  A noisy rung
-times one whole layer of train_layerwise_noisy (sample its noise, split its
-terms, take the step, apply it) after n // 2 noisy layers, at n = 4 and 12,
-with phase noise at p = 0.5 and either granularity.  Run with
+left root drawn, so it makes one root search), one LayerTerms.grid on the
+2048-point beta grid, one LayerTerms.value, one LayerTerms.derivatives and one
+LayerTerms.best_gamma call on the terms of a mid-depth greedy layer, and one
+MixerGenerator.layer update of its eigen-coordinates, at n = 4, 12 and 40.  A
+noiseless rung times one whole trained layer as train_cutoff runs it, greedy
+and cutoff, at the same n: the terms from the carried eigen-coordinates and
+head, the step, then MixerGenerator.layer.  A noisy rung times one whole layer
+of train_layerwise_noisy (sample its noise, split its terms, take the step,
+apply it) after n // 2 noisy layers, at n = 4 and 12, with phase noise at
+p = 0.5 and either granularity.  Run with
 
     PYTHONPATH=src python -m pytest bench/test_layer_step.py
 
@@ -22,6 +23,7 @@ import pytest
 
 from satlab import densecore, symcore, training
 
+GAMMA = 1.1
 BETA = 0.3
 FRACTION = 0.8
 
@@ -81,6 +83,18 @@ def test_derivatives(benchmark, layer):
     terms, _ = layer
     g, _, _ = benchmark(terms.derivatives, BETA)
     assert g == pytest.approx(terms.value(BETA), rel=1e-14)
+
+
+def test_best_gamma(benchmark, layer):
+    terms, _ = layer
+    g, _ = benchmark(terms.best_gamma, BETA)
+    assert g == terms.value(BETA)
+
+
+def test_layer_update(benchmark, carried):
+    gen, t, head = carried
+    _, after = benchmark(gen.layer, t, head, GAMMA, BETA)
+    assert after == gen.forward(t, [GAMMA], [BETA])[1][-1]
 
 
 def noiseless_layer(gen, t, head, fraction, settings, rng):

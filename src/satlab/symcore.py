@@ -136,9 +136,11 @@ class MixerGenerator:
         self.n = n
         self.eigenvalues = np.arange(-n, n + 1, 2, dtype=float)
         self.row = plus_state(n).amps.real.copy()
+        # row cast once: numpy casts a float operand of a complex product anyway
+        self._complex_row = self.row.astype(complex)
         self.plus = np.zeros(n + 1, dtype=complex)
         self.plus[n] = 1.0
-        for array in (self.eigenvalues, self.row, self.plus):
+        for array in (self.eigenvalues, self.row, self._complex_row, self.plus):
             array.setflags(write=False)
         self._bra_moduli = {}
 
@@ -228,13 +230,14 @@ class MixerGenerator:
         """The kicks exp(-i*gamma) - 1 and phases exp(-i*beta*lambda) of the
         given angles, scalars or arrays alike."""
         kicks = np.exp(-1j * np.asarray(gammas, dtype=float)) - 1.0
-        phases = np.exp(-1j * np.multiply.outer(np.asarray(betas, dtype=float), self.eigenvalues))
+        phases = np.exp(-1j * (np.asarray(betas, dtype=float)[..., None] * self.eigenvalues))
         return kicks, phases
 
     def _update(self, t, head, kick, phase):
         """forward's layer update: (t, head) after one layer with this kick and phase."""
-        t = phase * (t + (kick * head)[..., None] * self.row)
-        return t, t @ self.row
+        row = self._complex_row
+        t = phase * (t + (kick * head)[..., None] * row)
+        return t, t @ row
 
     def _sweep(self, t: np.ndarray, gammas, betas):
         """forward's states and heads, then the kicks and phases it applied.
@@ -535,7 +538,9 @@ class LayerTerms:
         g = float(abs(a) + abs(b))
         if 2.0 * min(abs(a), abs(b)) <= TIE_TOLERANCE * g:
             return g, 0.0
-        return g, float((np.angle(a) - np.angle(b)) % (2.0 * math.pi))
+        # np.angle's own arctan2 loop, one call for both phases
+        arg_a, arg_b = np.arctan2((a.imag, b.imag), (a.real, b.real)).tolist()
+        return g, (arg_a - arg_b) % (2.0 * math.pi)
 
 
 def layer_terms(state: SymmetricState) -> LayerTerms:

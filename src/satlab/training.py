@@ -223,15 +223,15 @@ def _layer_step(
     the nearest grid point reaching the target toward the maximizer, index M
     standing for pi, where g(pi) = g(0); one pass finds the grid points
     reaching the target and a binary search splits them at the maximizer's
-    cell.  newton_bisect finds each root on h
-    = target - g^2 left of the maximizer and g^2 - target right of it, read
-    as h = 0 within 4 ulps of the target, where rounding leaves h no sign to
-    follow.  It starts where g^2 - target, linear between the cell's ends
-    (grid points, or the maximizer), crosses zero, and steps by Halley's
-    slope h' - h h'' / (2 h'); rng picks one root uniformly.  best_gamma then
-    gives gamma at the chosen beta by the same tie rule.  The count is the
-    number of betas at which the curve was computed: the grid, each
-    search's evaluations and best_gamma's one.
+    cell.  rng draws the side, uniformly among those with a cell, then only
+    that root is searched: newton_bisect on h = target - g^2 left of the
+    maximizer and g^2 - target right of it, read as h = 0 within 4 ulps of
+    the target, where rounding leaves h no sign to follow.  It starts where
+    g^2 - target, linear between the cell's ends (grid points, or the
+    maximizer), crosses zero, and steps by Halley's slope h' - h h'' / (2
+    h').  best_gamma then gives gamma at the chosen beta by the same tie
+    rule.  The count is the number of betas at which the curve was computed:
+    the grid, each search's evaluations and best_gamma's one.
     """
     m = settings.beta_grid_points
     cell = math.pi / m
@@ -260,19 +260,6 @@ def _layer_step(
     if fraction < 1.0 and beta != 0.0 and gain > 0.0:
         target = overlap + fraction * gain
         floor = 4.0 * math.ulp(target)  # near a root, target - g^2 takes only a few ulps
-
-        def excess(side: float):
-            # h = side * (target - g^2) is positive left of the root, and 0 at the floor
-            def f(b: float) -> tuple[float, float, float]:
-                value, slope, curvature = terms.derivatives(b)
-                short = target - value * value
-                h = side * short if abs(short) > floor else 0.0
-                dh = -2.0 * side * value * slope
-                ddh = -2.0 * side * (slope * slope + value * curvature)
-                return value, h, (dh - h * ddh / (2.0 * dh)) if dh else dh
-
-            return f
-
         reached = np.flatnonzero(grid * grid <= target)
         split = int(np.searchsorted(reached, math.floor(beta / cell) + 1))
         cells = []  # (side, lo, hi, g at lo, g at hi): the left root's, then the right's
@@ -285,17 +272,24 @@ def _layer_step(
             i = int(reached[split]) if split < reached.size else m
             lo, g_lo = ((i - 1) * cell, grid[i - 1]) if (i - 1) * cell > beta else (beta, g)
             cells.append((-1.0, lo, min(i * cell, math.pi), g_lo, grid[i % m]))
-        roots = []
-        for side, lo, hi, g_lo, g_hi in cells:
+        if cells:
+            side, lo, hi, g_lo, g_hi = cells[rng.integers(len(cells))]
+
+            def excess(b: float) -> tuple[float, float, float]:
+                # h = side * (target - g^2) is positive left of the root, and 0 at the floor
+                value, slope, curvature = terms.derivatives(b)
+                short = target - value * value
+                h = side * short if abs(short) > floor else 0.0
+                dh = -2.0 * side * value * slope
+                ddh = -2.0 * side * (slope * slope + value * curvature)
+                return value, h, (dh - h * ddh / (2.0 * dh)) if dh else dh
+
             y_lo, y_hi = g_lo * g_lo - target, g_hi * g_hi - target
             start = lo + (hi - lo) * (y_lo / (y_lo - y_hi)) if y_lo != y_hi else lo
             if not lo < start < hi:
                 start = 0.5 * (lo + hi)
-            root, _, more = newton_bisect(excess(side), start, lo, hi)
-            roots.append(root)
+            beta, _, more = newton_bisect(excess, start, lo, hi)
             evals += more
-        if roots:
-            beta = roots[rng.integers(len(roots))]
     g, gamma = terms.best_gamma(beta)
     return LayerAngles(gamma, beta), g, m + evals + 1
 

@@ -205,15 +205,41 @@ def test_run_schedule_equals_layer_composition_exactly(n):
 def test_layer_carries_forward_heads_bitwise(n):
     # MixerGenerator.layer is forward's own update, so (t, head) carried one
     # layer at a time equals one forward call bitwise, and the carried head
-    # that LayerTerms.from_eigen takes is r . t bitwise
+    # that LayerTerms.from_eigen takes is r . t bitwise, also at gamma = 0,
+    # beta = 0 and beta just below pi
     gen = mixer(n)
     rand = np.random.default_rng(750 + n)
-    schedule = random_schedule(n, 7, rand)
-    states, heads = gen.forward(gen.plus, [a.gamma for a in schedule], [a.beta for a in schedule])
-    t, head = gen.plus, gen.plus @ gen.row
-    for layer, state, expected in zip(schedule, states[1:], heads[1:]):
-        t, head = gen.layer(t, head, layer.gamma, layer.beta)
-        assert np.array_equal(t, state) and head == expected and head == t @ gen.row
+    below_pi = np.nextafter(np.pi, 0.0)
+    for _ in range(5):
+        schedule = random_schedule(n, 7, rand)
+        schedule += [
+            LayerAngles(0.0, rand.uniform(0, np.pi)),
+            LayerAngles(rand.uniform(0, 2 * np.pi), 0.0),
+            LayerAngles(rand.uniform(0, 2 * np.pi), below_pi),
+            LayerAngles(0.0, 0.0),
+        ]
+        rand.shuffle(schedule)
+        states, heads = gen.forward(gen.plus, [a.gamma for a in schedule], [a.beta for a in schedule])
+        t, head = gen.plus, gen.plus @ gen.row
+        for layer, state, expected in zip(schedule, states[1:], heads[1:]):
+            t, head = gen.layer(t, head, layer.gamma, layer.beta)
+            assert np.array_equal(t, state) and head == expected and head == t @ gen.row
+
+
+@pytest.mark.parametrize("n", [1, 4, 40])
+def test_batched_factors_equal_per_layer_factors_bitwise(n):
+    # forward takes its kicks and phases for all layers and starts at once,
+    # layer one layer at a time: the same numbers either way
+    gen = mixer(n)
+    rand = np.random.default_rng(760 + n)
+    gammas = np.array([0.0, *rand.uniform(0, 2 * np.pi, 17)])
+    betas = np.array([0.0, np.nextafter(np.pi, 0.0), *rand.uniform(0, np.pi, 16)])
+    for shape in ((18,), (6, 3)):  # p layers, then p layers of 3 starts
+        kicks, phases = gen._factors(gammas.reshape(shape), betas.reshape(shape))
+        rows = phases.reshape(-1, n + 1)
+        for gamma, beta, kick, phase in zip(gammas.tolist(), betas.tolist(), kicks.ravel(), rows):
+            one_kick, one_phase = gen._factors(gamma, beta)
+            assert one_kick == kick and np.array_equal(one_phase, phase)
 
 
 def test_layer_kernel_leaves_its_input_alone():
@@ -460,6 +486,34 @@ def test_at_matches_split():
         a, b = terms.at(beta)
         assert a == pytest.approx(a_term, abs=1e-14) and b == pytest.approx(b_term, abs=1e-14)
     assert terms.at(0.0) == terms.at_zero
+
+
+class PairTerms(symcore.LayerTerms):
+    """Terms whose (A, B) at a "beta" is that pair itself."""
+
+    def at(self, pair):
+        return pair
+
+
+def test_best_gamma_is_the_phase_difference_bitwise():
+    # best_gamma takes both phases by one arctan2 call; it must give
+    # np.angle(A) - np.angle(B) reduced to [0, 2 pi) bitwise, over every
+    # quadrant, the axes and moduli from 1e-300 to 1e5, with the two moduli
+    # within 1e6 of each other, so that no pair ties
+    rand = np.random.default_rng(64)
+    size = 100_000
+    log_a = rand.uniform(-300, 5, size)
+    log_b = np.clip(log_a + rand.uniform(-6, 6, size), -300, 5)
+    a = 10.0**log_a * np.exp(1j * rand.uniform(-np.pi, np.pi, size))
+    b = 10.0**log_b * np.exp(1j * rand.uniform(-np.pi, np.pi, size))
+    axes = [(1.0, 0.0), (1.0, -0.0), (-1.0, 0.0), (-1.0, -0.0), (0.0, 1.0), (-0.0, -1.0)]
+    scaled = [[complex(s * x, s * y) for x, y in axes] for s in (1e-300, 1.0, 3e4)]
+    pairs = [*zip(a.tolist(), b.tolist()), *((x, y) for row in scaled for x in row for y in row)]
+    terms = PairTerms(0.0, 0, np.zeros(2), 0.0)
+    for x, y in pairs:
+        g, gamma = terms.best_gamma((x, y))
+        assert g == float(abs(x) + abs(y))
+        assert gamma == float((np.angle(x) - np.angle(y)) % (2 * np.pi))
 
 
 @pytest.mark.parametrize("theta", [0.0, 1.0, 2.5, 4.0, 5.5])
