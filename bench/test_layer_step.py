@@ -9,8 +9,8 @@ noiseless rung times one whole trained layer as train_cutoff runs it, greedy
 and cutoff, at the same n: the terms from the carried eigen-coordinates and
 head, the step, then MixerGenerator.layer.  A noisy rung times one whole layer
 of train_layerwise_noisy (sample its noise, split its terms, take the step,
-apply it) after n // 2 noisy layers, at n = 4 and 12, with phase noise at
-p = 0.5 and either granularity.  Run with
+apply it to the product sum) after n // 2 noisy layers, at n = 4, 12 and 20,
+with phase noise at p = 0.5 and either granularity.  Run with
 
     PYTHONPATH=src python -m pytest bench/test_layer_step.py
 
@@ -117,27 +117,37 @@ def test_noiseless_layer(benchmark, carried, fraction):
 
 @pytest.fixture(
     scope="module",
-    params=[(4, "layer"), (4, "single_qubit"), (12, "layer"), (12, "single_qubit")],
+    params=[(n, granularity) for n in (4, 12, 20) for granularity in ("layer", "single_qubit")],
     ids=lambda p: f"n={p[0]}-{p[1]}",
 )
 def noisy_prefix(request):
+    """The product sum after n // 2 trained noisy layers, replayed from the same generator."""
     n, granularity = request.param
     noise = densecore.NoiseConfig(0.5, granularity=granularity)
     trace = training.train_layerwise_noisy(n, n // 2, noise, rng=np.random.default_rng(0))
-    prefix = densecore.run_schedule_dense(n, trace.schedule(), noise, np.random.default_rng(0))
-    return n, noise, prefix.amps
+    state, rng = densecore.ProductSum.plus(n, n // 2 + 2), np.random.default_rng(0)
+    for angles in trace.schedule():
+        state.apply_layer(angles.gamma, angles.beta, densecore.sample_layer_noise(n, noise, rng))
+    return n, noise, state
 
 
-def noisy_layer(n, noise, prefix, settings, rng):
+def noisy_layer(n, noise, state, settings, rng):
     frozen = densecore.sample_layer_noise(n, noise, rng)
-    terms = densecore.layer_terms_dense(prefix, n, frozen[0])
-    angles, _, _ = training._layer_step(terms, abs(prefix[0]) ** 2, 1.0, settings, rng)
-    return densecore.apply_layer_dense(prefix, n, angles.gamma, angles.beta, frozen)
+    terms = state.layer_terms(frozen[0])
+    angles, _, _ = training._layer_step(terms, abs(state.head) ** 2, 1.0, settings, rng)
+    return state.apply_layer(angles.gamma, angles.beta, frozen)
 
 
 def test_noisy_layer(benchmark, noisy_prefix):
     n, noise, prefix = noisy_prefix
     settings = training.OptimizerSettings()
-    out = benchmark(noisy_layer, n, noise, prefix, settings, np.random.default_rng(1))
+    size = prefix.size
+
+    def fresh():
+        # apply_layer works in place, so every round starts from a copy of the prefix
+        state = densecore.ProductSum(prefix.coefs[:size], prefix.vectors[:size], size + 1)
+        return (n, noise, state, settings, np.random.default_rng(1)), {}
+
+    head = benchmark.pedantic(noisy_layer, setup=fresh, rounds=200, warmup_rounds=5)
     # phase kicks never move the target amplitude, so the layer cannot lose overlap
-    assert abs(out[0]) ** 2 >= abs(prefix[0]) ** 2 - 1e-12
+    assert abs(head) ** 2 >= abs(prefix.head) ** 2 * (1.0 - 1e-12)

@@ -1,20 +1,23 @@
-"""Full 2^n statevector simulator.
+"""Coherent noise: the noise model, the product-sum state the noisy trainer
+carries, and the full 2^n statevector simulator.
 
-Serves two roles: an independent correctness oracle for the Dicke-basis
-simulator, and the only representation that can host symmetry-breaking
-coherent noise.  Basis index convention is little-endian: qubit 0 is the
-least-significant bit of the basis index.
+Noise breaks the permutation symmetry that the Dicke-basis simulator rests
+on, but every noise event acts on one qubit, so a noisy circuit stays a sum
+of product states (ProductSum), one more per layer.  The 2^n simulator is
+the independent correctness oracle for both.  Basis index convention is
+little-endian: qubit 0 is the least-significant bit of the basis index.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .symcore import LayerTerms, SymmetricState, _as_angles, binomial_sqrt, checked_amplitudes
+from .symcore import LayerTerms, SymmetricState, _as_angles, binomial_sqrt, checked_amplitudes, mixer
 
 MAX_DENSE_QUBITS = 24
 
@@ -209,21 +212,109 @@ def apply_layer_dense(amps: np.ndarray, n: int, gamma: float, beta: float, froze
     return apply_noise_events(amps, n, post)
 
 
-def layer_terms_dense(amps: np.ndarray, n: int, pre) -> LayerTerms:
-    """Split the target amplitude of one noisy layer by its gamma dependence.
+@lru_cache(maxsize=None)
+def _roots(n: int) -> np.ndarray:
+    """z_j = exp(-2i beta_j) at beta_j = pi j / (n + 1), the n + 1 roots of unity (cached, read-only)."""
+    out = np.exp(-2j * np.pi * np.arange(n + 1) / (n + 1))
+    out.setflags(write=False)
+    return out
 
-    pre is the layer's frozen noise before its mixer (sample_layer_noise);
-    post fixes <0| and drops out.  Tracing <0| back through the layer keeps
-    it a product bra, so the result has the noiseless form of
-    symcore.LayerTerms with other coefficients.  Phase kicks multiply the
-    weight sums by e^{i phi.x}.  A flip mask f moves the amplitudes: the sums
-    group them by their distance from f, and the |0...0> term has weight |f|.
-    """
+
+# (w_0, w_1) -> (alpha, delta) = ((w_0 - w_1) / 2, (w_0 + w_1) / 2)
+_HALVES = np.array(((0.5, -0.5), (0.5, 0.5)), dtype=complex)
+
+
+def _times_pre(base: np.ndarray, n: int, pre) -> np.ndarray:
+    """base P_q for every qubit q, (n, 2, 2), P_q being its events in pre:
+    diag(1, e^{i phi}) for a kick, X for a flip, I for none."""
     qubits, phis = pre
-    rest = amps.copy()
-    rest[0] = 0.0
-    a_weight = len(qubits) if phis is None else 0
-    return LayerTerms.from_sums(amps[0], a_weight, _weight_sums(apply_noise_events(rest, n, pre), n))
+    out = np.empty((n, 2, 2), dtype=complex)
+    out[:] = base
+    if len(qubits):
+        if phis is None:
+            out[qubits] = base[:, ::-1]
+        else:
+            out[qubits, :, 1] *= np.exp(1j * phis)[:, None]
+    return out
+
+
+class ProductSum:
+    """A noisy circuit's state as a sum of product states: sum_s coefs[s]
+    ⊗_q vectors[s, q] over the first `size` rows, in arrays preallocated for
+    `capacity` rows; vectors[s, q] is qubit q's two-vector.
+
+    Every noise event acts on one qubit, so a layer's unitary after its phase
+    separator is a product of one-qubit unitaries U_q = D(post_q) e^{-i beta
+    X} P_q, P_q being qubit q's pre events, and the phase separator adds one
+    product state, (e^{-i gamma} - 1) head |0...0>.  After p layers from
+    |+>^n (plus) the state is p + 1 product states, O(pn) numbers where the
+    dense state holds 2^n.  head is the target amplitude <0...0|psi> =
+    coefs . prod_q vectors[:, q, 0].
+    """
+
+    def __init__(self, coefs, vectors, capacity: int):
+        size, n, _ = np.shape(vectors)
+        self.coefs = np.zeros(capacity, dtype=complex)
+        self.vectors = np.zeros((capacity, n, 2), dtype=complex)
+        self.coefs[:size], self.vectors[:size], self.size = coefs, vectors, size
+        self.head = self._head()
+
+    @classmethod
+    def plus(cls, n: int, capacity: int) -> ProductSum:
+        """|+>^n, with room for capacity - 1 layers."""
+        return cls([1.0], np.full((1, n, 2), math.sqrt(0.5)), capacity)
+
+    @property
+    def n(self) -> int:
+        return self.vectors.shape[1]
+
+    def _head(self) -> complex:
+        s = self.size
+        return complex(self.coefs[:s] @ np.multiply.reduce(self.vectors[:s, :, 0], axis=1))
+
+    def layer_terms(self, pre) -> LayerTerms:
+        """Split the target amplitude of the next layer by its gamma dependence.
+
+        pre is the layer's frozen noise before its mixer (sample_layer_noise);
+        post fixes <0| and drops out.  With w = P_q v the pre-noised vectors,
+        <0|e^{-i beta X} w = e^{i beta} (alpha + delta z) per qubit, alpha =
+        (w_0 - w_1) / 2, delta = (w_0 + w_1) / 2 and z = e^{-2i beta}, so the
+        rephase-free part of the amplitude, e^{i n beta} times a polynomial of
+        degree n in z, is evaluated at the n + 1 roots of unity and one inverse
+        FFT gives its coefficients over the mixer's eigenvalues.  The phase
+        separator's share moves to A = head <0|e^{-i beta X}|f>, f being the
+        flip mask of weight m, so head times row m of the mixer's bra_coefs
+        leaves B.  B(0) = <0|P psi> - head <0|f> is exactly 0 without flips
+        and coefs . prod_q w_0 with them, w_0 = alpha + delta.
+        """
+        qubits, phis = pre
+        n, s = self.n, self.size
+        alpha, delta = (_times_pre(_HALVES, n, pre) @ self.vectors[:s, :, :, None]).T[0]  # each (n, s)
+        factors = delta[:, :, None] * _roots(n)
+        factors += alpha[:, :, None]
+        coefs = self.coefs[:s]
+        b = np.fft.ifft(coefs @ np.multiply.reduce(factors, axis=0))
+        flips = len(qubits) if phis is None else 0
+        b -= self.head * mixer(n).bra_coefs[flips]
+        b_zero = complex(coefs @ np.multiply.reduce(alpha + delta, axis=0)) if flips else 0.0
+        return LayerTerms(self.head, flips, b, b_zero)
+
+    def apply_layer(self, gamma: float, beta: float, frozen) -> complex:
+        """Apply one layer, frozen = (pre, post), in place: every product state
+        by the batched U_q = D(post_q) e^{-i beta X} P_q, then U e_0 appended
+        with coefficient (e^{-i gamma} - 1) head.  Returns the new head."""
+        (pre, (qubits, phis)), s = frozen, self.size
+        c, t = math.cos(beta), -1j * math.sin(beta)
+        u = _times_pre(np.array(((c, t), (t, c))), self.n, pre)
+        if len(qubits):
+            u[qubits, 1] *= np.exp(1j * phis)[:, None]
+        vectors = self.vectors[:s, :, :, None]
+        np.matmul(u, vectors, out=vectors)  # numpy buffers an input that overlaps out
+        self.vectors[s] = u[:, :, 0]
+        self.coefs[s] = (cmath.exp(-1j * gamma) - 1.0) * self.head
+        self.size = s + 1
+        self.head = self._head()
+        return self.head
 
 
 def run_schedule_dense(

@@ -11,7 +11,7 @@ trainers carry these eigen-coordinates, and run_schedule returns Dicke amplitude
 All of them read only the mixer's closed form: its first eigenvector row, its
 integer eigenvalues and the product bra <0|mixer(beta) = prod_q (cos(beta)<0| -
 i sin(beta)<1|), whose Fourier coefficients (MixerGenerator.bra_coefs) give the
-layer terms of a Dicke state or a noisy dense state.  The eigenvector matrix V
+layer terms of a Dicke state or a noisy product sum.  The eigenvector matrix V
 is built by numpy.linalg.eigh for evolve (apply_mixer) alone, a Dicke-basis
 oracle that no reported number goes through, and only up to
 MAX_EIGENVECTOR_QUBITS.
@@ -123,11 +123,12 @@ class MixerGenerator:
     first row of its eigenvectors is r = plus_state's amplitudes, held in
     closed form as row; |+>^n is e_n in this basis.  bra_coefs holds the
     Fourier coefficients of the product bra <0|mixer(beta), which
-    LayerTerms.from_sums reads, and bra_moduli the moduli of its entries on
-    a beta grid, which LayerTerms.grid reads.  The eigenvectors V are built
-    on first use by numpy.linalg.eigh, each column signed so that V[0] > 0
-    like r, and only up to MAX_EIGENVECTOR_QUBITS; only evolve (apply_mixer)
-    reads V, so no trainer, run_schedule or layer-terms path builds it.
+    LayerTerms.from_sums and densecore.ProductSum read, and bra_moduli the
+    moduli of its entries on a beta grid, which LayerTerms.grid reads.  The
+    eigenvectors V are built on first use by numpy.linalg.eigh, each column
+    signed so that V[0] > 0 like r, and only up to MAX_EIGENVECTOR_QUBITS;
+    only evolve (apply_mixer) reads V, so no trainer, run_schedule or
+    layer-terms path builds it.
     """
 
     def __init__(self, n: int):
@@ -459,14 +460,17 @@ class LayerTerms:
         rate, _ = self._kernel
         return float(abs(self.b @ rate)) / (self.n * abs(self.a))
 
+    def a_term(self, beta: float) -> complex:
+        """A at one beta > 0 by its closed form, O(1)."""
+        m = self.a_weight
+        return self.a * (math.cos(beta) ** (self.n - m) * math.sin(beta) ** m) * _MINUS_I_POWERS[m % 4]
+
     def at(self, beta: float) -> tuple[complex, complex]:
         """(A, B) at one beta, O(n); exact at beta = 0, from at_zero."""
         if beta == 0.0:
             return self.at_zero
         rate, _ = self._kernel
-        m = self.a_weight
-        a_term = self.a * (math.cos(beta) ** (self.n - m) * math.sin(beta) ** m) * _MINUS_I_POWERS[m % 4]
-        return a_term, complex(self.b @ np.exp(rate * beta))
+        return self.a_term(beta), complex(self.b @ np.exp(rate * beta))
 
     def split(self, betas) -> tuple[np.ndarray, np.ndarray]:
         """(A, B) at each beta: the batch path of curve."""
@@ -492,7 +496,13 @@ class LayerTerms:
         return float(abs(a_term) + abs(b_term))
 
     def derivatives(self, beta: float) -> tuple[float, float, float]:
-        """(g, g', g'') of the curve at one beta > 0, O(n).
+        """(g, g', g'') of the curve at one beta > 0, O(n): jet without B."""
+        g, slope, curvature, _ = self.jet(beta)
+        return g, slope, curvature
+
+    def jet(self, beta: float) -> tuple[float, float, float, complex]:
+        """(g, g', g'', B) of the curve at one beta > 0, O(n): derivatives,
+        and the B they were formed from, which best_gamma can take.
 
         The kernel gives (B, B', B'') by one exp and one matrix-vector
         product, and |B|' = Re(conj(B) B') / |B|, |B|'' = (|B'|^2 +
@@ -517,7 +527,7 @@ class LayerTerms:
             u1 = m * c / s - k * s / c
             u2 = -m / (s * s) - k / (c * c)
             g, slope, curvature = g + modulus, slope + modulus * u1, curvature + modulus * (u1 * u1 + u2)
-        return g, slope, curvature
+        return g, slope, curvature, f
 
     def grid(self, points: int) -> np.ndarray:
         """The curve at beta_j = pi j / points for j = 0..points-1: |B| by one
@@ -530,11 +540,13 @@ class LayerTerms:
         vals[0] = abs(self.at_zero[0]) + abs(self.at_zero[1])
         return vals
 
-    def best_gamma(self, beta: float) -> tuple[float, float]:
+    def best_gamma(self, beta: float, b_term: complex | None = None) -> tuple[float, float]:
         """(g, gamma_star): value(beta) and arg A - arg B, which lines up the
         terms, or 0 by the tie rule where every gamma ties: where the span of
-        the modulus over gamma, 2 min(|A|, |B|), is within TIE_TOLERANCE of g."""
-        a, b = self.at(beta)
+        the modulus over gamma, 2 min(|A|, |B|), is within TIE_TOLERANCE of g.
+        b_term, given at a beta > 0, is B(beta) as jet formed it, so B is not
+        computed again."""
+        a, b = self.at(beta) if b_term is None else (self.a_term(beta), b_term)
         g = float(abs(a) + abs(b))
         if 2.0 * min(abs(a), abs(b)) <= TIE_TOLERANCE * g:
             return g, 0.0

@@ -230,8 +230,10 @@ def _layer_step(
     g^2 - target, linear between the cell's ends (grid points, or the
     maximizer), crosses zero, and steps by Halley's slope h' - h h'' / (2
     h').  best_gamma then gives gamma at the chosen beta by the same tie
-    rule.  The count is the number of betas at which the curve was computed:
-    the grid, each search's evaluations and best_gamma's one.
+    rule, from the B that the root search's last evaluation formed there.
+    The count is the number of betas at which the curve was computed: the
+    grid and each search's evaluations, plus best_gamma's one unless a root
+    search ended at the chosen beta.
     """
     m = settings.beta_grid_points
     cell = math.pi / m
@@ -256,7 +258,7 @@ def _layer_step(
     if grid[0] >= g * (1.0 - TIE_TOLERANCE):
         beta, g = 0.0, float(grid[0])
 
-    gain = g**2 - overlap
+    gain, b_term = g**2 - overlap, None
     if fraction < 1.0 and beta != 0.0 and gain > 0.0:
         target = overlap + fraction * gain
         floor = 4.0 * math.ulp(target)  # near a root, target - g^2 takes only a few ulps
@@ -275,9 +277,11 @@ def _layer_step(
         if cells:
             side, lo, hi, g_lo, g_hi = cells[rng.integers(len(cells))]
 
+            last = [None]  # B at the last point evaluated, where the search ends
+
             def excess(b: float) -> tuple[float, float, float]:
                 # h = side * (target - g^2) is positive left of the root, and 0 at the floor
-                value, slope, curvature = terms.derivatives(b)
+                value, slope, curvature, last[0] = terms.jet(b)
                 short = target - value * value
                 h = side * short if abs(short) > floor else 0.0
                 dh = -2.0 * side * value * slope
@@ -290,8 +294,9 @@ def _layer_step(
                 start = 0.5 * (lo + hi)
             beta, _, more = newton_bisect(excess, start, lo, hi)
             evals += more
-    g, gamma = terms.best_gamma(beta)
-    return LayerAngles(gamma, beta), g, m + evals + 1
+            b_term = last[0]
+    g, gamma = terms.best_gamma(beta, b_term)
+    return LayerAngles(gamma, beta), g, m + evals + (b_term is None)
 
 
 def train_layerwise(n: int, max_depth: int, settings: OptimizerSettings | None = None) -> TrainingTrace:
@@ -536,27 +541,28 @@ def train_layerwise_noisy(
     When a layer is appended its noise is sampled once and frozen as the
     events before and after its mixer (densecore.sample_layer_noise), so the
     layer is optimized against a fixed systematic error; earlier layers
-    keep their own frozen noise.  The target amplitude of the noisy layer
-    still splits as A(beta) exp(-i*gamma) + B(beta) (densecore.layer_terms_dense),
-    so the layer takes the noiseless trainers' _layer_step at fraction 1.  The
-    recorded overlap is that of the dense simulation of the chosen layer.  The
-    noise is drawn from rng, which is required.
+    keep their own frozen noise.  Every noise event acts on one qubit, so the
+    circuit's state after p layers is a sum of p + 1 product states
+    (densecore.ProductSum), never its 2^n amplitudes.  The target amplitude
+    of the noisy layer still splits as A(beta) exp(-i*gamma) + B(beta)
+    (ProductSum.layer_terms), so the layer takes the noiseless trainers'
+    _layer_step at fraction 1.  The recorded overlap is |head|^2 of the
+    product sum after the chosen layer (ProductSum.apply_layer), by
+    reported_overlap.  The noise is drawn from rng, which is required.
     """
     if n < 1 or max_depth < 1:
         raise ValueError("n and max_depth must be >= 1")
-    densecore._check_cap(n)
     if rng is None:
         raise ValueError("train_layerwise_noisy draws its noise from rng; pass a numpy Generator")
     settings = settings or OptimizerSettings()
 
-    prefix = densecore.plus_state_dense(n)
+    state = densecore.ProductSum.plus(n, max_depth + 1)
     trace = TrainingTrace(n)
     for _ in range(max_depth):
         t0 = time.perf_counter()
         frozen = densecore.sample_layer_noise(n, noise, rng)
-        terms = densecore.layer_terms_dense(prefix, n, frozen[0])
-        angles, _, evals = _layer_step(terms, abs(prefix[0]) ** 2, 1.0, settings, rng)
-        prefix = densecore.apply_layer_dense(prefix, n, angles.gamma, angles.beta, frozen)
-        overlap = symcore.reported_overlap(prefix[0])
+        terms = state.layer_terms(frozen[0])
+        angles, _, evals = _layer_step(terms, abs(state.head) ** 2, 1.0, settings, rng)
+        overlap = symcore.reported_overlap(state.apply_layer(angles.gamma, angles.beta, frozen))
         trace.records.append(LayerRecord(angles, overlap, time.perf_counter() - t0, evals))
     return trace

@@ -10,7 +10,6 @@ from satlab.densecore import (
     apply_noise_events,
     apply_x_rotation,
     hamming_weights,
-    layer_terms_dense,
     lift,
     overlap_dense,
     plus_state_dense,
@@ -325,27 +324,29 @@ def test_dense_state_rejects_non_finite_amplitudes():
 
 @pytest.mark.parametrize("kind", ["phase", "bitflip"])
 @pytest.mark.parametrize("granularity", ["layer", "single_qubit"])
-def test_noisy_layer_fft_grid_matches_direct_curve(granularity, kind):
+def test_noisy_layer_fft_grid_matches_direct_curve(granularity, kind, random_product_sum):
     # a layer's bit flips act as one mask f before the mixer, so A(0) = 0 and
     # B(0) = psi[f], terms that the noiseless split never has; phase kicks
-    # keep A(0) = psi[0] and B(0) = 0.  beta = 0 stays exact for both
+    # keep A(0) = psi[0] and B(0) = 0.  beta = 0 stays exact for both: B(0)
+    # is exactly 0 without flips, and the product sum's <f|psi> with them
     rand = np.random.default_rng(37)
     n = 5
     noise = NoiseConfig(0.5, granularity=granularity, kind=kind)
     flipped = 0
     for _ in range(8):
-        psi = rand.normal(size=1 << n) + 1j * rand.normal(size=1 << n)
-        psi /= np.linalg.norm(psi)
+        state, psi = random_product_sum(n, rand)
         pre, _ = sample_layer_noise(n, noise, rand)
-        terms = layer_terms_dense(psi, n, pre)
+        terms = state.layer_terms(pre)
         mask = sum(1 << int(q) for q in pre[0]) if kind == "bitflip" else 0
         for m in (2, 3, 2048):
             betas = np.linspace(0, np.pi, m, endpoint=False)
             assert np.max(np.abs(terms.grid(m) - terms.curve(betas))) < 1e-13
         a_term, b_term = terms.split(0.0)
+        assert abs(state.head - psi[0]) < 1e-15
         if mask:
             flipped += 1
-            assert (a_term[0], b_term[0]) == (0.0, psi[mask])
+            assert a_term[0] == 0.0
+            assert abs(b_term[0] - psi[mask]) < 1e-15
         else:
-            assert (a_term[0], b_term[0]) == (psi[0], 0.0)
+            assert (a_term[0], b_term[0]) == (state.head, 0.0)
     assert (flipped > 0) == (kind == "bitflip")

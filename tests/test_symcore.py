@@ -583,22 +583,25 @@ def test_second_derivative_zero_a1_branch():
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 12, 40])
-def test_layer_terms_derivatives_match_central_differences(n):
-    # noiseless terms along a random circuit and, up to the dense cap, noisy
-    # terms of each noise layout; the curve's scale is n g per derivative
+def test_layer_terms_derivatives_match_central_differences(n, random_product_sum):
+    # noiseless terms along a random circuit and, up to n = 12, noisy terms
+    # of each noise layout on a random product sum; the curve's scale is n g
+    # per derivative.  At n = 40 a random sum's curve dips to 1e-3 of its
+    # Fourier coefficients, and the second difference at h = 2.5e-6 no
+    # longer resolves the curvature from rounding
     rand = np.random.default_rng(70 + n)
     gen = mixer(n)
     states, heads = gen.forward(gen.plus, rand.uniform(0, 2 * np.pi, 3), rand.uniform(0, np.pi, 3))
     all_terms = [symcore.LayerTerms.from_eigen(t, head) for t, head in zip(states, heads)]
-    if n <= 6:
+    if n <= 12:
         for noise in (
             densecore.NoiseConfig(0.5),
             densecore.NoiseConfig(0.5, granularity="single_qubit"),
             densecore.NoiseConfig(0.5, kind="bitflip"),
         ):
-            psi = rand.normal(size=1 << n) + 1j * rand.normal(size=1 << n)
+            state, _ = random_product_sum(n, rand, dense=False)
             pre, _ = densecore.sample_layer_noise(n, noise, rand)
-            all_terms.append(densecore.layer_terms_dense(psi / np.linalg.norm(psi), n, pre))
+            all_terms.append(state.layer_terms(pre))
     h = 1e-4 / n
     for terms in all_terms:
         f = terms.value

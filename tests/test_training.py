@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize, minimize_scalar
@@ -601,10 +603,11 @@ def test_cutoff_desaturates_past_plateau():
 )
 def test_trainer_records_counted_evaluations(monkeypatch, train):
     # every recorded evaluation is one beta at which the layer terms computed
-    # the curve: the grid's points, then one per point or derivatives call
+    # the curve: the grid's points, then one per point or jet call
+    # (derivatives calls jet)
     points = [0]
     terms = symcore.LayerTerms
-    grid, at, split, derivatives = terms.grid, terms.at, terms.split, terms.derivatives
+    grid, at, split, jet = terms.grid, terms.at, terms.split, terms.jet
 
     def counted_grid(self, m):
         points[0] += m
@@ -618,14 +621,14 @@ def test_trainer_records_counted_evaluations(monkeypatch, train):
         points[0] += np.size(betas)
         return split(self, betas)
 
-    def counted_derivatives(self, beta):
+    def counted_jet(self, beta):
         points[0] += 1
-        return derivatives(self, beta)
+        return jet(self, beta)
 
     monkeypatch.setattr(terms, "grid", counted_grid)
     monkeypatch.setattr(terms, "at", counted_at)
     monkeypatch.setattr(terms, "split", counted_split)
-    monkeypatch.setattr(terms, "derivatives", counted_derivatives)
+    monkeypatch.setattr(terms, "jet", counted_jet)
     for seed in range(3):
         points[0] = 0
         trace = train(np.random.default_rng(seed))
@@ -903,16 +906,54 @@ def test_noisy_reproducible_from_stream():
 @pytest.mark.parametrize("kind", ["phase", "bitflip"])
 @pytest.mark.parametrize("granularity", ["layer", "single_qubit"])
 def test_noisy_trainer_replays_bitwise(granularity, kind):
-    # every recorded overlap is that of the dense circuit run on the trained
-    # schedule so far, with the noise drawn again from the same generator
+    # every recorded overlap is that of the product-sum circuit replayed by
+    # the trainer's own layer apply on the trained schedule, with the noise
+    # drawn again from the same generator; the dense simulator agrees to
+    # rounding
     noise = NoiseConfig(0.5, granularity=granularity, kind=kind)
     for n in (3, 4, 6):
         for seed in range(5):
             trace = train_layerwise_noisy(n, n, noise, rng=np.random.default_rng(seed))
             schedule = trace.schedule()
-            for depth, recorded in enumerate(trace.overlaps(), start=1):
+            state, rng = densecore.ProductSum.plus(n, n + 1), np.random.default_rng(seed)
+            for depth, record in enumerate(trace.records, start=1):
+                frozen = densecore.sample_layer_noise(n, noise, rng)
+                head = state.apply_layer(record.angles.gamma, record.angles.beta, frozen)
+                assert record.overlap == symcore.reported_overlap(head)
                 replay = densecore.run_schedule_dense(n, schedule[:depth], noise, np.random.default_rng(seed))
-                assert recorded == densecore.overlap_dense(replay)
+                assert abs(record.overlap - densecore.overlap_dense(replay)) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["phase", "bitflip"])
+@pytest.mark.parametrize("granularity", ["layer", "single_qubit"])
+def test_noisy_trainer_draws_only_the_layer_noise(granularity, kind):
+    # the generator ends where a twin ends after the same number of
+    # sample_layer_noise calls: the layer step at fraction 1 draws nothing
+    noise = NoiseConfig(0.3, granularity=granularity, kind=kind)
+    for n, depth in ((3, 5), (8, 4)):
+        rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+        train_layerwise_noisy(n, depth, noise, rng=rng)
+        for _ in range(depth):
+            densecore.sample_layer_noise(n, noise, twin)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [20, 40, 100])
+def test_noisy_without_noise_matches_layerwise_at_large_n(n):
+    # the product sum carries no 2^n vector, so p = 0 reproduces greedy far
+    # past the dense simulator's cap, to rounding relative to the overlap
+    lw = train_layerwise(n, n + 2).overlaps()
+    noisy = train_layerwise_noisy(n, n + 2, NoiseConfig(0.0), rng=np.random.default_rng(0)).overlaps()
+    assert np.max(np.abs(noisy - lw) / lw) <= 1e-11
+
+
+def test_noisy_trainer_runs_at_n_40():
+    trace = train_layerwise_noisy(40, 40, NoiseConfig(0.1), rng=np.random.default_rng(0))
+    overlaps = trace.overlaps()
+    assert trace.depth == 40
+    assert np.all(np.isfinite(overlaps)) and 2.0**-40 < overlaps[0] and overlaps[-1] <= 1.0
+    # phase kicks never move the target amplitude, so no layer loses overlap
+    assert np.all(np.diff(overlaps) >= -1e-12 * overlaps[1:])
 
 
 def test_noisy_phase_noise_keeps_monotone_overlaps():
@@ -936,19 +977,27 @@ def test_noisy_run_beats_plateau_for_some_trial():
 
 @pytest.mark.parametrize("kind", ["phase", "bitflip"])
 @pytest.mark.parametrize("granularity", ["layer", "single_qubit"])
-def test_noisy_layer_terms_match_dense_layer(granularity, kind):
+def test_noisy_layer_terms_match_dense_layer(granularity, kind, random_product_sum):
+    # the terms of a product sum give the dense layer's target amplitude, and
+    # the product sum after the layer expands to the dense layer's state
     rand = np.random.default_rng(31)
     for n in range(1, 6):
         for p in (0.0, 0.3, 0.7):
             noise = NoiseConfig(p, granularity=granularity, kind=kind)
             for _ in range(6):
-                psi = rand.normal(size=1 << n) + 1j * rand.normal(size=1 << n)
-                psi /= np.linalg.norm(psi)
+                state, psi = random_product_sum(n, rand)
                 frozen = densecore.sample_layer_noise(n, noise, rand)
                 gamma, beta = rand.uniform(0, 2 * np.pi), rand.uniform(0, np.pi)
-                a_term, b_term = densecore.layer_terms_dense(psi, n, frozen[0]).split(beta)
-                direct = densecore.apply_layer_dense(psi, n, gamma, beta, frozen)[0]
-                assert abs(a_term[0] * np.exp(-1j * gamma) + b_term[0] - direct) < 1e-12
+                a_term, b_term = state.layer_terms(frozen[0]).split(beta)
+                dense = densecore.apply_layer_dense(psi, n, gamma, beta, frozen)
+                assert abs(a_term[0] * np.exp(-1j * gamma) + b_term[0] - dense[0]) < 1e-12
+                head = state.apply_layer(gamma, beta, frozen)
+                s = state.size
+                expanded = sum(
+                    c * functools.reduce(np.kron, v[::-1]) for c, v in zip(state.coefs[:s], state.vectors[:s])
+                )
+                assert abs(head - dense[0]) < 1e-12
+                assert np.max(np.abs(expanded - dense)) < 1e-12
 
 
 @pytest.mark.parametrize("granularity", ["layer", "single_qubit"])
