@@ -9,7 +9,7 @@ import sys
 
 import click
 
-from .densecore import GRANULARITIES, ResourceCapError
+from .densecore import GRANULARITIES
 from .harness import (
     COMMON_FIELDS, FORMATS, KINDS, RUNNERS, ConfigError, ExperimentConfig, run_experiment,
 )
@@ -118,18 +118,14 @@ for _kind in KINDS:
 
 
 def main(argv=None) -> int:
-    """Entry point with the documented exit codes.
-
-    0 success, 1 configuration error, 2 dense-simulation resource cap.
-    """
+    """Entry point with the documented exit codes: 0 success, 1 configuration
+    error, raised before any compute (an n past MAX_SYMMETRIC_QUBITS is one,
+    for every kind)."""
     try:
         cli.main(args=argv, standalone_mode=False)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         return 1
-    except ResourceCapError as exc:
-        click.echo(f"resource cap: {exc}", err=True)
-        return 2
     except click.ClickException as exc:
         exc.show()
         return 1

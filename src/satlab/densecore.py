@@ -239,9 +239,9 @@ def _times_pre(base: np.ndarray, n: int, pre) -> np.ndarray:
 
 
 class ProductSum:
-    """A noisy circuit's state as a sum of product states: sum_s coefs[s]
-    ⊗_q vectors[s, q] over the first `size` rows, in arrays preallocated for
-    `capacity` rows; vectors[s, q] is qubit q's two-vector.
+    """A noisy circuit's state as a sum of product states, sum_s coefs[s]
+    ⊗_q vectors[s, q], vectors[s, q] being qubit q's two-vector.  A value:
+    apply_layer returns the next ProductSum and leaves this one as it was.
 
     Every noise event acts on one qubit, so a layer's unitary after its phase
     separator is a product of one-qubit unitaries U_q = D(post_q) e^{-i beta
@@ -252,25 +252,18 @@ class ProductSum:
     coefs . prod_q vectors[:, q, 0].
     """
 
-    def __init__(self, coefs, vectors, capacity: int):
-        size, n, _ = np.shape(vectors)
-        self.coefs = np.zeros(capacity, dtype=complex)
-        self.vectors = np.zeros((capacity, n, 2), dtype=complex)
-        self.coefs[:size], self.vectors[:size], self.size = coefs, vectors, size
-        self.head = self._head()
+    def __init__(self, coefs, vectors):
+        self.coefs, self.vectors = np.asarray(coefs, dtype=complex), np.asarray(vectors, dtype=complex)
+        self.head = complex(self.coefs @ np.multiply.reduce(self.vectors[:, :, 0], axis=1))
 
     @classmethod
-    def plus(cls, n: int, capacity: int) -> ProductSum:
-        """|+>^n, with room for capacity - 1 layers."""
-        return cls([1.0], np.full((1, n, 2), math.sqrt(0.5)), capacity)
+    def plus(cls, n: int) -> ProductSum:
+        """|+>^n."""
+        return cls([1.0], np.full((1, n, 2), math.sqrt(0.5)))
 
     @property
     def n(self) -> int:
         return self.vectors.shape[1]
-
-    def _head(self) -> complex:
-        s = self.size
-        return complex(self.coefs[:s] @ np.multiply.reduce(self.vectors[:s, :, 0], axis=1))
 
     def layer_terms(self, pre) -> LayerTerms:
         """Split the target amplitude of the next layer by its gamma dependence.
@@ -288,33 +281,27 @@ class ProductSum:
         and coefs . prod_q w_0 with them, w_0 = alpha + delta.
         """
         qubits, phis = pre
-        n, s = self.n, self.size
-        alpha, delta = (_times_pre(_HALVES, n, pre) @ self.vectors[:s, :, :, None]).T[0]  # each (n, s)
+        n = self.n
+        alpha, delta = (_times_pre(_HALVES, n, pre) @ self.vectors[..., None]).T[0]  # each (n, S)
         factors = delta[:, :, None] * _roots(n)
         factors += alpha[:, :, None]
-        coefs = self.coefs[:s]
-        b = np.fft.ifft(coefs @ np.multiply.reduce(factors, axis=0))
+        b = np.fft.ifft(self.coefs @ np.multiply.reduce(factors, axis=0))
         flips = len(qubits) if phis is None else 0
         b -= self.head * mixer(n).bra_coefs[flips]
-        b_zero = complex(coefs @ np.multiply.reduce(alpha + delta, axis=0)) if flips else 0.0
+        b_zero = complex(self.coefs @ np.multiply.reduce(alpha + delta, axis=0)) if flips else 0.0
         return LayerTerms(self.head, flips, b, b_zero)
 
-    def apply_layer(self, gamma: float, beta: float, frozen) -> complex:
-        """Apply one layer, frozen = (pre, post), in place: every product state
-        by the batched U_q = D(post_q) e^{-i beta X} P_q, then U e_0 appended
-        with coefficient (e^{-i gamma} - 1) head.  Returns the new head."""
-        (pre, (qubits, phis)), s = frozen, self.size
+    def apply_layer(self, gamma: float, beta: float, frozen) -> ProductSum:
+        """The state after one layer, frozen = (pre, post): every product
+        state by the batched U_q = D(post_q) e^{-i beta X} P_q, then U e_0
+        appended with coefficient (e^{-i gamma} - 1) head."""
+        pre, (qubits, phis) = frozen
         c, t = math.cos(beta), -1j * math.sin(beta)
         u = _times_pre(np.array(((c, t), (t, c))), self.n, pre)
         if len(qubits):
             u[qubits, 1] *= np.exp(1j * phis)[:, None]
-        vectors = self.vectors[:s, :, :, None]
-        np.matmul(u, vectors, out=vectors)  # numpy buffers an input that overlaps out
-        self.vectors[s] = u[:, :, 0]
-        self.coefs[s] = (cmath.exp(-1j * gamma) - 1.0) * self.head
-        self.size = s + 1
-        self.head = self._head()
-        return self.head
+        vectors = np.concatenate(((u @ self.vectors[..., None])[..., 0], u[None, :, :, 0]))
+        return ProductSum(np.append(self.coefs, (cmath.exp(-1j * gamma) - 1.0) * self.head), vectors)
 
 
 def run_schedule_dense(

@@ -315,7 +315,6 @@ def run_noise_experiment(config: ExperimentConfig) -> ResultTable:
     bitflip_top10_best (empty unless the contrast flag is on).
     """
     n, depth = config.n, config.depth
-    densecore._check_cap(n)
     noiseless = float(training.train_layerwise(n, depth).overlaps()[-1])
     table = ResultTable(
         ["p", "top10_best", "top10_mean", "top10_worst", "noiseless_overlap", "bitflip_top10_best"],

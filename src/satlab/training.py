@@ -546,9 +546,11 @@ def train_layerwise_noisy(
     (densecore.ProductSum), never its 2^n amplitudes.  The target amplitude
     of the noisy layer still splits as A(beta) exp(-i*gamma) + B(beta)
     (ProductSum.layer_terms), so the layer takes the noiseless trainers'
-    _layer_step at fraction 1.  The recorded overlap is |head|^2 of the
-    product sum after the chosen layer (ProductSum.apply_layer), by
-    reported_overlap.  The noise is drawn from rng, which is required.
+    _layer_step at fraction 1.  Like train_cutoff's (t, head), the trainer
+    carries the product sum, replaced by ProductSum.apply_layer's value at
+    each layer, and its reported_overlap of head, which is recorded and is
+    the next step's current overlap.  The noise is drawn from rng, which is
+    required.
     """
     if n < 1 or max_depth < 1:
         raise ValueError("n and max_depth must be >= 1")
@@ -556,13 +558,14 @@ def train_layerwise_noisy(
         raise ValueError("train_layerwise_noisy draws its noise from rng; pass a numpy Generator")
     settings = settings or OptimizerSettings()
 
-    state = densecore.ProductSum.plus(n, max_depth + 1)
+    state = densecore.ProductSum.plus(n)
+    overlap = symcore.reported_overlap(state.head)
     trace = TrainingTrace(n)
     for _ in range(max_depth):
         t0 = time.perf_counter()
         frozen = densecore.sample_layer_noise(n, noise, rng)
-        terms = state.layer_terms(frozen[0])
-        angles, _, evals = _layer_step(terms, abs(state.head) ** 2, 1.0, settings, rng)
-        overlap = symcore.reported_overlap(state.apply_layer(angles.gamma, angles.beta, frozen))
+        angles, _, evals = _layer_step(state.layer_terms(frozen[0]), overlap, 1.0, settings, rng)
+        state = state.apply_layer(angles.gamma, angles.beta, frozen)
+        overlap = symcore.reported_overlap(state.head)
         trace.records.append(LayerRecord(angles, overlap, time.perf_counter() - t0, evals))
     return trace

@@ -25,16 +25,16 @@ from satlab import densecore  # noqa: E402
 
 def _random_product_sum(n: int, rand: np.random.Generator, dense: bool = True):
     """A random normalized sum of 1-4 random product states, as a
-    densecore.ProductSum with room for 8, and as its 2^n amplitudes (qubit 0
-    the least significant bit) expanded by Kronecker products, or None
-    without dense."""
+    densecore.ProductSum and as its 2^n amplitudes (qubit 0 the least
+    significant bit) expanded by Kronecker products, or None without
+    dense."""
     size = int(rand.integers(1, 5))
     coefs = rand.normal(size=size) + 1j * rand.normal(size=size)
     vectors = rand.normal(size=(size, n, 2)) + 1j * rand.normal(size=(size, n, 2))
     gram = np.prod(np.einsum("sqi,tqi->stq", vectors.conj(), vectors), axis=2)
     coefs /= math.sqrt((coefs.conj() @ gram @ coefs).real)
     amps = sum(c * functools.reduce(np.kron, v[::-1]) for c, v in zip(coefs, vectors)) if dense else None
-    return densecore.ProductSum(coefs, vectors, 8), amps
+    return densecore.ProductSum(coefs, vectors), amps
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ from satlab import symcore
 from satlab.densecore import (
     DenseState,
     NoiseConfig,
+    ProductSum,
     ResourceCapError,
     apply_layer_dense,
     apply_noise_events,
@@ -350,3 +351,29 @@ def test_noisy_layer_fft_grid_matches_direct_curve(granularity, kind, random_pro
         else:
             assert (a_term[0], b_term[0]) == (state.head, 0.0)
     assert (flipped > 0) == (kind == "bitflip")
+
+
+def _bits(state):
+    return state.coefs.tobytes(), state.vectors.tobytes(), np.complex128(state.head).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["phase", "bitflip"])
+def test_product_sum_apply_layer_returns_a_value(kind):
+    # apply_layer leaves its input bitwise as it was, so one prefix extended
+    # by two different layers gives, bitwise, each layer's replay from |+>^n
+    rand = np.random.default_rng(43)
+    noise = NoiseConfig(0.5, granularity="single_qubit", kind=kind)
+    for n in (1, 4, 9):
+        layers = [(*rand.uniform(0, np.pi, size=2), sample_layer_noise(n, noise, rand)) for _ in range(5)]
+        prefix = ProductSum.plus(n)
+        for layer in layers[:3]:
+            prefix = prefix.apply_layer(*layer)
+        before = _bits(prefix)
+        ends = [prefix.apply_layer(*layer) for layer in layers[3:]]
+        assert _bits(prefix) == before
+        for last, end in zip(layers[3:], ends):
+            replay = ProductSum.plus(n)
+            for layer in (*layers[:3], last):
+                replay = replay.apply_layer(*layer)
+            assert _bits(replay) == _bits(end)
+        assert _bits(ends[0]) != _bits(ends[1])

@@ -287,9 +287,16 @@ def test_cli_exit_codes(tmp_path):
     assert main(["betas", "--config", str(cfg)]) == 1
 
 
-def test_cli_resource_cap_exit_code():
-    # a dense simulation beyond the qubit cap surfaces as exit code 2
-    assert main(["noise", "--n", "25", "--trials", "1", "--p-grid", "0.1"]) == 2
+def test_cli_noise_runs_past_the_dense_cap(tmp_path):
+    # the noisy trainer carries a product sum, so noise takes n beyond the
+    # 2^n oracle's cap of 24 and reads as one row of finite values
+    out = tmp_path / "noise.csv"
+    assert main(["noise", "--n", "25", "--trials", "1", "--p-grid", "0.1", "--out", str(out)]) == 0
+    _, header, rows = read_rows(out)
+    assert len(rows) == 1
+    row = dict(zip(header, rows[0]))
+    assert row.pop("bitflip_top10_best") == ""
+    assert all(math.isfinite(float(v)) for v in row.values())
 
 
 @pytest.fixture
@@ -369,8 +376,9 @@ def test_cli_rejects_directory_out_in_config(tmp_path, no_compute, capsys):
         ["saturation", "--n-min", "1023", "--n-max", "1023"],
         ["saturation", "--n-max", str(symcore.MAX_SYMMETRIC_QUBITS + 1)],
         ["compare", "--n", str(symcore.MAX_SYMMETRIC_QUBITS + 1)],
+        ["noise", "--n", str(symcore.MAX_SYMMETRIC_QUBITS + 1)],
     ],
-    ids=["saturation-1023", "n_max-past-ceiling", "n-past-ceiling"],
+    ids=["saturation-1023", "n_max-past-ceiling", "n-past-ceiling", "noise-n-past-ceiling"],
 )
 def test_cli_rejects_n_past_validity_ceiling(args, no_compute, capsys):
     assert main(args) == 1

@@ -915,11 +915,11 @@ def test_noisy_trainer_replays_bitwise(granularity, kind):
         for seed in range(5):
             trace = train_layerwise_noisy(n, n, noise, rng=np.random.default_rng(seed))
             schedule = trace.schedule()
-            state, rng = densecore.ProductSum.plus(n, n + 1), np.random.default_rng(seed)
+            state, rng = densecore.ProductSum.plus(n), np.random.default_rng(seed)
             for depth, record in enumerate(trace.records, start=1):
                 frozen = densecore.sample_layer_noise(n, noise, rng)
-                head = state.apply_layer(record.angles.gamma, record.angles.beta, frozen)
-                assert record.overlap == symcore.reported_overlap(head)
+                state = state.apply_layer(record.angles.gamma, record.angles.beta, frozen)
+                assert record.overlap == symcore.reported_overlap(state.head)
                 replay = densecore.run_schedule_dense(n, schedule[:depth], noise, np.random.default_rng(seed))
                 assert abs(record.overlap - densecore.overlap_dense(replay)) <= 1e-14
 
@@ -945,6 +945,38 @@ def test_noisy_without_noise_matches_layerwise_at_large_n(n):
     lw = train_layerwise(n, n + 2).overlaps()
     noisy = train_layerwise_noisy(n, n + 2, NoiseConfig(0.0), rng=np.random.default_rng(0)).overlaps()
     assert np.max(np.abs(noisy - lw) / lw) <= 1e-11
+
+
+@pytest.mark.parametrize("n, depth", [(100, 20), (300, 8), (1022, 4)])
+def test_noisy_overlaps_match_mpmath_to_the_validity_ceiling(n, depth):
+    # a 30-digit replay of the same product sum, with the noise drawn again
+    # from the same generator, agrees with every recorded overlap up to n =
+    # MAX_SYMMETRIC_QUBITS, where the overlap of |+>^n is 2^-1022
+    mpmath = pytest.importorskip("mpmath")
+    noise = NoiseConfig(0.2)
+    trace = train_layerwise_noisy(n, depth, noise, rng=np.random.default_rng(n))
+    rng = np.random.default_rng(n)
+    with mpmath.workdps(30):
+        half = mpmath.sqrt(mpmath.mpf(0.5))
+        coefs, states = [mpmath.mpc(1)], [[(half, half)] * n]
+        for record in trace.records:
+            (pre, pre_phis), (post, post_phis) = densecore.sample_layer_noise(n, noise, rng)
+            gamma, beta = mpmath.mpf(record.angles.gamma), mpmath.mpf(record.angles.beta)
+            c, s = mpmath.cos(beta), -1j * mpmath.sin(beta)
+            phases = [[mpmath.mpc(1)] * n for _ in range(2)]  # diag(1, e^{i phi}) before and after the mixer
+            for row, qubits, phis in ((phases[0], pre, pre_phis), (phases[1], post, post_phis)):
+                for q, phi in zip(qubits, phis):
+                    row[q] = mpmath.expj(mpmath.mpf(phi))
+            head = mpmath.fsum(k * mpmath.fprod(v[0] for v in vs) for k, vs in zip(coefs, states))
+            coefs.append((mpmath.expj(-gamma) - 1) * head)
+            states.append([(mpmath.mpc(1), mpmath.mpc(0))] * n)
+            states = [
+                [(c * v0 + s * p * v1, (s * v0 + c * p * v1) * d) for (v0, v1), p, d in zip(vs, *phases)]
+                for vs in states
+            ]
+            head = mpmath.fsum(k * mpmath.fprod(v[0] for v in vs) for k, vs in zip(coefs, states))
+            exact = abs(head) ** 2
+            assert abs(record.overlap - exact) <= 1e-11 * exact
 
 
 def test_noisy_trainer_runs_at_n_40():
@@ -991,12 +1023,9 @@ def test_noisy_layer_terms_match_dense_layer(granularity, kind, random_product_s
                 a_term, b_term = state.layer_terms(frozen[0]).split(beta)
                 dense = densecore.apply_layer_dense(psi, n, gamma, beta, frozen)
                 assert abs(a_term[0] * np.exp(-1j * gamma) + b_term[0] - dense[0]) < 1e-12
-                head = state.apply_layer(gamma, beta, frozen)
-                s = state.size
-                expanded = sum(
-                    c * functools.reduce(np.kron, v[::-1]) for c, v in zip(state.coefs[:s], state.vectors[:s])
-                )
-                assert abs(head - dense[0]) < 1e-12
+                after = state.apply_layer(gamma, beta, frozen)
+                expanded = sum(c * functools.reduce(np.kron, v[::-1]) for c, v in zip(after.coefs, after.vectors))
+                assert abs(after.head - dense[0]) < 1e-12
                 assert np.max(np.abs(expanded - dense)) < 1e-12
 
 
