@@ -117,7 +117,7 @@ def test_noiseless_layer(benchmark, carried, fraction):
 
 @pytest.fixture(
     scope="module",
-    params=[(n, granularity) for n in (4, 12, 20) for granularity in ("layer", "single_qubit")],
+    params=[(n, granularity) for n in (4, 12, 20, 100) for granularity in ("layer", "single_qubit")],
     ids=lambda p: f"n={p[0]}-{p[1]}",
 )
 def noisy_prefix(request):
@@ -127,15 +127,14 @@ def noisy_prefix(request):
     trace = training.train_layerwise_noisy(n, n // 2, noise, rng=np.random.default_rng(0))
     state, rng = densecore.ProductSum.plus(n), np.random.default_rng(0)
     for angles in trace.schedule():
-        state = state.apply_layer(angles.gamma, angles.beta, densecore.sample_layer_noise(n, noise, rng))
+        state = state.layer(densecore.sample_layer_noise(n, noise, rng)).apply(angles.gamma, angles.beta)
     return n, noise, state
 
 
 def noisy_layer(n, noise, state, settings, rng):
-    frozen = densecore.sample_layer_noise(n, noise, rng)
-    terms = state.layer_terms(frozen[0])
-    angles, _, _ = training._layer_step(terms, symcore.reported_overlap(state.head), 1.0, settings, rng)
-    return state.apply_layer(angles.gamma, angles.beta, frozen)
+    layer = state.layer(densecore.sample_layer_noise(n, noise, rng))
+    angles, _, _ = training._layer_step(layer.terms(), symcore.reported_overlap(state.head), 1.0, settings, rng)
+    return layer.apply(angles.gamma, angles.beta)
 
 
 def test_noisy_layer(benchmark, noisy_prefix):

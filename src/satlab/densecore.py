@@ -3,9 +3,11 @@ carries, and the full 2^n statevector simulator.
 
 Noise breaks the permutation symmetry that the Dicke-basis simulator rests
 on, but every noise event acts on one qubit, so a noisy circuit stays a sum
-of product states (ProductSum), one more per layer.  The 2^n simulator is
-the independent correctness oracle for both.  Basis index convention is
-little-endian: qubit 0 is the least-significant bit of the basis index.
+of product states (ProductSum), one more per layer.  A layer's frozen noise
+has one layout, per-qubit arrays (LayerNoise), which the product sum and the
+2^n simulator both read; the 2^n simulator is the independent correctness
+oracle for the product sum.  Basis index convention is little-endian: qubit
+0 is the least-significant bit of the basis index.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .symcore import LayerTerms, SymmetricState, _as_angles, binomial_sqrt, checked_amplitudes, mixer
+from .symcore import LayerTerms, SymmetricState, _as_angles, binomial_sqrt, checked_amplitudes
 
 MAX_DENSE_QUBITS = 24
 
@@ -49,8 +52,23 @@ class DenseState:
 
 # what counts as one noise slot: the whole layer unitary or one gate
 GRANULARITIES = ("layer", "single_qubit")
-# a noiseless layer's frozen noise: empty event lists before and after the mixer
-NOISELESS = ((np.empty(0, dtype=np.intp), np.empty(0)),) * 2
+
+
+class LayerNoise(NamedTuple):
+    """One layer's frozen noise, per qubit: the phase kicks before and after
+    its mixer, shape (n,) and 0 where a qubit has none, and the flip mask.
+    Before the mixer qubit q takes diag(1, e^{i pre_q}), then X where flips
+    is set; after the mixer it takes diag(1, e^{i post_q})."""
+
+    pre: np.ndarray
+    post: np.ndarray
+    flips: np.ndarray
+
+    @classmethod
+    def none(cls, n: int) -> LayerNoise:
+        """A noiseless layer's."""
+        zeros = np.zeros(n)
+        return cls(zeros, zeros, np.zeros(n, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -65,7 +83,8 @@ class NoiseConfig:
     slots 0 and n (after the phase separator and after the whole mixer), while
     "single_qubit" draws all n + 1.  kind="bitflip" swaps S(phi) for a
     deterministic X flip and exists only as a contrast experiment.  A layer
-    applies the draws folded into events before and after its mixer.
+    applies the draws folded per qubit before and after its mixer
+    (LayerNoise).
     """
 
     p_noise: float
@@ -153,155 +172,183 @@ def apply_x_rotation(amps: np.ndarray, beta: float, qubit: int, n: int) -> np.nd
     return out.reshape(amps.shape)
 
 
-def sample_noise_slot(n: int, noise: NoiseConfig, rng: np.random.Generator):
-    """Draw one slot's noise events: (qubit indices, phases or None).
+def sample_noise_slot(n: int, noise: NoiseConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one slot's noise per qubit: (phases, flips), 0 and False where no hit.
 
     Per qubit in ascending order a uniform decides whether the qubit is hit;
-    one normal phase is then drawn per hit qubit.  The fixed draw order makes
-    the stream reproducible.
+    one normal phase is then drawn per hit qubit, or a hit qubit flips.  The
+    fixed draw order makes the stream reproducible.
     """
-    hits = np.flatnonzero(rng.random(n) < noise.p_noise)
+    hits = rng.random(n) < noise.p_noise
+    phases = np.zeros(n)
     if noise.kind == "bitflip":
-        return hits, None
-    return hits, rng.normal(0.0, noise.phase_stddev, size=hits.size)
+        return phases, hits
+    phases[hits] = rng.normal(0.0, noise.phase_stddev, size=np.count_nonzero(hits))
+    return phases, np.zeros(n, dtype=bool)
 
 
-def apply_noise_events(amps: np.ndarray, n: int, events) -> np.ndarray:
-    """Apply an event list: S(phi) = diag(1, e^{i phi}) or an X flip per listed qubit."""
-    qubits, phis = events
-    if len(qubits) == 0:
-        return amps
+def apply_noise_events(amps: np.ndarray, n: int, phases: np.ndarray, flips=()) -> np.ndarray:
+    """Apply S(phases[q]) = diag(1, e^{i phases[q]}) on every qubit q, then X on every qubit set in flips."""
     amps = amps.copy()
-    for i, q in enumerate(qubits):
+    for q in np.flatnonzero(phases):
+        amps.reshape(1 << (n - 1 - q), 2, 1 << q)[:, 1, :] *= np.exp(1j * phases[q])
+    for q in np.flatnonzero(flips):
         view = amps.reshape(1 << (n - 1 - q), 2, 1 << q)
-        if phis is None:
-            view[:, [0, 1], :] = view[:, [1, 0], :]
-        else:
-            view[:, 1, :] *= np.exp(1j * phis[i])
+        view[:, [0, 1], :] = view[:, [1, 0], :]
     return amps
 
 
-def sample_layer_noise(n: int, noise: NoiseConfig, rng: np.random.Generator) -> tuple:
-    """Sample one layer's frozen noise as (pre, post), the events before and after its mixer.
+def sample_layer_noise(n: int, noise: NoiseConfig, rng: np.random.Generator) -> LayerNoise:
+    """Sample one layer's frozen noise: its slots (see NoiseConfig) drawn in order, folded per qubit.
 
-    The slots (see NoiseConfig) are drawn in order.  A phase kick on qubit q
-    in slot s <= q precedes X_q and commutes with the other rotations, so it
-    joins pre; a later kick joins post; kicks on one qubit add up.  X flips
-    commute with the X rotations: a layer's flips are one mask in pre.
+    A phase kick on qubit q in slot s <= q precedes X_q and commutes with the
+    other rotations, so it joins pre; a later kick joins post; kicks on one
+    qubit add up.  X flips commute with the X rotations, and a layer draws
+    either kicks or flips, so its flips are one mask before the mixer.
     """
-    kicks, flips = np.zeros((2, n)), np.zeros(n, dtype=bool)
+    pre, post, flips = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
     for s in range(n + 1) if noise.granularity == "single_qubit" else (0, n):
-        qubits, phis = sample_noise_slot(n, noise, rng)
-        if phis is None:
-            flips[qubits] ^= True
-        else:
-            kicks[(qubits < s).astype(np.intp), qubits] += phis  # row 0 pre, row 1 post
-    if noise.kind == "bitflip":
-        return (np.flatnonzero(flips), None), (np.empty(0, dtype=np.intp), None)
-    return tuple((np.flatnonzero(row), row[row != 0.0]) for row in kicks)
+        phases, hits = sample_noise_slot(n, noise, rng)
+        pre[s:] += phases[s:]
+        post[:s] += phases[:s]
+        flips ^= hits
+    return LayerNoise(pre, post, flips)
 
 
-def apply_layer_dense(amps: np.ndarray, n: int, gamma: float, beta: float, frozen=NOISELESS) -> np.ndarray:
-    """One circuit layer: rephase, pre, the n X rotations, post, for frozen = (pre, post)."""
-    pre, post = frozen
+def apply_layer_dense(
+    amps: np.ndarray, n: int, gamma: float, beta: float, frozen: LayerNoise | None = None
+) -> np.ndarray:
+    """One circuit layer: rephase, the pre kicks and flips, the n X rotations,
+    the post kicks; noiseless without frozen."""
+    pre, post, flips = LayerNoise.none(n) if frozen is None else frozen
     amps = amps.copy()
     amps[0] *= np.exp(-1j * gamma)
-    amps = apply_noise_events(amps, n, pre)
+    amps = apply_noise_events(amps, n, pre, flips)
     for q in range(n):
         amps = apply_x_rotation(amps, beta, q, n)
     return apply_noise_events(amps, n, post)
 
 
-@lru_cache(maxsize=None)
-def _roots(n: int) -> np.ndarray:
-    """z_j = exp(-2i beta_j) at beta_j = pi j / (n + 1), the n + 1 roots of unity (cached, read-only)."""
-    out = np.exp(-2j * np.pi * np.arange(n + 1) / (n + 1))
-    out.setflags(write=False)
-    return out
+@lru_cache(maxsize=8)
+def _dft_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """At z_j = exp(-2i beta_j), beta_j = pi j / (n + 1), the n + 1 roots of
+    unity: the bra <0|e^{-i beta X} = e^{i beta} ((1 + z) / 2, (z - 1) / 2)
+    without its factor e^{i beta}, shape (2, n + 1), and the inverse DFT of
+    length n + 1 as a matrix, which costs less than an FFT call at small n.
+    Read-only, and cached for the last few n: the matrix holds (n + 1)^2
+    entries."""
+    k = np.arange(n + 1)
+    z = np.exp(-2j * np.pi * k / (n + 1))
+    inverse_dft = np.exp(2j * np.pi * (np.outer(k, k) % (n + 1)) / (n + 1)) / (n + 1)
+    tables = np.array(((1.0 + z) / 2, (z - 1.0) / 2)), inverse_dft
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
-# (w_0, w_1) -> (alpha, delta) = ((w_0 - w_1) / 2, (w_0 + w_1) / 2)
-_HALVES = np.array(((0.5, -0.5), (0.5, 0.5)), dtype=complex)
+# complex entries per block of _product_over_qubits
+PRODUCT_BLOCK = 1 << 18
 
 
-def _times_pre(base: np.ndarray, n: int, pre) -> np.ndarray:
-    """base P_q for every qubit q, (n, 2, 2), P_q being its events in pre:
-    diag(1, e^{i phi}) for a kick, X for a flip, I for none."""
-    qubits, phis = pre
-    out = np.empty((n, 2, 2), dtype=complex)
-    out[:] = base
-    if len(qubits):
-        if phis is None:
-            out[qubits] = base[:, ::-1]
-        else:
-            out[qubits, :, 1] *= np.exp(1j * phis)[:, None]
+def _product_over_qubits(rows: np.ndarray, bra: np.ndarray) -> np.ndarray:
+    """prod_q rows[q, s] . bra[:, j] for every row s and column j, from rows
+    of shape (n, S, 2).  The factors are formed a block of qubits at a time,
+    at most PRODUCT_BLOCK entries, and multiplied in qubit order: the product
+    so far times each block's first factor."""
+    n, size = rows.shape[:2]
+    step = max(1, PRODUCT_BLOCK // (size * bra.shape[1]))
+    out = None
+    for lo in range(0, n, step):
+        block = rows[lo : lo + step] @ bra
+        if out is not None:
+            np.multiply(out, block[0], out=block[0])
+        out = np.multiply.reduce(block, axis=0)
     return out
 
 
 class ProductSum:
     """A noisy circuit's state as a sum of product states, sum_s coefs[s]
-    ⊗_q vectors[s, q], vectors[s, q] being qubit q's two-vector.  A value:
-    apply_layer returns the next ProductSum and leaves this one as it was.
+    ⊗_q vectors[q, s], held qubit-major: vectors[q, s] is qubit q's
+    two-vector in product state s, shape (n, S, 2).  A value: a layer
+    returns the next ProductSum and leaves this one as it was.
 
     Every noise event acts on one qubit, so a layer's unitary after its phase
-    separator is a product of one-qubit unitaries U_q = D(post_q) e^{-i beta
-    X} P_q, P_q being qubit q's pre events, and the phase separator adds one
-    product state, (e^{-i gamma} - 1) head |0...0>.  After p layers from
-    |+>^n (plus) the state is p + 1 product states, O(pn) numbers where the
-    dense state holds 2^n.  head is the target amplitude <0...0|psi> =
-    coefs . prod_q vectors[:, q, 0].
+    separator is a product of one-qubit unitaries D(post_q) e^{-i beta X} P_q,
+    P_q being qubit q's pre noise, and the phase separator adds one product
+    state, (e^{-i gamma} - 1) head |0...0>.  After p layers from |+>^n (plus)
+    the state is p + 1 product states, O(pn) numbers where the dense state
+    holds 2^n.  head is the target amplitude <0...0|psi> = coefs . prod_q
+    vectors[q, :, 0].  A layer goes in two steps: layer(frozen) applies the
+    pre noise once, and the NoisyLayer it returns gives the layer's terms
+    and, for the chosen angles, the next ProductSum.
     """
 
     def __init__(self, coefs, vectors):
         self.coefs, self.vectors = np.asarray(coefs, dtype=complex), np.asarray(vectors, dtype=complex)
-        self.head = complex(self.coefs @ np.multiply.reduce(self.vectors[:, :, 0], axis=1))
+        self.head = complex(self.coefs @ np.multiply.reduce(self.vectors[:, :, 0], axis=0))
 
     @classmethod
     def plus(cls, n: int) -> ProductSum:
         """|+>^n."""
-        return cls([1.0], np.full((1, n, 2), math.sqrt(0.5)))
+        return cls([1.0], np.full((n, 1, 2), math.sqrt(0.5)))
 
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[1]
+    def layer(self, frozen: LayerNoise) -> NoisyLayer:
+        """The next layer up to its angles, for its frozen noise (sample_layer_noise).
 
-    def layer_terms(self, pre) -> LayerTerms:
-        """Split the target amplitude of the next layer by its gamma dependence.
-
-        pre is the layer's frozen noise before its mixer (sample_layer_noise);
-        post fixes <0| and drops out.  With w = P_q v the pre-noised vectors,
-        <0|e^{-i beta X} w = e^{i beta} (alpha + delta z) per qubit, alpha =
-        (w_0 - w_1) / 2, delta = (w_0 + w_1) / 2 and z = e^{-2i beta}, so the
-        rephase-free part of the amplitude, e^{i n beta} times a polynomial of
-        degree n in z, is evaluated at the n + 1 roots of unity and one inverse
-        FFT gives its coefficients over the mixer's eigenvalues.  The phase
-        separator's share moves to A = head <0|e^{-i beta X}|f>, f being the
-        flip mask of weight m, so head times row m of the mixer's bra_coefs
-        leaves B.  B(0) = <0|P psi> - head <0|f> is exactly 0 without flips
-        and coefs . prod_q w_0 with them, w_0 = alpha + delta.
+        Its rows are the pre-noised vectors P_q v of every product state,
+        P_q = X^{f_q} diag(1, e^{i pre_q}), and one more, P|0...0> = |f>, f
+        the flip mask, whose coefficient is -head until gamma is chosen.
         """
-        qubits, phis = pre
-        n = self.n
-        alpha, delta = (_times_pre(_HALVES, n, pre) @ self.vectors[..., None]).T[0]  # each (n, S)
-        factors = delta[:, :, None] * _roots(n)
-        factors += alpha[:, :, None]
-        b = np.fft.ifft(self.coefs @ np.multiply.reduce(factors, axis=0))
-        flips = len(qubits) if phis is None else 0
-        b -= self.head * mixer(n).bra_coefs[flips]
-        b_zero = complex(self.coefs @ np.multiply.reduce(alpha + delta, axis=0)) if flips else 0.0
-        return LayerTerms(self.head, flips, b, b_zero)
+        n, size = self.vectors.shape[:2]
+        rows = np.zeros((n, size + 1, 2), dtype=complex)
+        rows[:, :size] = self.vectors
+        rows[:, size, 0] = 1.0
+        rows[:, :, 1] *= np.exp(1j * frozen.pre)[:, None]
+        m = int(np.count_nonzero(frozen.flips))
+        if m:
+            rows[frozen.flips] = rows[frozen.flips, :, ::-1]
+        return NoisyLayer(rows, np.concatenate((self.coefs, (-self.head,))), self.head, m, frozen.post)
 
-    def apply_layer(self, gamma: float, beta: float, frozen) -> ProductSum:
-        """The state after one layer, frozen = (pre, post): every product
-        state by the batched U_q = D(post_q) e^{-i beta X} P_q, then U e_0
-        appended with coefficient (e^{-i gamma} - 1) head."""
-        pre, (qubits, phis) = frozen
+
+class NoisyLayer:
+    """A ProductSum's next layer before its angles are chosen: the
+    pre-noised rows (n, S + 1, 2), the last one |f> of weight m, their
+    coefficients coefs, the last one -head, and the phase kicks after the
+    mixer, post.
+
+    Up to the mixer the layer's state is sum_s coefs[s] ⊗_q rows[q, s] +
+    e^{-i gamma} head |f>, so terms splits its target amplitude by gamma,
+    and apply sends the same rows through the mixer and the post kicks.
+    """
+
+    def __init__(self, rows: np.ndarray, coefs: np.ndarray, head: complex, m: int, post: np.ndarray):
+        self.rows, self.coefs, self.head, self.m, self.post = rows, coefs, head, m, post
+
+    def terms(self) -> LayerTerms:
+        """Split the target amplitude of the layer by its gamma dependence.
+
+        Per qubit <0|e^{-i beta X} w = e^{i beta} (w_0 (1 + z) + w_1 (z - 1)) / 2
+        with z = e^{-2i beta}, so B, the coefs-weighted sum over the rows,
+        is e^{i n beta} times a polynomial of degree n in z: it is evaluated
+        at the n + 1 roots of unity, and the inverse DFT gives its
+        coefficients over the mixer's eigenvalues.  A = head <0|e^{-i beta
+        X}|f>.  B(0) is exactly 0 without flips, where the rows' w_0 give
+        head, and coefs . prod_q w_0 with them.
+        """
+        bra, inverse_dft = _dft_tables(self.rows.shape[0])
+        b = (self.coefs @ _product_over_qubits(self.rows, bra)) @ inverse_dft
+        b_zero = complex(self.coefs @ np.multiply.reduce(self.rows[:, :, 0], axis=0)) if self.m else 0.0
+        return LayerTerms(self.head, self.m, b, b_zero)
+
+    def apply(self, gamma: float, beta: float) -> ProductSum:
+        """The state after the layer: every row by D(post_q) e^{-i beta X},
+        the last one's coefficient (e^{-i gamma} - 1) head."""
         c, t = math.cos(beta), -1j * math.sin(beta)
-        u = _times_pre(np.array(((c, t), (t, c))), self.n, pre)
-        if len(qubits):
-            u[qubits, 1] *= np.exp(1j * phis)[:, None]
-        vectors = np.concatenate(((u @ self.vectors[..., None])[..., 0], u[None, :, :, 0]))
-        return ProductSum(np.append(self.coefs, (cmath.exp(-1j * gamma) - 1.0) * self.head), vectors)
+        rows = self.rows @ np.array(((c, t), (t, c)))  # symmetric, so each row v goes to e^{-i beta X} v
+        rows[:, :, 1] *= np.exp(1j * self.post)[:, None]
+        coefs = self.coefs.copy()
+        coefs[-1] = (cmath.exp(-1j * gamma) - 1.0) * self.head
+        return ProductSum(coefs, rows)
 
 
 def run_schedule_dense(
@@ -322,6 +369,6 @@ def run_schedule_dense(
     amps = plus_state_dense(n)
     for layer in schedule:
         angles = _as_angles(layer)
-        frozen = NOISELESS if noise is None else sample_layer_noise(n, noise, rng)
+        frozen = None if noise is None else sample_layer_noise(n, noise, rng)
         amps = apply_layer_dense(amps, n, angles.gamma, angles.beta, frozen)
     return DenseState(n, amps)

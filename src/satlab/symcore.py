@@ -123,7 +123,7 @@ class MixerGenerator:
     first row of its eigenvectors is r = plus_state's amplitudes, held in
     closed form as row; |+>^n is e_n in this basis.  bra_coefs holds the
     Fourier coefficients of the product bra <0|mixer(beta), which
-    LayerTerms.from_sums and densecore.ProductSum read, and bra_moduli the
+    LayerTerms.from_sums reads, and bra_moduli the
     moduli of its entries on a beta grid, which LayerTerms.grid reads.  The
     eigenvectors V are built on first use by numpy.linalg.eigh, each column
     signed so that V[0] > 0 like r, and only up to MAX_EIGENVECTOR_QUBITS;

@@ -538,19 +538,20 @@ def train_layerwise_noisy(
 ) -> TrainingTrace:
     """Greedy layerwise training with frozen coherent noise per layer.
 
-    When a layer is appended its noise is sampled once and frozen as the
-    events before and after its mixer (densecore.sample_layer_noise), so the
-    layer is optimized against a fixed systematic error; earlier layers
-    keep their own frozen noise.  Every noise event acts on one qubit, so the
-    circuit's state after p layers is a sum of p + 1 product states
-    (densecore.ProductSum), never its 2^n amplitudes.  The target amplitude
-    of the noisy layer still splits as A(beta) exp(-i*gamma) + B(beta)
-    (ProductSum.layer_terms), so the layer takes the noiseless trainers'
-    _layer_step at fraction 1.  Like train_cutoff's (t, head), the trainer
-    carries the product sum, replaced by ProductSum.apply_layer's value at
-    each layer, and its reported_overlap of head, which is recorded and is
-    the next step's current overlap.  The noise is drawn from rng, which is
-    required.
+    When a layer is appended its noise is sampled once and frozen
+    (densecore.sample_layer_noise), so the layer is optimized against a
+    fixed systematic error; earlier layers keep their own frozen noise.
+    Every noise event acts on one qubit, so the circuit's state after p
+    layers is a sum of p + 1 product states (densecore.ProductSum), never
+    its 2^n amplitudes.  ProductSum.layer applies the layer's noise before
+    its mixer once; the target amplitude still splits as A(beta)
+    exp(-i*gamma) + B(beta) (NoisyLayer.terms), so the layer takes the
+    noiseless trainers' _layer_step at fraction 1, and NoisyLayer.apply
+    sends the same pre-noised rows through the chosen layer.  Like
+    train_cutoff's (t, head), the trainer carries the product sum and its
+    reported_overlap of head, which is recorded and is the next step's
+    current overlap; only densecore reads the noise.  The noise is drawn
+    from rng, which is required.
     """
     if n < 1 or max_depth < 1:
         raise ValueError("n and max_depth must be >= 1")
@@ -563,9 +564,9 @@ def train_layerwise_noisy(
     trace = TrainingTrace(n)
     for _ in range(max_depth):
         t0 = time.perf_counter()
-        frozen = densecore.sample_layer_noise(n, noise, rng)
-        angles, _, evals = _layer_step(state.layer_terms(frozen[0]), overlap, 1.0, settings, rng)
-        state = state.apply_layer(angles.gamma, angles.beta, frozen)
+        layer = state.layer(densecore.sample_layer_noise(n, noise, rng))
+        angles, _, evals = _layer_step(layer.terms(), overlap, 1.0, settings, rng)
+        state = layer.apply(angles.gamma, angles.beta)
         overlap = symcore.reported_overlap(state.head)
         trace.records.append(LayerRecord(angles, overlap, time.perf_counter() - t0, evals))
     return trace

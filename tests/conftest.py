@@ -34,7 +34,7 @@ def _random_product_sum(n: int, rand: np.random.Generator, dense: bool = True):
     gram = np.prod(np.einsum("sqi,tqi->stq", vectors.conj(), vectors), axis=2)
     coefs /= math.sqrt((coefs.conj() @ gram @ coefs).real)
     amps = sum(c * functools.reduce(np.kron, v[::-1]) for c, v in zip(coefs, vectors)) if dense else None
-    return densecore.ProductSum(coefs, vectors), amps
+    return densecore.ProductSum(coefs, vectors.swapaxes(0, 1)), amps
 
 
 @pytest.fixture

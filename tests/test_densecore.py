@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from satlab import symcore
+from satlab import densecore, symcore
 from satlab.densecore import (
     DenseState,
     NoiseConfig,
@@ -130,9 +132,9 @@ def gate_by_gate_layer(psi, n, gamma, beta, slots):
     """Reference layer: rephase, slot 0, then each X_q followed by slot q + 1."""
     out = psi.copy()
     out[0] *= np.exp(-1j * gamma)
-    out = apply_noise_events(out, n, slots[0])
+    out = apply_noise_events(out, n, *slots[0])
     for q in range(n):
-        out = apply_noise_events(apply_x_rotation(out, beta, q, n), n, slots[q + 1])
+        out = apply_noise_events(apply_x_rotation(out, beta, q, n), n, *slots[q + 1])
     return out
 
 
@@ -141,33 +143,37 @@ def test_noise_slot_layout(kind):
     # sample_layer_noise draws from the same stream positions as one
     # sample_noise_slot call per drawn slot (0 and n at layer granularity, all
     # n + 1 at single_qubit) and leaves the generator in the same state.  Its
-    # (pre, post) fold applies as the gate-by-gate layer does: bitwise, except
+    # per-qubit fold applies as the gate-by-gate layer does: bitwise, except
     # that single_qubit phase kicks on one qubit are summed before they are
-    # exponentiated
+    # exponentiated.  At layer granularity the fold is the two slots' arrays
     rand = np.random.default_rng(21)
-    empty = (np.empty(0, dtype=np.intp), None if kind == "bitflip" else np.empty(0))
     for granularity in ("layer", "single_qubit"):
         noise = NoiseConfig(0.6, granularity=granularity, kind=kind)
         events = 0
         for n in range(1, 9):
+            empty = (np.zeros(n), np.zeros(n, dtype=bool))
             for _ in range(30):
                 seed = int(rand.integers(2**32))
                 rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-                pre, post = sample_layer_noise(n, noise, rng)
+                frozen = sample_layer_noise(n, noise, rng)
                 if granularity == "layer":
                     first, last = sample_noise_slot(n, noise, twin), sample_noise_slot(n, noise, twin)
                     slots = [first, *[empty] * (n - 1), last]
+                    assert np.array_equal(frozen.pre, first[0]) and np.array_equal(frozen.post, last[0])
                 else:
                     slots = [sample_noise_slot(n, noise, twin) for _ in range(n + 1)]
                 assert rng.random() == twin.random()
+                assert np.array_equal(frozen.flips, np.logical_xor.reduce([flips for _, flips in slots]))
                 if kind == "bitflip":
-                    assert len(post[0]) == 0
-                events += len(pre[0]) + len(post[0])
+                    assert not frozen.pre.any() and not frozen.post.any()
+                else:
+                    assert not frozen.flips.any()
+                events += np.count_nonzero(frozen.pre) + np.count_nonzero(frozen.post) + np.count_nonzero(frozen.flips)
 
                 psi = rand.normal(size=1 << n) + 1j * rand.normal(size=1 << n)
                 psi /= np.linalg.norm(psi)
                 gamma, beta = rand.uniform(0, 2 * np.pi), rand.uniform(0, np.pi)
-                got = apply_layer_dense(psi, n, gamma, beta, (pre, post))
+                got = apply_layer_dense(psi, n, gamma, beta, frozen)
                 want = gate_by_gate_layer(psi, n, gamma, beta, slots)
                 if granularity == "layer" or kind == "bitflip":
                     assert np.array_equal(got, want)
@@ -190,7 +196,7 @@ def test_phase_kick_overlap_identity():
     # |<+|S(phi)|+>|^2 = cos^2(phi/2), checked through the simulator itself
     plus = plus_state_dense(1)
     for phi in (0.3, -1.2, 2.5):
-        out = apply_noise_events(plus, 1, (np.array([0]), np.array([phi])))
+        out = apply_noise_events(plus, 1, np.array([phi]))
         assert abs(np.vdot(plus, out)) ** 2 == pytest.approx(np.cos(phi / 2) ** 2, abs=1e-12)
 
 
@@ -217,7 +223,7 @@ def test_small_angle_amplitude_expansion(sigma):
     phis = rand.normal(0, sigma, 200_000)
     # spot check that the simulator realizes the analytic kick amplitude
     for phi in phis[:50]:
-        kicked = apply_noise_events(psi, 1, (np.array([0]), np.array([phi])))
+        kicked = apply_noise_events(psi, 1, np.array([phi]))
         analytic = (1 - p1) + p1 * np.exp(1j * phi)
         assert np.vdot(psi, kicked) == pytest.approx(analytic, abs=1e-12)
     amp = np.abs((1 - p1) + p1 * np.exp(1j * phis))
@@ -240,8 +246,7 @@ def test_amplitude_loss_scales_with_population_product():
 def test_phase_events_leave_target_amplitude():
     # S(phi) is diagonal with 1 on every bit-0 entry, so amp(0) never moves
     amps = plus_state_dense(3)
-    events = (np.array([0, 2]), np.array([0.3, -1.1]))
-    out = apply_noise_events(amps, 3, events)
+    out = apply_noise_events(amps, 3, np.array([0.3, 0.0, -1.1]))
     assert out[0] == amps[0]
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
@@ -257,14 +262,16 @@ def test_phase_events_match_basis_state_formula():
         phis = rand.normal(size=qubits.size)
         idx = np.arange(1 << n)
         phase = sum(phi * ((idx >> q) & 1) for q, phi in zip(qubits, phis))
-        out = apply_noise_events(amps, n, (qubits, phis))
+        phases = np.zeros(n)
+        phases[qubits] = phis
+        out = apply_noise_events(amps, n, phases)
         assert np.max(np.abs(out - amps * np.exp(1j * phase))) < 1e-15
 
 
 def test_bitflip_events_swap_amplitudes():
     amps = np.zeros(4, dtype=complex)
     amps[0] = 1.0
-    out = apply_noise_events(amps, 2, (np.array([1]), None))
+    out = apply_noise_events(amps, 2, np.zeros(2), np.array([False, True]))
     assert out[2] == 1.0 and out[0] == 0.0
 
 
@@ -272,10 +279,13 @@ def test_sample_noise_slot_probability_extremes():
     rand = np.random.default_rng(18)
     none_cfg = NoiseConfig(p_noise=0.0)
     all_cfg = NoiseConfig(p_noise=1.0)
-    qubits, phis = sample_noise_slot(5, none_cfg, rand)
-    assert qubits.size == 0 and phis.size == 0
-    qubits, phis = sample_noise_slot(5, all_cfg, rand)
-    assert qubits.size == 5 and phis.size == 5
+    phases, flips = sample_noise_slot(5, none_cfg, rand)
+    assert phases.shape == flips.shape == (5,)
+    assert np.count_nonzero(phases) == 0 and np.count_nonzero(flips) == 0
+    phases, flips = sample_noise_slot(5, all_cfg, rand)
+    assert np.count_nonzero(phases) == 5 and np.count_nonzero(flips) == 0
+    phases, flips = sample_noise_slot(5, NoiseConfig(p_noise=1.0, kind="bitflip"), rand)
+    assert np.count_nonzero(phases) == 0 and np.count_nonzero(flips) == 5
 
 
 # ------------------------------------------------------------------ overlap
@@ -336,9 +346,9 @@ def test_noisy_layer_fft_grid_matches_direct_curve(granularity, kind, random_pro
     flipped = 0
     for _ in range(8):
         state, psi = random_product_sum(n, rand)
-        pre, _ = sample_layer_noise(n, noise, rand)
-        terms = state.layer_terms(pre)
-        mask = sum(1 << int(q) for q in pre[0]) if kind == "bitflip" else 0
+        frozen = sample_layer_noise(n, noise, rand)
+        terms = state.layer(frozen).terms()
+        mask = sum(1 << int(q) for q in np.flatnonzero(frozen.flips))
         for m in (2, 3, 2048):
             betas = np.linspace(0, np.pi, m, endpoint=False)
             assert np.max(np.abs(terms.grid(m) - terms.curve(betas))) < 1e-13
@@ -357,9 +367,13 @@ def _bits(state):
     return state.coefs.tobytes(), state.vectors.tobytes(), np.complex128(state.head).tobytes()
 
 
+def _advance(state, gamma, beta, frozen):
+    return state.layer(frozen).apply(gamma, beta)
+
+
 @pytest.mark.parametrize("kind", ["phase", "bitflip"])
 def test_product_sum_apply_layer_returns_a_value(kind):
-    # apply_layer leaves its input bitwise as it was, so one prefix extended
+    # a layer leaves its input bitwise as it was, so one prefix extended
     # by two different layers gives, bitwise, each layer's replay from |+>^n
     rand = np.random.default_rng(43)
     noise = NoiseConfig(0.5, granularity="single_qubit", kind=kind)
@@ -367,13 +381,43 @@ def test_product_sum_apply_layer_returns_a_value(kind):
         layers = [(*rand.uniform(0, np.pi, size=2), sample_layer_noise(n, noise, rand)) for _ in range(5)]
         prefix = ProductSum.plus(n)
         for layer in layers[:3]:
-            prefix = prefix.apply_layer(*layer)
+            prefix = _advance(prefix, *layer)
         before = _bits(prefix)
-        ends = [prefix.apply_layer(*layer) for layer in layers[3:]]
+        ends = [_advance(prefix, *layer) for layer in layers[3:]]
         assert _bits(prefix) == before
         for last, end in zip(layers[3:], ends):
             replay = ProductSum.plus(n)
             for layer in (*layers[:3], last):
-                replay = replay.apply_layer(*layer)
+                replay = _advance(replay, *layer)
             assert _bits(replay) == _bits(end)
         assert _bits(ends[0]) != _bits(ends[1])
+
+
+def test_layer_terms_product_is_the_same_in_blocks(monkeypatch):
+    # the product over qubits runs in qubit order block after block, so
+    # blocks of one qubit give the one-block terms bitwise
+    rand = np.random.default_rng(47)
+    n, size = 9, 4
+    state = ProductSum(rand.normal(size=size) + 1j * rand.normal(size=size), rand.normal(size=(n, size, 2)) + 0j)
+    layer = state.layer(sample_layer_noise(n, NoiseConfig(0.5), rand))
+    whole = layer.terms()
+    monkeypatch.setattr(densecore, "PRODUCT_BLOCK", 1)
+    blocked = layer.terms()
+    assert np.array_equal(blocked.b, whole.b) and blocked.b_zero == whole.b_zero
+
+
+def test_layer_terms_memory_is_bounded():
+    # one layer's terms at n = S = 200 form the (n, S, n + 1) factors a block
+    # of PRODUCT_BLOCK entries at a time: all at once they take 132 MB
+    rand = np.random.default_rng(53)
+    n = 200
+    state = ProductSum(rand.normal(size=n) + 1j * rand.normal(size=n), rand.normal(size=(n, n, 2)) + 0j)
+    frozen = sample_layer_noise(n, NoiseConfig(0.1), rand)
+    tracemalloc.start()
+    try:
+        terms = state.layer(frozen).terms()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert terms.b.shape == (n + 1,) and np.all(np.isfinite(terms.b))
+    assert peak <= 16e6

@@ -600,8 +600,7 @@ def test_layer_terms_derivatives_match_central_differences(n, random_product_sum
             densecore.NoiseConfig(0.5, kind="bitflip"),
         ):
             state, _ = random_product_sum(n, rand, dense=False)
-            pre, _ = densecore.sample_layer_noise(n, noise, rand)
-            all_terms.append(state.layer_terms(pre))
+            all_terms.append(state.layer(densecore.sample_layer_noise(n, noise, rand)).terms())
     h = 1e-4 / n
     for terms in all_terms:
         f = terms.value

@@ -917,8 +917,8 @@ def test_noisy_trainer_replays_bitwise(granularity, kind):
             schedule = trace.schedule()
             state, rng = densecore.ProductSum.plus(n), np.random.default_rng(seed)
             for depth, record in enumerate(trace.records, start=1):
-                frozen = densecore.sample_layer_noise(n, noise, rng)
-                state = state.apply_layer(record.angles.gamma, record.angles.beta, frozen)
+                layer = state.layer(densecore.sample_layer_noise(n, noise, rng))
+                state = layer.apply(record.angles.gamma, record.angles.beta)
                 assert record.overlap == symcore.reported_overlap(state.head)
                 replay = densecore.run_schedule_dense(n, schedule[:depth], noise, np.random.default_rng(seed))
                 assert abs(record.overlap - densecore.overlap_dense(replay)) <= 1e-14
@@ -960,13 +960,14 @@ def test_noisy_overlaps_match_mpmath_to_the_validity_ceiling(n, depth):
         half = mpmath.sqrt(mpmath.mpf(0.5))
         coefs, states = [mpmath.mpc(1)], [[(half, half)] * n]
         for record in trace.records:
-            (pre, pre_phis), (post, post_phis) = densecore.sample_layer_noise(n, noise, rng)
+            frozen = densecore.sample_layer_noise(n, noise, rng)
+            assert not frozen.flips.any()
             gamma, beta = mpmath.mpf(record.angles.gamma), mpmath.mpf(record.angles.beta)
             c, s = mpmath.cos(beta), -1j * mpmath.sin(beta)
             phases = [[mpmath.mpc(1)] * n for _ in range(2)]  # diag(1, e^{i phi}) before and after the mixer
-            for row, qubits, phis in ((phases[0], pre, pre_phis), (phases[1], post, post_phis)):
-                for q, phi in zip(qubits, phis):
-                    row[q] = mpmath.expj(mpmath.mpf(phi))
+            for row, kicks in zip(phases, (frozen.pre, frozen.post)):
+                for q in np.flatnonzero(kicks):
+                    row[q] = mpmath.expj(mpmath.mpf(kicks[q]))
             head = mpmath.fsum(k * mpmath.fprod(v[0] for v in vs) for k, vs in zip(coefs, states))
             coefs.append((mpmath.expj(-gamma) - 1) * head)
             states.append([(mpmath.mpc(1), mpmath.mpc(0))] * n)
@@ -1014,17 +1015,19 @@ def test_noisy_layer_terms_match_dense_layer(granularity, kind, random_product_s
     # the product sum after the layer expands to the dense layer's state
     rand = np.random.default_rng(31)
     for n in range(1, 6):
-        for p in (0.0, 0.3, 0.7):
+        for p in (0.0, 0.3, 0.7, 1.0):
             noise = NoiseConfig(p, granularity=granularity, kind=kind)
             for _ in range(6):
                 state, psi = random_product_sum(n, rand)
                 frozen = densecore.sample_layer_noise(n, noise, rand)
                 gamma, beta = rand.uniform(0, 2 * np.pi), rand.uniform(0, np.pi)
-                a_term, b_term = state.layer_terms(frozen[0]).split(beta)
+                layer = state.layer(frozen)
+                a_term, b_term = layer.terms().split(beta)
                 dense = densecore.apply_layer_dense(psi, n, gamma, beta, frozen)
                 assert abs(a_term[0] * np.exp(-1j * gamma) + b_term[0] - dense[0]) < 1e-12
-                after = state.apply_layer(gamma, beta, frozen)
-                expanded = sum(c * functools.reduce(np.kron, v[::-1]) for c, v in zip(after.coefs, after.vectors))
+                after = layer.apply(gamma, beta)
+                states = after.vectors.swapaxes(0, 1)
+                expanded = sum(c * functools.reduce(np.kron, v[::-1]) for c, v in zip(after.coefs, states))
                 assert abs(after.head - dense[0]) < 1e-12
                 assert np.max(np.abs(expanded - dense)) < 1e-12
 
