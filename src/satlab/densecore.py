@@ -20,7 +20,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .symcore import LayerTerms, SymmetricState, _as_angles, binomial_sqrt, checked_amplitudes
+from .symcore import (
+    DFT_TABLE_ENTRIES,
+    LayerTerms,
+    SymmetricState,
+    _as_angles,
+    binomial_sqrt,
+    checked_amplitudes,
+    dft_matrix,
+)
 
 MAX_DENSE_QUBITS = 24
 
@@ -230,20 +238,24 @@ def apply_layer_dense(
 
 
 @lru_cache(maxsize=8)
-def _dft_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _dft_tables(n: int) -> tuple[np.ndarray, np.ndarray | None]:
     """At z_j = exp(-2i beta_j), beta_j = pi j / (n + 1), the n + 1 roots of
     unity: the bra <0|e^{-i beta X} = e^{i beta} ((1 + z) / 2, (z - 1) / 2)
     without its factor e^{i beta}, shape (2, n + 1), and the inverse DFT of
-    length n + 1 as a matrix, which costs less than an FFT call at small n.
-    Read-only, and cached for the last few n: the matrix holds (n + 1)^2
-    entries."""
-    k = np.arange(n + 1)
-    z = np.exp(-2j * np.pi * k / (n + 1))
-    inverse_dft = np.exp(2j * np.pi * (np.outer(k, k) % (n + 1)) / (n + 1)) / (n + 1)
-    tables = np.array(((1.0 + z) / 2, (z - 1.0) / 2)), inverse_dft
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    length n + 1 as a matrix (symcore.dft_matrix), or None past
+    DFT_TABLE_ENTRIES = 2^16 entries (n > 255), where np.fft.ifft takes its
+    place.  Read-only, and cached for the last few n.  On one 2-vCPU VM the
+    matrix product against ifft took 0.8 against 3.8 us at n = 31, 3.7
+    against 4.5 at n = 127 and 12.5 against 5.4 at n = 255; at n = 1022 a
+    matrix would be 16 MB and take 250 us against 14.  Between n = 140 or so
+    and 255 the matrix loses a few us, small against the product over
+    qubits, O(n^2 S)."""
+    z = np.exp(-2j * np.pi * np.arange(n + 1) / (n + 1))
+    bra = np.array(((1.0 + z) / 2, (z - 1.0) / 2))
+    bra.setflags(write=False)
+    if (n + 1) ** 2 > DFT_TABLE_ENTRIES:
+        return bra, None
+    return bra, dft_matrix(n + 1, n + 1, inverse=True)
 
 
 # complex entries per block of _product_over_qubits
@@ -336,7 +348,8 @@ class NoisyLayer:
         head, and coefs . prod_q w_0 with them.
         """
         bra, inverse_dft = _dft_tables(self.rows.shape[0])
-        b = (self.coefs @ _product_over_qubits(self.rows, bra)) @ inverse_dft
+        values = self.coefs @ _product_over_qubits(self.rows, bra)
+        b = np.fft.ifft(values) if inverse_dft is None else values @ inverse_dft
         b_zero = complex(self.coefs @ np.multiply.reduce(self.rows[:, :, 0], axis=0)) if self.m else 0.0
         return LayerTerms(self.head, self.m, b, b_zero)
 

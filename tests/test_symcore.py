@@ -424,14 +424,19 @@ def test_one_layer_amplitude_recursion():
 
 # ------------------------------------------------------------ spectral form
 
-@pytest.mark.parametrize("n", [1, 5, 40])
+# grid sizes on both sides of LayerTerms.grid's choice between its DFT table
+# and the FFT: at most 32 coefficients up to m = 2048, 16 at m = 4096; m = 2,
+# 3 fold the n + 1 frequencies modulo m once n + 1 > m
+GRID_SIZES = (2, 3, 64, 1000, 2048, 4096)
+
+
+@pytest.mark.parametrize("n", [1, 5, 31, 32, 40])
 def test_fft_grid_matches_direct_curve(n):
-    # m = 2, 3 fold the n + 1 frequencies modulo m once n + 1 > m
     rand = np.random.default_rng(40 + n)
     states = [plus_state(n), random_symmetric_state(n, rand), run_schedule(n, random_schedule(n, 3, rand))]
     for s in states:
         terms = symcore.layer_terms(s)
-        for m in (2, 3, 64, 2048):
+        for m in GRID_SIZES:
             betas = np.linspace(0, np.pi, m, endpoint=False)
             assert np.max(np.abs(terms.grid(m) - terms.curve(betas))) < 1e-13
         betas = rand.uniform(0, np.pi, 16)
@@ -439,20 +444,25 @@ def test_fft_grid_matches_direct_curve(n):
         assert np.max(np.abs(scalar - terms.curve(betas))) < 1e-14
 
 
-@pytest.mark.parametrize("n", [1, 4, 9, 30])
+@pytest.mark.parametrize("n", [1, 4, 9, 30, 31, 32])
 def test_fft_grid_matches_direct_curve_at_every_a_weight(n):
-    # grid adds |a| times the mixer's cached table to one FFT of b
+    # grid adds |a| times the mixer's cached table to the DFT of b
     rand = np.random.default_rng(80 + n)
     sums = rand.normal(size=n + 1) + 1j * rand.normal(size=n + 1)
     sums /= np.linalg.norm(sums)
     gen = mixer(n)
     for weight in range(n + 1):
         terms = symcore.LayerTerms.from_sums(0.6 * np.exp(1j * weight), weight, sums)
-        for m in (2, 3, 64, 2048):
+        for m in GRID_SIZES:
             betas = np.linspace(0, np.pi, m, endpoint=False)
             assert np.max(np.abs(terms.grid(m) - terms.curve(betas))) < 1e-13
         table = gen.bra_moduli(2048, weight)
         assert gen.bra_moduli(2048, weight) is table and not table.flags.writeable
+    for m in GRID_SIZES:
+        table = symcore._grid_table(m)
+        assert symcore._grid_table(m) is table and not table.flags.writeable
+        assert table.size <= symcore.DFT_TABLE_ENTRIES
+    assert symcore._grid_table(2048).shape == (32, 2048)
 
 
 def test_layer_terms_exact_at_beta_zero():
@@ -645,6 +655,9 @@ def test_layer_angles_reduced_to_principal_ranges():
     a = LayerAngles(2 * np.pi + 0.5, np.pi + 0.25)
     assert a.gamma == pytest.approx(0.5)
     assert a.beta == pytest.approx(0.25)
+    # % rounds a tiny negative angle up to its period, the same angle as 0
+    tiny = LayerAngles(-1e-20, -1e-20)
+    assert (tiny.gamma, tiny.beta) == (0.0, 0.0)
     with pytest.raises(ValueError):
         LayerAngles(np.nan, 0.0)
 
