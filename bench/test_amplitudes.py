@@ -2,9 +2,9 @@
 
 Times run_schedule on a greedy depth-n schedule, layer_terms on the state it
 returns, and the first-use build of MixerGenerator.bra_coefs, at n = 40, 200
-and 1022, and the one-time build of LayerTerms.grid's DFT table on the
-2048-point beta grid, which every process that trains a layer pays once.  Run
-with
+and 1022, and the one-time build of symcore.dft's table for LayerTerms.grid
+on the 2048-point beta grid, which every process that trains a layer pays
+once.  Run with
 
     PYTHONPATH=src python -m pytest bench/test_amplitudes.py
 
@@ -45,5 +45,5 @@ def test_bra_coefs_build(benchmark, circuit):
 
 def test_grid_table_build(benchmark):
     points = training.OptimizerSettings().beta_grid_points
-    table = benchmark(symcore._grid_table.__wrapped__, points)
-    assert table.shape == (symcore.GRID_TABLE_ROWS, points)
+    table = benchmark(symcore._dft_table.__wrapped__, points, False)
+    assert table.shape == (symcore.DFT_TABLE_ROWS, points)

@@ -5,14 +5,15 @@ left root drawn, so it makes one root search), one LayerTerms.grid on the
 2048-point beta grid, one LayerTerms.value, one LayerTerms.derivatives and one
 LayerTerms.best_gamma call on the terms of a mid-depth greedy layer, and one
 MixerGenerator.layer update of its eigen-coordinates, at n = 4, 12 and 40:
-the grid takes LayerTerms.grid's cached DFT table at n = 4 and 12 and the
-FFT at n = 40, whose 41 coefficients are past the table's 32.  A noiseless
+the grid takes symcore.dft's cached DFT table at n = 4 and 12 and the FFT at
+n = 40, whose 41 coefficients are past the table's 32.  A noiseless
 rung times one whole trained layer as train_cutoff runs it, greedy and
 cutoff, at the same n: the terms from the carried eigen-coordinates and head,
 the step, then MixerGenerator.layer.  A noisy rung times one whole layer
 of train_layerwise_noisy (sample its noise, split its terms, take the step,
-apply it to the product sum) after n // 2 noisy layers, at n = 4, 12 and 20,
-with phase noise at p = 0.5 and either granularity.  Run with
+apply it to the product sum) after n // 2 noisy layers, at n = 4, 12, 20 and
+100, with phase noise at p = 0.5 and either granularity: its terms' inverse
+DFT takes the table up to n = 31 and the FFT at n = 100.  Run with
 
     PYTHONPATH=src python -m pytest bench/test_layer_step.py
 

@@ -20,15 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .symcore import (
-    DFT_TABLE_ENTRIES,
-    LayerTerms,
-    SymmetricState,
-    _as_angles,
-    binomial_sqrt,
-    checked_amplitudes,
-    dft_matrix,
-)
+from .symcore import LayerTerms, SymmetricState, _as_angles, binomial_sqrt, checked_amplitudes, dft, mixer
 
 MAX_DENSE_QUBITS = 24
 
@@ -237,27 +229,6 @@ def apply_layer_dense(
     return apply_noise_events(amps, n, post)
 
 
-@lru_cache(maxsize=8)
-def _dft_tables(n: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """At z_j = exp(-2i beta_j), beta_j = pi j / (n + 1), the n + 1 roots of
-    unity: the bra <0|e^{-i beta X} = e^{i beta} ((1 + z) / 2, (z - 1) / 2)
-    without its factor e^{i beta}, shape (2, n + 1), and the inverse DFT of
-    length n + 1 as a matrix (symcore.dft_matrix), or None past
-    DFT_TABLE_ENTRIES = 2^16 entries (n > 255), where np.fft.ifft takes its
-    place.  Read-only, and cached for the last few n.  On one 2-vCPU VM the
-    matrix product against ifft took 0.8 against 3.8 us at n = 31, 3.7
-    against 4.5 at n = 127 and 12.5 against 5.4 at n = 255; at n = 1022 a
-    matrix would be 16 MB and take 250 us against 14.  Between n = 140 or so
-    and 255 the matrix loses a few us, small against the product over
-    qubits, O(n^2 S)."""
-    z = np.exp(-2j * np.pi * np.arange(n + 1) / (n + 1))
-    bra = np.array(((1.0 + z) / 2, (z - 1.0) / 2))
-    bra.setflags(write=False)
-    if (n + 1) ** 2 > DFT_TABLE_ENTRIES:
-        return bra, None
-    return bra, dft_matrix(n + 1, n + 1, inverse=True)
-
-
 # complex entries per block of _product_over_qubits
 PRODUCT_BLOCK = 1 << 18
 
@@ -342,14 +313,14 @@ class NoisyLayer:
         Per qubit <0|e^{-i beta X} w = e^{i beta} (w_0 (1 + z) + w_1 (z - 1)) / 2
         with z = e^{-2i beta}, so B, the coefs-weighted sum over the rows,
         is e^{i n beta} times a polynomial of degree n in z: it is evaluated
-        at the n + 1 roots of unity, and the inverse DFT gives its
-        coefficients over the mixer's eigenvalues.  A = head <0|e^{-i beta
-        X}|f>.  B(0) is exactly 0 without flips, where the rows' w_0 give
-        head, and coefs . prod_q w_0 with them.
+        at the n + 1 roots of unity (MixerGenerator.roots), and the inverse
+        DFT gives its coefficients over the mixer's eigenvalues.  A = head
+        <0|e^{-i beta X}|f>.  B(0) is exactly 0 without flips, where the
+        rows' w_0 give head, and coefs . prod_q w_0 with them.
         """
-        bra, inverse_dft = _dft_tables(self.rows.shape[0])
-        values = self.coefs @ _product_over_qubits(self.rows, bra)
-        b = np.fft.ifft(values) if inverse_dft is None else values @ inverse_dft
+        n = self.rows.shape[0]
+        values = self.coefs @ _product_over_qubits(self.rows, mixer(n).roots)
+        b = dft(values, n + 1, True)
         b_zero = complex(self.coefs @ np.multiply.reduce(self.rows[:, :, 0], axis=0)) if self.m else 0.0
         return LayerTerms(self.head, self.m, b, b_zero)
 

@@ -43,13 +43,14 @@ OVERLAP_EXCESS_TOL = 1e-12
 # within 6e-15 up to n = 109, and the end column is negated at n = 110, 114,
 # 115, ...; at the ceiling 2^(-50) = 8.9e-16.
 MAX_EIGENVECTOR_QUBITS = 100
-# Most entries of a cached DFT matrix (dft_matrix): 2^16 complex, 1 MB.
+# Most entries of a cached DFT table (_dft_table): 2^16 complex, 1 MB.
 DFT_TABLE_ENTRIES = 1 << 16
-# Most coefficients that LayerTerms.grid multiplies by its cached DFT table.
-# On one 2-vCPU VM, |B| on 2,048 points by the table against the FFT, abs
-# included, took 7.1 against 18.1 us at 5 coefficients, 17.3 against 18.1 at
-# 32 and 22.3 against 18.1 at 41.
-GRID_TABLE_ROWS = 32
+# Most rows of a cached DFT table, the most coefficients that dft multiplies
+# by one.  On one 2-vCPU VM, |B| on 2,048 points by the table against the FFT,
+# abs included, took 7.1 against 18.1 us at 5 coefficients, 17.3 against 18.1
+# at 32 and 22.3 against 18.1 at 41; an inverse DFT of n + 1 points by the
+# table against ifft took 0.8 against 3.8 us at n = 31.
+DFT_TABLE_ROWS = 32
 
 
 @lru_cache(maxsize=None)
@@ -63,27 +64,38 @@ def binomial_sqrt(n: int) -> np.ndarray:
     return out
 
 
-def dft_matrix(rows: int, size: int, inverse: bool = False) -> np.ndarray:
-    """Rows l = 0..rows-1 of the length-size DFT matrix, entries
-    exp(-2 pi i (l j mod size) / size), or with inverse those of the inverse
-    DFT, exp(2 pi i (l j mod size) / size) / size; read-only.  The entries
-    are indexed from one length-size vector of roots of unity, so no
-    temporary array is larger than the matrix."""
+@lru_cache(maxsize=8)
+def _dft_table(size: int, inverse: bool) -> np.ndarray:
+    """Rows l = 0..min(DFT_TABLE_ROWS, DFT_TABLE_ENTRIES // size, size) - 1 of
+    the size-point DFT matrix, entries exp(-2 pi i (l j mod size) / size), or
+    with inverse those of the inverse DFT, exp(2 pi i (l j mod size) / size) /
+    size: 32 rows and 1 MB at 2,048 points.  Read-only, and cached for the
+    last few (size, inverse).  The entries are indexed from one length-size
+    vector of roots of unity, so no temporary array is larger than the table."""
     k = np.arange(size)
     roots = np.exp((2j if inverse else -2j) * np.pi * k / size)
     if inverse:
         roots /= size
-    table = roots[np.outer(k[:rows], k) % size]
+    table = roots[np.outer(k[: min(DFT_TABLE_ROWS, DFT_TABLE_ENTRIES // size)], k) % size]
     table.setflags(write=False)
     return table
 
 
-@lru_cache(maxsize=8)
-def _grid_table(points: int) -> np.ndarray:
-    """LayerTerms.grid's DFT matrix for a grid of points, read-only and
-    cached for the last few sizes: min(GRID_TABLE_ROWS, DFT_TABLE_ENTRIES //
-    points, points) rows, 1 MB at 2,048 points."""
-    return dft_matrix(min(GRID_TABLE_ROWS, DFT_TABLE_ENTRIES // points), points)
+def dft(coefs: np.ndarray, size: int, inverse: bool = False) -> np.ndarray:
+    """The size-point DFT of coefs along the last axis, or with inverse the
+    inverse DFT, as np.fft.fft(coefs, size) and np.fft.ifft(coefs, size) give
+    it, except that more coefficients than points are folded modulo size
+    rather than cut.  One product with the cached _dft_table(size, inverse)
+    when it has a row for every coefficient, and one FFT otherwise."""
+    count = coefs.shape[-1]
+    if count > size:  # fold the frequencies modulo size
+        padded = np.pad(coefs, [(0, 0)] * (coefs.ndim - 1) + [(0, -count % size)])
+        coefs = padded.reshape(*coefs.shape[:-1], -1, size).sum(axis=-2)
+        count = size
+    table = _dft_table(size, inverse)
+    if count <= len(table):
+        return coefs @ table[:count]
+    return np.fft.ifft(coefs, size) if inverse else np.fft.fft(coefs, size)
 
 
 def _principal(angle: float, period: float) -> float:
@@ -158,10 +170,11 @@ class MixerGenerator:
     k+1 ways, and the normalization ratio supplies the square root.  Its
     eigenvalues are the integers lambda_l = -n + 2l, held exactly, and the
     first row of its eigenvectors is r = plus_state's amplitudes, held in
-    closed form as row; |+>^n is e_n in this basis.  bra_coefs holds the
+    closed form as row; |+>^n is e_n in this basis.  roots holds one qubit's
+    bra at the n + 1 sample points of a degree-n polynomial, bra_coefs the
     Fourier coefficients of the product bra <0|mixer(beta), which
-    LayerTerms.from_sums reads, and bra_moduli the
-    moduli of its entries on a beta grid, which LayerTerms.grid reads.  The
+    LayerTerms.from_sums reads, and bra_moduli the moduli of its entries on a
+    beta grid, which LayerTerms.grid reads.  The
     eigenvectors V are built on first use by numpy.linalg.eigh, each column
     signed so that V[0] > 0 like r, and only up to MAX_EIGENVECTOR_QUBITS;
     only evolve (apply_mixer) reads V, so no trainer, run_schedule or
@@ -201,20 +214,35 @@ class MixerGenerator:
         return vectors
 
     @cached_property
+    def roots(self) -> np.ndarray:
+        """One qubit's bra <0|e^{-i beta X} = (cos(beta), -i sin(beta))
+        without its factor e^{i beta}, ((1 + z) / 2, (z - 1) / 2) with z =
+        e^{-2i beta}, at beta_j = pi j / (n + 1), where z runs over the n + 1
+        roots of unity; shape (2, n + 1), read-only and cached.  A product of
+        n of them is a polynomial of degree n in z, and the inverse DFT of
+        its values here, dft(values, n + 1, inverse=True), gives its
+        coefficients over the mixer's eigenvalues."""
+        z = np.exp(-2j * np.pi * np.arange(self.n + 1) / (self.n + 1))
+        roots = np.array(((1.0 + z) / 2, (z - 1.0) / 2))
+        roots.setflags(write=False)
+        return roots
+
+    @cached_property
     def bra_coefs(self) -> np.ndarray:
         """w, read-only and cached: cos^{n-k}(beta) (-i sin(beta))^k = sum_l
         w[k, l] exp(-i lambda_l beta), built on first use in O(n^2 log n).
 
         Row k is <0|mixer(beta)|e_k> / sqrt(C(n,k)), so w[k] = V[0] * V[k] /
-        sqrt(C(n,k)), which is real.  Times exp(-i n beta) it is a polynomial
-        of degree n in exp(-2i beta), so its values at beta_j = pi j / (n+1)
-        give w by one inverse FFT, the inverse of LayerTerms.grid's.
+        sqrt(C(n,k)), which is real: the inverse DFT of roots[0]^(n-k)
+        roots[1]^k.  The powers are running products: at n = 1022 they take
+        about a tenth of the time of complex ** and stay nearer the exact w,
+        within 1.1e-15 against 1.8e-15.
         """
         n = self.n
-        k = np.arange(n + 1)[:, None]
-        betas = np.pi * np.arange(n + 1) / (n + 1)
-        values = np.cos(betas) ** (n - k) * np.sin(betas) ** k * (-1j) ** (k % 4)
-        coefs = np.fft.ifft(values * np.exp(-1j * n * betas), axis=1).real
+        powers = np.ones((2, n + 1, n + 1), dtype=complex)
+        powers[:, 1:] = self.roots[:, None]
+        np.multiply.accumulate(powers, axis=1, out=powers)  # powers[i, m] = roots[i]^m
+        coefs = dft(powers[0, ::-1] * powers[1], n + 1, True).real
         coefs.setflags(write=False)
         return coefs
 
@@ -428,12 +456,8 @@ class LayerTerms:
     (from_eigen), and b_zero is the exact B(0).  One beta costs O(n) in at,
     which value and best_gamma read; split is curve's batch path.  On the
     grid beta_j = pi j / M the factor exp(i n beta_j) drops out of |B|,
-    leaving the length-M DFT of b (folded modulo M when n + 1 > M), and |A|
-    is |a| times the mixer's cached table bra_moduli(M, m).  The DFT is one
-    product of b with a cached table, _grid_table(M), when b has at most
-    min(GRID_TABLE_ROWS, DFT_TABLE_ENTRIES // M) coefficients (32 at
-    M = 2,048, a 1 MB table; the measured crossover with the FFT is about
-    32), and one length-M FFT otherwise.  derivatives contracts one cached
+    leaving the length-M DFT of b, dft(b, M), and |A| is |a| times the
+    mixer's cached table bra_moduli(M, m).  derivatives contracts one cached
     kernel, b times the mixer's derivative_rows, and differentiates |A| in
     closed form.  At beta = 0 the mixer is the identity, and at, split and
     grid all return the exact at_zero = (A(0), B(0)), so the beta = 0 snap
@@ -571,20 +595,9 @@ class LayerTerms:
         return g, slope, curvature, f
 
     def grid(self, points: int) -> np.ndarray:
-        """The curve at beta_j = pi j / points for j = 0..points-1: |B|, plus
-        |a| times the mixer's cached bra_moduli table.  |B| is b, folded,
-        times the cached DFT table _grid_table(points) when b has no more
-        coefficients than the table has rows (32 at 2,048 points, about
-        where the FFT starts to win), and one length-points FFT of b
-        otherwise."""
-        b = self.b
-        if b.size > points:  # fold the frequencies modulo points
-            b = np.pad(b, (0, -b.size % points)).reshape(-1, points).sum(axis=0)
-        table = _grid_table(points)
-        if b.size <= table.shape[0]:
-            vals = np.abs(b @ table[: b.size])
-        else:
-            vals = np.abs(np.fft.fft(b, points))
+        """The curve at beta_j = pi j / points for j = 0..points-1: |B| =
+        |dft(b, points)|, plus |a| times the mixer's cached bra_moduli table."""
+        vals = np.abs(dft(self.b, points))
         vals += abs(self.a) * mixer(self.n).bra_moduli(points, self.a_weight)
         vals[0] = abs(self.at_zero[0]) + abs(self.at_zero[1])
         return vals

@@ -53,6 +53,8 @@ class OptimizerSettings:
             raise ValueError("beta_grid_points must be >= 2")
         if self.global_restarts < 1:
             raise ValueError("global_restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)

@@ -393,20 +393,20 @@ def test_product_sum_apply_layer_returns_a_value(kind):
         assert _bits(ends[0]) != _bits(ends[1])
 
 
-@pytest.mark.parametrize("n", [255, 256])
+@pytest.mark.parametrize("n", [31, 32, 255, 256])
 def test_noisy_layer_terms_match_product_sum_head(n):
-    # the inverse DFT is a cached matrix up to n = 255 and np.fft.ifft past
-    # it; either way the terms give the target amplitude that the product sum
-    # after the layer holds, coefs . prod_q vectors[q, :, 0].  Amplitudes at
-    # this n span decades across beta, so the error is taken against their
-    # largest modulus
+    # the inverse DFT is a product with a cached table up to n = 31 and
+    # np.fft.ifft past it; either way the terms give the target amplitude
+    # that the product sum after the layer holds, coefs . prod_q vectors[q,
+    # :, 0].  Amplitudes at large n span decades across beta, so the error
+    # is taken against their largest modulus
     rand = np.random.default_rng(53)
     noise = NoiseConfig(0.5, granularity="single_qubit")
     state = ProductSum.plus(n)
     for _ in range(4):
         state = state.layer(sample_layer_noise(n, noise, rand)).apply(*rand.uniform(0, np.pi, size=2))
     layer = state.layer(sample_layer_noise(n, noise, rand))
-    assert (densecore._dft_tables(n)[1] is None) == (n > 255)
+    assert (symcore._dft_table(n + 1, True).shape[0] > n) == (n < 32)
     terms = layer.terms()
     gammas, betas = rand.uniform(0, 2 * np.pi, 8), rand.uniform(0, np.pi, 8)
     a_term, b_term = terms.split(betas)

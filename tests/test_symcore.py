@@ -424,9 +424,9 @@ def test_one_layer_amplitude_recursion():
 
 # ------------------------------------------------------------ spectral form
 
-# grid sizes on both sides of LayerTerms.grid's choice between its DFT table
-# and the FFT: at most 32 coefficients up to m = 2048, 16 at m = 4096; m = 2,
-# 3 fold the n + 1 frequencies modulo m once n + 1 > m
+# grid sizes on both sides of symcore.dft's choice between its DFT table and
+# the FFT: at most 32 coefficients up to m = 2048, 16 at m = 4096; m = 2, 3
+# fold the n + 1 frequencies modulo m once n + 1 > m
 GRID_SIZES = (2, 3, 64, 1000, 2048, 4096)
 
 
@@ -459,10 +459,39 @@ def test_fft_grid_matches_direct_curve_at_every_a_weight(n):
         table = gen.bra_moduli(2048, weight)
         assert gen.bra_moduli(2048, weight) is table and not table.flags.writeable
     for m in GRID_SIZES:
-        table = symcore._grid_table(m)
-        assert symcore._grid_table(m) is table and not table.flags.writeable
+        table = symcore._dft_table(m, False)
+        assert symcore._dft_table(m, False) is table and not table.flags.writeable
         assert table.size <= symcore.DFT_TABLE_ENTRIES
-    assert symcore._grid_table(2048).shape == (32, 2048)
+    assert symcore._dft_table(2048, False).shape == (32, 2048)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("count, size", [(31, 31), (32, 32), (33, 33), (31, 2048), (32, 2048), (33, 2048),
+                                         (17, 4096), (5, 3), (70, 32), (100, 33)])
+def test_dft_matches_numpy_fft(count, size, inverse):
+    # more coefficients than points fold modulo size, and then one product
+    # with the cached table takes up to min(32, 2^16 // size) of them and one
+    # FFT more; a 2-D input transforms each row
+    rand = np.random.default_rng(count * size)
+    coefs = rand.normal(size=(3, count)) + 1j * rand.normal(size=(3, count))
+    assert symcore._dft_table(size, inverse).shape[0] == min(32, (1 << 16) // size, size)
+    folded = np.zeros((3, size), dtype=complex)
+    for j in range(count):
+        folded[:, j % size] += coefs[:, j]
+    expected = np.fft.ifft(folded) if inverse else np.fft.fft(folded)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(symcore.dft(coefs, size, inverse) - expected)) < 1e-14 * scale
+    for row, want in zip(coefs, expected):
+        assert np.max(np.abs(symcore.dft(row, size, inverse) - want)) < 1e-14 * scale
+
+
+def test_mixer_roots_are_the_qubit_bra_at_the_roots_of_unity():
+    for n in (1, 4, 31, 40):
+        roots = mixer(n).roots
+        assert mixer(n).roots is roots and not roots.flags.writeable
+        betas = np.pi * np.arange(n + 1) / (n + 1)
+        bra = np.array((np.cos(betas), -1j * np.sin(betas))) * np.exp(-1j * betas)
+        np.testing.assert_allclose(roots, bra, rtol=0.0, atol=1e-15)
 
 
 def test_layer_terms_exact_at_beta_zero():

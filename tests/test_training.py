@@ -1066,6 +1066,9 @@ def test_settings_validation():
         OptimizerSettings(beta_grid_points=1)
     with pytest.raises(ValueError):
         OptimizerSettings(global_restarts=0)
+    # SeedSequence takes no negative entropy, so train_global would fail late
+    with pytest.raises(ValueError, match="seed"):
+        OptimizerSettings(seed=-1)
     # a float or a flag is refused up front, not inside range or numpy later
     for bad in ({"beta_grid_points": 2048.5}, {"global_restarts": 1.5}, {"global_restarts": True},
                 {"beta_grid_points": False}, {"seed": 0.5}):
