@@ -2,7 +2,7 @@
 
 Times one greedy training._layer_step, one cutoff step at fraction 0.8 (its
 left root drawn, so it makes one root search), one LayerTerms.grid on the
-2048-point beta grid, one LayerTerms.value, one LayerTerms.derivatives and one
+2048-point beta grid, one LayerTerms.value, one LayerTerms.jet and one
 LayerTerms.best_gamma call on the terms of a mid-depth greedy layer, and one
 MixerGenerator.layer update of its eigen-coordinates, at n = 4, 12 and 40:
 the grid takes symcore.dft's cached DFT table at n = 4 and 12 and the FFT at
@@ -82,9 +82,9 @@ def test_value(benchmark, layer):
     assert benchmark(terms.value, BETA) > 0.0
 
 
-def test_derivatives(benchmark, layer):
+def test_jet(benchmark, layer):
     terms, _ = layer
-    g, _, _ = benchmark(terms.derivatives, BETA)
+    g, _, _, _ = benchmark(terms.jet, BETA)
     assert g == pytest.approx(terms.value(BETA), rel=1e-14)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -93,6 +94,11 @@ class NoiseConfig:
     kind: str = "phase"
 
     def __post_init__(self):
+        for name in ("p_noise", "phase_stddev"):
+            value = getattr(self, name)
+            # bool is an int subclass, and a string raises TypeError at the compare below
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 <= self.p_noise <= 1.0:
             raise ValueError(f"p_noise must be in [0, 1], got {self.p_noise}")
         if not 0.0 <= self.phase_stddev < math.inf:

@@ -92,10 +92,21 @@ def dft(coefs: np.ndarray, size: int, inverse: bool = False) -> np.ndarray:
         padded = np.pad(coefs, [(0, 0)] * (coefs.ndim - 1) + [(0, -count % size)])
         coefs = padded.reshape(*coefs.shape[:-1], -1, size).sum(axis=-2)
         count = size
-    table = _dft_table(size, inverse)
-    if count <= len(table):
-        return coefs @ table[:count]
+    if count <= DFT_TABLE_ROWS:  # past it no table has a row for every coefficient
+        table = _dft_table(size, inverse)
+        if count <= len(table):
+            return coefs @ table[:count]
     return np.fft.ifft(coefs, size) if inverse else np.fft.fft(coefs, size)
+
+
+def _check_integer(name: str, value, minimum: int) -> None:
+    """Raise ValueError unless value is an int or numpy integer of at least
+    minimum.  A bool is refused, though Python counts it an int, and a float
+    here rather than inside range, math.comb or numpy later."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _principal(angle: float, period: float) -> float:
@@ -173,7 +184,7 @@ class MixerGenerator:
     closed form as row; |+>^n is e_n in this basis.  roots holds one qubit's
     bra at the n + 1 sample points of a degree-n polynomial, bra_coefs the
     Fourier coefficients of the product bra <0|mixer(beta), which
-    LayerTerms.from_sums reads, and bra_moduli the moduli of its entries on a
+    layer_terms reads, and bra_moduli the moduli of its entries on a
     beta grid, which LayerTerms.grid reads.  The
     eigenvectors V are built on first use by numpy.linalg.eigh, each column
     signed so that V[0] > 0 like r, and only up to MAX_EIGENVECTOR_QUBITS;
@@ -182,8 +193,7 @@ class MixerGenerator:
     """
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"qubit count must be >= 1, got {n}")
+        _check_integer("qubit count", n, 1)
         self.n = n
         self.eigenvalues = np.arange(-n, n + 1, 2, dtype=float)
         self.row = plus_state(n).amps.real.copy()
@@ -451,13 +461,13 @@ class LayerTerms:
     A is held by this closed form.  B is held in its Fourier form over the
     mixer's eigenvalues lambda_l = -n + 2l, B = sum_l b_l exp(-i lambda_l
     beta), since cos^{n-k}(beta) (-i sin(beta))^k = sum_l w[k, l] exp(-i
-    lambda_l beta) with w = MixerGenerator.bra_coefs (from_sums); from the
+    lambda_l beta) with w = MixerGenerator.bra_coefs (layer_terms); from the
     eigen-coordinates of a noiseless circuit b takes only the row r
     (from_eigen), and b_zero is the exact B(0).  One beta costs O(n) in at,
     which value and best_gamma read; split is curve's batch path.  On the
     grid beta_j = pi j / M the factor exp(i n beta_j) drops out of |B|,
     leaving the length-M DFT of b, dft(b, M), and |A| is |a| times the
-    mixer's cached table bra_moduli(M, m).  derivatives contracts one cached
+    mixer's cached table bra_moduli(M, m).  jet contracts one cached
     kernel, b times the mixer's derivative_rows, and differentiates |A| in
     closed form.  At beta = 0 the mixer is the identity, and at, split and
     grid all return the exact at_zero = (A(0), B(0)), so the beta = 0 snap
@@ -479,24 +489,6 @@ class LayerTerms:
         a_weight = 0, b = r * (t - A_0 r) and B(0) = 0."""
         row = mixer(t.size - 1).row
         return cls(head, 0, row * (t - head * row), 0.0)
-
-    @classmethod
-    def from_sums(cls, a: complex, a_weight: int, sums: np.ndarray) -> LayerTerms:
-        """Terms of a, a_weight and sums, O(n^2): with w = the mixer's
-        bra_coefs, b = sums @ w.
-
-        The |+>^n part of the sums, sum(sums) r * r with r * r = C(n,k) / 2^n,
-        is split off first and added back in closed form: |+>^n is e_n in the
-        eigenbasis, so (r * r) @ w = 2^-n e_n.  A shallow circuit at large n
-        is close to |+>^n, and the small rest of its sums would otherwise
-        drown in the rounding of sums @ w.
-        """
-        n = sums.size - 1
-        gen = mixer(n)
-        total = sums.sum()
-        b = (sums - total * gen.row * gen.row) @ gen.bra_coefs
-        b[n] += total * 2.0**-n
-        return cls(a, a_weight, b, sums[0])
 
     @property
     def n(self) -> int:
@@ -560,14 +552,9 @@ class LayerTerms:
         a_term, b_term = self.at(beta)
         return float(abs(a_term) + abs(b_term))
 
-    def derivatives(self, beta: float) -> tuple[float, float, float]:
-        """(g, g', g'') of the curve at one beta > 0, O(n): jet without B."""
-        g, slope, curvature, _ = self.jet(beta)
-        return g, slope, curvature
-
     def jet(self, beta: float) -> tuple[float, float, float, complex]:
-        """(g, g', g'', B) of the curve at one beta > 0, O(n): derivatives,
-        and the B they were formed from, which best_gamma can take.
+        """(g, g', g'', B) of the curve at one beta > 0, O(n): newton_bisect
+        reads the first three, and best_gamma can take B.
 
         The kernel gives (B, B', B'') by one exp and one matrix-vector
         product, and |B|' = Re(conj(B) B') / |B|, |B|'' = (|B'|^2 +
@@ -618,10 +605,20 @@ class LayerTerms:
 
 
 def layer_terms(state: SymmetricState) -> LayerTerms:
-    """Noiseless one-layer terms of a symmetric state."""
+    """Noiseless one-layer terms of a symmetric state, O(n^2): a = A_0 and b
+    = sums @ w, sums[k] = A_k sqrt(C(n,k)) for k >= 1, w = bra_coefs.
+
+    The |+>^n part of the sums, sum(sums) r * r with r * r = C(n,k) / 2^n,
+    is split off and added back in closed form, (r * r) @ w = 2^-n e_n: a
+    shallow circuit at large n is close to |+>^n, and the small rest of its
+    sums would otherwise drown in the rounding of sums @ w."""
+    gen = mixer(state.n)
     sums = state.amps * binomial_sqrt(state.n)
     sums[0] = 0.0
-    return LayerTerms.from_sums(state.amps[0], 0, sums)
+    total = sums.sum()
+    b = (sums - total * gen.row * gen.row) @ gen.bra_coefs
+    b[-1] += total * 2.0**-state.n
+    return LayerTerms(state.amps[0], 0, b, 0.0)
 
 
 def gamma_eliminated_curve(state: SymmetricState, betas) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import densecore, symcore
 from .densecore import NoiseConfig
-from .symcore import TIE_TOLERANCE, LayerAngles
+from .symcore import TIE_TOLERANCE, LayerAngles, _check_integer
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # step in beta at which newton_bisect has converged
@@ -44,17 +44,14 @@ class OptimizerSettings:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("beta_grid_points", "global_restarts", "seed"):
-            value = getattr(self, name)
-            # bool is an int subclass, and a float fails later inside range or numpy
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.beta_grid_points < 2:
-            raise ValueError("beta_grid_points must be >= 2")
-        if self.global_restarts < 1:
-            raise ValueError("global_restarts must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        for name, minimum in (("beta_grid_points", 2), ("global_restarts", 1), ("seed", 0)):
+            _check_integer(name, getattr(self, name), minimum)
+
+
+def _check_sizes(n, depth) -> None:
+    """Every trainer's check of its qubit count and depth, before any compute."""
+    _check_integer("n", n, 1)
+    _check_integer("depth", depth, 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,7 +148,7 @@ def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, floa
 
 def newton_bisect(f, beta: float, lo: float, hi: float, peak: bool = False) -> tuple[float, float, int]:
     """Safeguarded Newton-bisection for the sign change of h from beta in
-    (lo, hi): (x, g, evaluations), where f(x) = (g, h, s) and h > 0 means
+    (lo, hi): (x, g, evaluations), where f(x) begins (g, h, s) and h > 0 means
     the sign change lies right of x.  s is the slope the step divides by:
     h' for the peak, and Halley's h' - h h'' / (2 h') for the cutoff roots.
 
@@ -161,7 +158,7 @@ def newton_bisect(f, beta: float, lo: float, hi: float, peak: bool = False) -> t
     at h = 0, once a step is at most NEWTON_TOLERANCE, or once the bracket no
     longer splits, and returns the last point it evaluated and g there.
 
-    peak marks the peak search, where f gives (g, g', g''): at a point that
+    peak marks the peak search, where f begins (g, g', g''): at a point that
     a Newton step reached, it also stops at a Newton step inside the bracket
     that is small enough for the step after it, predicted as |h''| step^2 /
     (2 |s|) with h'' the change of s per unit beta over these two
@@ -173,7 +170,7 @@ def newton_bisect(f, beta: float, lo: float, hi: float, peak: bool = False) -> t
     """
     evals, last = 0, None
     while True:
-        g, h, slope = f(beta)
+        g, h, slope = f(beta)[:3]
         evals += 1
         if h > 0.0:
             lo = beta
@@ -246,14 +243,14 @@ def _layer_step(
         bend = left - 2.0 * top + right
         offset = min(max(0.5 * (left - right) / bend, -0.5), 0.5) if bend < 0.0 else 0.0
         beta, g, evals = newton_bisect(
-            terms.derivatives, (peak + offset) * cell, (peak - 1) * cell, min((peak + 1) * cell, math.pi), peak=True
+            terms.jet, (peak + offset) * cell, (peak - 1) * cell, min((peak + 1) * cell, math.pi), peak=True
         )
     else:
         start = terms.kink_offset()
         if not 0.0 < start < cell:
             start = cell / 2.0
-        beta, g, evals = newton_bisect(terms.derivatives, start, 0.0, cell, peak=True)
-        mirror, other, more = newton_bisect(terms.derivatives, math.pi - start, math.pi - cell, math.pi, peak=True)
+        beta, g, evals = newton_bisect(terms.jet, start, 0.0, cell, peak=True)
+        mirror, other, more = newton_bisect(terms.jet, math.pi - start, math.pi - cell, math.pi, peak=True)
         evals += more
         if g < other * (1.0 - TIE_TOLERANCE):
             beta, g = mirror, other
@@ -320,8 +317,7 @@ def train_cutoff(
     fraction = 1, which draws nothing and needs no rng; below 1 rng is
     required.
     """
-    if n < 1 or max_depth < 1:
-        raise ValueError("n and max_depth must be >= 1")
+    _check_sizes(n, max_depth)
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     if fraction < 1.0 and rng is None:
@@ -509,8 +505,7 @@ def train_global(
     the run's wall time and the objective evaluations of all starts are
     carried on the final record.
     """
-    if n < 1 or depth < 1:
-        raise ValueError("n and depth must be >= 1")
+    _check_sizes(n, depth)
     t0 = time.perf_counter()
     settings = settings or OptimizerSettings()
     result = lockstep_bfgs(_global_objective(n), _global_starts(depth, settings, seed_schedules))
@@ -555,8 +550,7 @@ def train_layerwise_noisy(
     current overlap; only densecore reads the noise.  The noise is drawn
     from rng, which is required.
     """
-    if n < 1 or max_depth < 1:
-        raise ValueError("n and max_depth must be >= 1")
+    _check_sizes(n, max_depth)
     if rng is None:
         raise ValueError("train_layerwise_noisy draws its noise from rng; pass a numpy Generator")
     settings = settings or OptimizerSettings()

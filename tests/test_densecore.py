@@ -322,6 +322,17 @@ def test_noise_config_validation():
         NoiseConfig(p_noise=0.1, granularity="per_gate")
 
 
+@pytest.mark.parametrize("field", ["p_noise", "phase_stddev"])
+def test_noise_config_takes_only_real_numbers(field):
+    # a flag is an int to Python and a string fails only at a compare, so
+    # both are refused by type; numpy numbers pass
+    for bad in (True, False, np.bool_(True), "0.1", None, 0.1j):
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            NoiseConfig(**{"p_noise": 0.1, field: bad})
+    assert getattr(NoiseConfig(**{"p_noise": 0.1, field: np.float64(0.5)}), field) == 0.5
+    assert getattr(NoiseConfig(**{"p_noise": 0.1, field: np.int64(1)}), field) == 1
+
+
 def test_hamming_weights_small():
     assert list(hamming_weights(3)) == [0, 1, 1, 2, 1, 2, 2, 3]
 

@@ -509,6 +509,18 @@ _README_COMMANDS = [
 ]
 
 
+def test_readme_library_example_runs(capsys):
+    # the README's library example as a reader runs it: greedy n = 6
+    # saturates at depth 6, as its comment says, and the noisy overlap is a
+    # probability
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    *_, p_star, noisy = capsys.readouterr().out.splitlines()
+    assert p_star == "6"
+    assert 0.0 < float(noisy) <= 1.0
+
+
 def test_readme_shows_every_kind():
     assert {shlex.split(line)[1] for line in _README_COMMANDS} == set(EXPERIMENT_KINDS)
 

@@ -20,7 +20,7 @@ from satlab.symcore import (
     run_schedule,
     saturation_derivatives,
 )
-from satlab.training import train_layerwise
+from satlab.training import train_layerwise, train_layerwise_noisy
 
 rng = np.random.default_rng(20260810)
 
@@ -162,6 +162,14 @@ def test_eigenvectors_refused_past_their_ceiling():
     gen = MixerGenerator(symcore.MAX_EIGENVECTOR_QUBITS + 1)
     with pytest.raises(ValueError, match="verified up to"):
         gen.eigenvectors
+
+
+@pytest.mark.parametrize("n", [True, False, 4.0, "4", None, 0, -3])
+def test_mixer_rejects_a_bad_qubit_count(n):
+    # True would pass as 1 and read plus[True] = 1.0 as a mask, so plus = [1, 1]
+    with pytest.raises(ValueError, match="qubit count"):
+        MixerGenerator(n)
+    assert MixerGenerator(np.int64(3)).n == 3
 
 
 def test_bra_coefs_are_cached_read_only_products_of_eigenvector_rows():
@@ -452,7 +460,7 @@ def test_fft_grid_matches_direct_curve_at_every_a_weight(n):
     sums /= np.linalg.norm(sums)
     gen = mixer(n)
     for weight in range(n + 1):
-        terms = symcore.LayerTerms.from_sums(0.6 * np.exp(1j * weight), weight, sums)
+        terms = symcore.LayerTerms(0.6 * np.exp(1j * weight), weight, sums @ gen.bra_coefs, sums[0])
         for m in GRID_SIZES:
             betas = np.linspace(0, np.pi, m, endpoint=False)
             assert np.max(np.abs(terms.grid(m) - terms.curve(betas))) < 1e-13
@@ -483,6 +491,17 @@ def test_dft_matches_numpy_fft(count, size, inverse):
     assert np.max(np.abs(symcore.dft(coefs, size, inverse) - expected)) < 1e-14 * scale
     for row, want in zip(coefs, expected):
         assert np.max(np.abs(symcore.dft(row, size, inverse) - want)) < 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [31, 40])
+def test_dft_builds_only_the_tables_it_reads(n):
+    # past DFT_TABLE_ROWS coefficients dft takes the FFT before any lookup:
+    # at n = 31 the noisy terms and bra_coefs share one inverse table and the
+    # grid reads another, and at n = 40 none is built
+    symcore._dft_table.cache_clear()
+    train_layerwise_noisy(n, 2, densecore.NoiseConfig(0.1), rng=np.random.default_rng(0))
+    MixerGenerator(n).bra_coefs
+    assert symcore._dft_table.cache_info().currsize == (2 if n < 32 else 0)
 
 
 def test_mixer_roots_are_the_qubit_bra_at_the_roots_of_unity():
@@ -562,7 +581,8 @@ def test_rounding_sized_term_takes_gamma_zero(theta):
     rand = np.random.default_rng(63)
     n = 4
     sums = rand.normal(size=n + 1) + 1j * rand.normal(size=n + 1)
-    terms = symcore.LayerTerms.from_sums(0.0, 2, sums / np.linalg.norm(sums))
+    sums /= np.linalg.norm(sums)
+    terms = symcore.LayerTerms(0.0, 2, sums @ mixer(n).bra_coefs, sums[0])
     noisy = symcore.LayerTerms(1e-17 * np.exp(1j * theta), 2, terms.b, terms.b_zero)
     for beta in rand.uniform(0.1, np.pi - 0.1, 10):
         g, gamma = noisy.best_gamma(beta)
@@ -644,7 +664,7 @@ def test_layer_terms_derivatives_match_central_differences(n, random_product_sum
     for terms in all_terms:
         f = terms.value
         for beta in rand.uniform(0.05, np.pi - 0.05, 8):
-            g, slope, curvature = terms.derivatives(beta)
+            g, slope, curvature, _ = terms.jet(beta)
             assert g == pytest.approx(f(beta), rel=1e-14)
             assert abs(slope - (f(beta + h) - f(beta - h)) / (2 * h)) <= 1e-5 * n * g
             assert abs(curvature - (f(beta + h) - 2 * f(beta) + f(beta - h)) / h**2) <= 1e-4 * n * n * g
@@ -664,7 +684,7 @@ def test_layer_terms_derivatives_approach_saturation_derivatives(trial):
         amps[0], amps[2], amps[4] = 0.8, 0.36 * np.exp(1j * 0.9), np.sqrt(1 - 0.64 - 0.36**2)
         s = SymmetricState(n, amps)
     g1, g2 = saturation_derivatives(s)
-    _, slope, curvature = symcore.layer_terms(s).derivatives(1e-7)
+    _, slope, curvature, _ = symcore.layer_terms(s).jet(1e-7)
     assert abs(slope - g1) <= 1e-6 * n
     assert abs(curvature - g2) <= 1e-6 * n * n
 

@@ -127,7 +127,7 @@ def _record_searches(monkeypatch):
         searches.append((f, lo, hi, points))
 
         def logged(b):
-            g, h, slope = f(b)
+            g, h, slope = f(b)[:3]
             points.append((b, h, slope))
             return g, h, slope
 
@@ -158,7 +158,7 @@ def test_each_layer_refines_beta_once(monkeypatch, train):
     # most one more search per cutoff root
     searches = _record_searches(monkeypatch)
     trace = train(np.random.default_rng(2))
-    peaks = [f for f, *_ in searches if getattr(f, "__func__", None) is symcore.LayerTerms.derivatives]
+    peaks = [f for f, *_ in searches if getattr(f, "__func__", None) is symcore.LayerTerms.jet]
     assert len(peaks) == trace.depth
     assert len(searches) <= 3 * trace.depth
 
@@ -245,7 +245,7 @@ def test_newton_refinement_is_stationary_on_greedy_layers(monkeypatch, n):
         if _bisected(searches[0][3]) or angles.beta == 0.0:
             continue
         converged += 1
-        _, slope, curvature = terms.derivatives(angles.beta)
+        _, slope, curvature, _ = terms.jet(angles.beta)
         assert abs(slope) <= 1e-13 * n * g
         assert curvature < 0.0
     assert converged >= n
@@ -481,7 +481,7 @@ def test_cutoff_root_searches_stop_at_the_rounding_floor(monkeypatch):
     searches = _record_searches(monkeypatch)
     for seed in range(40):
         train_cutoff(4, 8, 0.9, rng=np.random.default_rng(seed))
-    peak = symcore.LayerTerms.derivatives
+    peak = symcore.LayerTerms.jet
     roots = [points for f, *_, points in searches if getattr(f, "__func__", None) is not peak]
     assert len(roots) > 0
     assert max(map(len, roots)) <= 8
@@ -503,7 +503,7 @@ def test_cutoff_layers_take_few_evaluations_after_the_grid(monkeypatch):
     assert np.mean(counts) <= 4.6
     # every layer starts with its peak search, so a root search that always
     # follows a peak search means at most one per layer
-    peak = symcore.LayerTerms.derivatives
+    peak = symcore.LayerTerms.jet
     peaks = [getattr(f, "__func__", None) is peak for f, *_ in searches]
     assert peaks[0] and all(before for before, now in zip(peaks, peaks[1:]) if not now)
 
@@ -604,7 +604,6 @@ def test_cutoff_desaturates_past_plateau():
 def test_trainer_records_counted_evaluations(monkeypatch, train):
     # every recorded evaluation is one beta at which the layer terms computed
     # the curve: the grid's points, then one per point or jet call
-    # (derivatives calls jet)
     points = [0]
     terms = symcore.LayerTerms
     grid, at, split, jet = terms.grid, terms.at, terms.split, terms.jet
@@ -1059,6 +1058,28 @@ def test_noisy_layers_reach_dense_grid_maximum(p, granularity):
             prefix = densecore.apply_layer_dense(
                 prefix, n, record.angles.gamma, record.angles.beta, frozen
             )
+
+
+@pytest.mark.parametrize(
+    "train",
+    [
+        pytest.param(lambda n, depth: train_layerwise(n, depth), id="layerwise"),
+        pytest.param(lambda n, depth: train_cutoff(n, depth, 0.5, rng=np.random.default_rng(0)), id="cutoff"),
+        pytest.param(lambda n, depth: train_global(n, depth), id="global"),
+        pytest.param(
+            lambda n, depth: train_layerwise_noisy(n, depth, NoiseConfig(0.1), rng=np.random.default_rng(0)),
+            id="noisy",
+        ),
+    ],
+)
+def test_trainers_reject_bad_sizes(train):
+    # a flag, a float or a string is refused up front, as OptimizerSettings
+    # refuses them: True as n would reach the mixer as 1 with plus = [1, 1],
+    # and a float would fail inside math.comb or range
+    for n, depth in ((True, 2), (4.0, 2), ("4", 2), (0, 2), (4, False), (4, 2.0), (4, 0)):
+        with pytest.raises(ValueError, match="^(n|depth) must be"):
+            train(n, depth)
+    assert train(np.int64(2), np.int32(1)).depth == 1
 
 
 def test_settings_validation():
