@@ -253,6 +253,10 @@ def run_compare_experiment(config: ExperimentConfig) -> ResultTable:
     """Layerwise vs global training, per-depth overlap profiles.
 
     Columns: depth, layerwise_overlap, global_overlap (winning schedule profile).
+    The global run stops once a start converges at overlap 1 (to
+    training.DEFAULT_EPS_ONE); the winner is then one of several optimal
+    schedules, so the profile's rows before the last depend on which start
+    got there first.
     """
     settings = OptimizerSettings(seed=config.seed)
     layerwise = training.train_layerwise(config.n, config.depth, settings)

@@ -142,8 +142,7 @@ class SymmetricState:
     amps: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"qubit count must be >= 1, got {self.n}")
+        _check_integer("qubit count", self.n, 1)
         object.__setattr__(self, "amps", checked_amplitudes(self.amps, self.n + 1))
 
 
@@ -381,6 +380,7 @@ def mixer(n: int) -> MixerGenerator:
 
 def plus_state(n: int) -> SymmetricState:
     """|+>^n in the Dicke basis: A_k = sqrt(C(n,k) / 2^n)."""
+    _check_integer("qubit count", n, 1)
     amps = binomial_sqrt(n) * 2.0 ** (-n / 2.0)
     return SymmetricState(n, amps.astype(complex))
 

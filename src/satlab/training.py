@@ -351,9 +351,10 @@ class LockstepResult:
 
     x, fun and jac are each start's last accepted point, its objective value
     and gradient; reasons says why each start stopped ("gradient",
-    "decrease", "line search" or "iteration cap"); evaluations counts the
-    objective's rows over all calls; path[k] holds every start's objective
-    after k rounds.
+    "decrease", "line search", "iteration cap", or "bound" for a start still
+    running when another converged at the objective's bound); evaluations
+    counts the objective's rows over all calls; path[k] holds every start's
+    objective after k rounds.
     """
 
     x: np.ndarray
@@ -369,7 +370,7 @@ def _first_step(jac: np.ndarray) -> np.ndarray:
     return 1.0 / np.maximum(np.linalg.norm(jac, axis=1), 1.0)
 
 
-def lockstep_bfgs(objective, x0) -> LockstepResult:
+def lockstep_bfgs(objective, x0, bound: float) -> LockstepResult:
     """Minimize from every row of x0 at once by BFGS with Armijo backtracking.
 
     objective maps an (S, m) array of points to their values (S,) and
@@ -388,6 +389,12 @@ def lockstep_bfgs(objective, x0) -> LockstepResult:
     ("line search"), or GLOBAL_MAX_ITERATIONS accepted steps ("iteration
     cap").  They mirror the stopping rules of scipy's L-BFGS-B (pgtol, ftol,
     ABNORMAL_TERMINATION_IN_LNSRCH, maxiter).
+
+    bound is the objective's proven minimum (-inf where none is known).  No
+    start can end lower, so once a start has stopped on "gradient",
+    "decrease" or "line search" within DEFAULT_EPS_ONE of bound, relative to
+    |bound|, no further round is made: the starts still running stop where
+    they are, on "bound".
     """
     x = np.array(x0, dtype=float)
     starts, size = x.shape
@@ -400,8 +407,12 @@ def lockstep_bfgs(objective, x0) -> LockstepResult:
     iterations = np.zeros(starts, dtype=int)
     reasons = np.where(np.max(np.abs(jac), axis=1) <= STOP_GRADIENT, "gradient", "").astype(object)
     path = [fun.copy()]
+    reach = bound + DEFAULT_EPS_ONE * abs(bound) if math.isfinite(bound) else bound
 
     while (running := reasons == "").any():
+        if np.any((fun <= reach) & np.isin(reasons, ("gradient", "decrease", "line search"))):
+            reasons[running] = "bound"
+            break
         rows = np.flatnonzero(running)
         trial = x[rows] + step[rows, None] * direction[rows]
         values, grads = objective(trial)
@@ -491,8 +502,11 @@ def train_global(
     the principal ranges, drawn from SeedSequence((settings.seed, r)).  All
     of them run in lockstep (lockstep_bfgs) on f = -2^n |A_0|^2 and its exact
     gradient, one batched MixerGenerator.neg_overlap call per round.  The
-    best end point is kept, the first of equal ones; it is never claimed to
-    be the global optimum.
+    bound is -2^n, overlap 1, so the run ends once a start has converged at
+    an overlap of at least 1 - DEFAULT_EPS_ONE, and the starts still running
+    stop on "bound".  The best end point is kept, the first of equal ones;
+    it is the global optimum to DEFAULT_EPS_ONE when its overlap reaches
+    1 - DEFAULT_EPS_ONE, and is never claimed to be one otherwise.
 
     No start's f ever rises, so every end point is a candidate, whatever made
     it stop.  Near the largest overlap 1 backtracking can no longer resolve a
@@ -508,7 +522,7 @@ def train_global(
     _check_sizes(n, depth)
     t0 = time.perf_counter()
     settings = settings or OptimizerSettings()
-    result = lockstep_bfgs(_global_objective(n), _global_starts(depth, settings, seed_schedules))
+    result = lockstep_bfgs(_global_objective(n), _global_starts(depth, settings, seed_schedules), -(2.0**n))
     best = int(np.argmin(result.fun))
     slope = float(np.linalg.norm(result.jac[best]) / abs(result.fun[best]))
     if slope > GLOBAL_GRADIENT_TOLERANCE:

@@ -164,12 +164,18 @@ def test_eigenvectors_refused_past_their_ceiling():
         gen.eigenvectors
 
 
-@pytest.mark.parametrize("n", [True, False, 4.0, "4", None, 0, -3])
+@pytest.mark.parametrize("n", [True, False, 4.0, "4", None, 0, -3, 2.0, 2.5])
 def test_mixer_rejects_a_bad_qubit_count(n):
-    # True would pass as 1 and read plus[True] = 1.0 as a mask, so plus = [1, 1]
+    # True would pass as 1 and read plus[True] = 1.0 as a mask, so plus = [1, 1];
+    # the states refuse the same counts, before math.comb or the amplitude count
     with pytest.raises(ValueError, match="qubit count"):
         MixerGenerator(n)
+    with pytest.raises(ValueError, match="qubit count"):
+        plus_state(n)
+    with pytest.raises(ValueError, match="qubit count"):
+        SymmetricState(n, np.array([1.0, 0.0, 0.0]))
     assert MixerGenerator(np.int64(3)).n == 3
+    assert plus_state(np.int64(3)).n == 3
 
 
 def test_bra_coefs_are_cached_read_only_products_of_eigenvector_rows():

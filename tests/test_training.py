@@ -803,7 +803,7 @@ def test_global_winner_is_stationary():
 
 def test_global_refuses_a_non_stationary_winner(monkeypatch):
     # an optimizer that stops where it starts leaves a random start's slope
-    def stay(objective, x0):
+    def stay(objective, x0, bound):
         values, grads = objective(x0)
         return training.LockstepResult(x0, values, grads, ["stub"] * len(x0), len(x0), values[None])
 
@@ -825,9 +825,9 @@ def test_every_start_records_why_it_stopped():
     settings = OptimizerSettings(seed=1)
     lw = train_layerwise(4, 6, settings)
     starts = training._global_starts(6, settings, [lw.schedule()])
-    result = training.lockstep_bfgs(training._global_objective(4), starts)
+    result = training.lockstep_bfgs(training._global_objective(4), starts, -(2.0**4))
     assert len(result.reasons) == len(starts) == 33
-    assert set(result.reasons) <= {"gradient", "decrease", "line search"}
+    assert set(result.reasons) <= {"gradient", "decrease", "line search", "bound"}
     # one row per start and round; the last round stopped the last start
     assert result.path.shape[1] == 33 and np.array_equal(result.path[-1], result.fun)
     assert result.evaluations == train_global(4, 6, settings, [lw.schedule()]).records[-1].evaluations
@@ -836,7 +836,7 @@ def test_every_start_records_why_it_stopped():
 def test_iteration_cap_stops_the_starts_and_names_itself(monkeypatch):
     monkeypatch.setattr(training, "GLOBAL_MAX_ITERATIONS", 3)
     settings = OptimizerSettings(global_restarts=4)
-    result = training.lockstep_bfgs(training._global_objective(4), training._global_starts(6, settings, ()))
+    result = training.lockstep_bfgs(training._global_objective(4), training._global_starts(6, settings, ()), -np.inf)
     assert result.reasons == ["iteration cap"] * 4
     # three accepted steps each, whatever the backtracking took
     assert all(np.count_nonzero(np.diff(column)) == 3 for column in result.path.T)
@@ -846,8 +846,56 @@ def test_iteration_cap_stops_the_starts_and_names_itself(monkeypatch):
 
 def test_lockstep_stops_a_start_that_begins_stationary():
     # |+>^n is a critical point of every depth-1 schedule at gamma = beta = 0
-    result = training.lockstep_bfgs(training._global_objective(3), np.zeros((2, 2)))
+    result = training.lockstep_bfgs(training._global_objective(3), np.zeros((2, 2)), -np.inf)
     assert result.reasons == ["gradient", "gradient"] and result.evaluations == 2
+
+
+def _greedy_seeded_runs(n, depth, settings):
+    """train_global's starts at (n, depth), run with its bound -2^n and with
+    no bound: (bounded, unbounded)."""
+    lw = train_layerwise(n, depth, settings)
+    starts = training._global_starts(depth, settings, [lw.schedule()])
+    objective = training._global_objective(n)
+    return training.lockstep_bfgs(objective, starts, -(2.0**n)), training.lockstep_bfgs(objective, starts, -np.inf)
+
+
+def test_global_stops_once_a_start_converges_at_overlap_one():
+    # the compare cell: several starts reach overlap 1, and the run ends at
+    # the first of them instead of the slowest
+    settings = OptimizerSettings()
+    bounded, unbounded = _greedy_seeded_runs(4, 6, settings)
+    lw = train_layerwise(4, 6, settings)
+    assert train_global(4, 6, settings, [lw.schedule()]).records[-1].evaluations == bounded.evaluations
+    assert bounded.evaluations < unbounded.evaluations
+    assert -bounded.fun.min() / 2.0**4 >= -unbounded.fun.min() / 2.0**4 - training.DEFAULT_EPS_ONE
+    stopped = np.array(bounded.reasons) == "bound"
+    assert stopped.any() and "bound" not in unbounded.reasons
+    # a start that stopped on its own rule ran as it would have without the bound
+    assert [r for r, s in zip(bounded.reasons, stopped) if not s] == [
+        r for r, s in zip(unbounded.reasons, stopped) if not s
+    ]
+    assert np.array_equal(bounded.x[~stopped], unbounded.x[~stopped])
+    assert np.array_equal(bounded.path, unbounded.path[: len(bounded.path)])
+
+
+def test_global_below_overlap_one_is_unchanged_by_the_bound():
+    # no start of the greedy-seeded (4, 4) run gets past overlap 0.99693
+    bounded, unbounded = _greedy_seeded_runs(4, 4, OptimizerSettings())
+    assert -bounded.fun.min() / 2.0**4 < 0.99693 and "bound" not in bounded.reasons
+    assert np.array_equal(bounded.x, unbounded.x) and np.array_equal(bounded.fun, unbounded.fun)
+    assert bounded.reasons == unbounded.reasons and bounded.evaluations == unbounded.evaluations
+    assert np.array_equal(bounded.path, unbounded.path)
+
+
+def test_global_seeded_at_overlap_one_evaluates_each_start_once():
+    # greedy training reaches overlap 1 on one qubit in one layer, where the
+    # seed stops on its gradient before the first round
+    lw = train_layerwise(1, 1)
+    gl = train_global(1, 1, seed_schedules=[lw.schedule()])
+    assert gl.records[-1].evaluations == 33
+    assert gl.status == "overlap_one"
+    bounded, _ = _greedy_seeded_runs(1, 1, OptimizerSettings())
+    assert bounded.reasons == ["gradient"] + ["bound"] * 32
 
 
 # The quality grid: n = 2..8, depths n..n+2, at seed 0 with 4 restarts plus
@@ -859,7 +907,7 @@ def test_lockstep_matches_per_start_lbfgsb(n, depth):
     lw = train_layerwise(n, depth, settings)
     starts = training._global_starts(depth, settings, [lw.schedule()])
     objective = training._global_objective(n)
-    result = training.lockstep_bfgs(objective, starts)
+    result = training.lockstep_bfgs(objective, starts, -np.inf)
 
     def one_start(params):
         value, grad = objective(params)
