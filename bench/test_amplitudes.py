@@ -44,6 +44,6 @@ def test_bra_coefs_build(benchmark, circuit):
 
 
 def test_grid_table_build(benchmark):
-    points = training.OptimizerSettings().beta_grid_points
+    points = training.BETA_GRID_POINTS
     table = benchmark(symcore._dft_table.__wrapped__, points, False)
     assert table.shape == (symcore.DFT_TABLE_ROWS, points)

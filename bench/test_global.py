@@ -19,14 +19,14 @@ from satlab import symcore, training
 
 def test_train_global(benchmark):
     settings = training.OptimizerSettings(seed=1)
-    seed = training.train_layerwise(4, 6, settings).schedule()
+    seed = training.train_layerwise(4, 6).schedule()
     trace = benchmark(training.train_global, 4, 6, settings, [seed])
     assert trace.overlaps()[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_train_global_below_overlap_one(benchmark):
     settings = training.OptimizerSettings(seed=1)
-    seed = training.train_layerwise(4, 4, settings).schedule()
+    seed = training.train_layerwise(4, 4).schedule()
     trace = benchmark(training.train_global, 4, 4, settings, [seed])
     assert trace.status != "overlap_one"
 

@@ -56,24 +56,22 @@ def layer(carried):
 
 def test_layer_step(benchmark, layer):
     terms, overlap = layer
-    settings = training.OptimizerSettings()
-    _, g, _ = benchmark(training._layer_step, terms, overlap, 1.0, settings, None)
+    _, g, _ = benchmark(training._layer_step, terms, overlap, 1.0, None)
     assert g**2 >= overlap
 
 
 def test_cutoff_step(benchmark, layer):
     terms, overlap = layer
-    settings = training.OptimizerSettings()
-    _, g_star, _ = training._layer_step(terms, overlap, 1.0, settings, None)
-    _, g, _ = benchmark(training._layer_step, terms, overlap, FRACTION, settings, LeftRoot())
+    _, g_star, _ = training._layer_step(terms, overlap, 1.0, None)
+    _, g, _ = benchmark(training._layer_step, terms, overlap, FRACTION, LeftRoot())
     assert g**2 == pytest.approx(overlap + FRACTION * (g_star**2 - overlap), rel=1e-9)
 
 
 def test_grid(benchmark, layer):
     terms, _ = layer
-    settings = training.OptimizerSettings()
-    grid = benchmark(terms.grid, settings.beta_grid_points)
-    betas = np.arange(settings.beta_grid_points) * (np.pi / settings.beta_grid_points)
+    m = training.BETA_GRID_POINTS
+    grid = benchmark(terms.grid, m)
+    betas = np.arange(m) * (np.pi / m)
     assert np.max(np.abs(grid - terms.curve(betas))) <= 1e-13
 
 
@@ -100,20 +98,19 @@ def test_layer_update(benchmark, carried):
     assert after == gen.forward(t, [GAMMA], [BETA])[1][-1]
 
 
-def noiseless_layer(gen, t, head, fraction, settings, rng):
+def noiseless_layer(gen, t, head, fraction, rng):
     terms = symcore.LayerTerms.from_eigen(t, head)
-    angles, _, _ = training._layer_step(terms, symcore.reported_overlap(head), fraction, settings, rng)
+    angles, _, _ = training._layer_step(terms, symcore.reported_overlap(head), fraction, rng)
     return gen.layer(t, head, angles.gamma, angles.beta)
 
 
 @pytest.mark.parametrize("fraction", [1.0, FRACTION], ids=["greedy", "cutoff"])
 def test_noiseless_layer(benchmark, carried, fraction):
     gen, t, head = carried
-    settings = training.OptimizerSettings()
     overlap = symcore.reported_overlap(head)
     terms = symcore.LayerTerms.from_eigen(t, head)
-    _, g_star, _ = training._layer_step(terms, overlap, 1.0, settings, None)
-    _, after = benchmark(noiseless_layer, gen, t, head, fraction, settings, LeftRoot())
+    _, g_star, _ = training._layer_step(terms, overlap, 1.0, None)
+    _, after = benchmark(noiseless_layer, gen, t, head, fraction, LeftRoot())
     target = overlap + fraction * (g_star**2 - overlap)
     assert symcore.reported_overlap(after) == pytest.approx(target, rel=1e-9)
 
@@ -134,14 +131,14 @@ def noisy_prefix(request):
     return n, noise, state
 
 
-def noisy_layer(n, noise, state, settings, rng):
+def noisy_layer(n, noise, state, rng):
     layer = state.layer(densecore.sample_layer_noise(n, noise, rng))
-    angles, _, _ = training._layer_step(layer.terms(), symcore.reported_overlap(state.head), 1.0, settings, rng)
+    angles, _, _ = training._layer_step(layer.terms(), symcore.reported_overlap(state.head), 1.0, rng)
     return layer.apply(angles.gamma, angles.beta)
 
 
 def test_noisy_layer(benchmark, noisy_prefix):
     n, noise, prefix = noisy_prefix
-    after = benchmark(noisy_layer, n, noise, prefix, training.OptimizerSettings(), np.random.default_rng(1))
+    after = benchmark(noisy_layer, n, noise, prefix, np.random.default_rng(1))
     # phase kicks never move the target amplitude, so the layer cannot lose overlap
     assert abs(after.head) ** 2 >= abs(prefix.head) ** 2 * (1.0 - 1e-12)

@@ -8,14 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symcore
-from .symcore import SymmetricState, binomial_sqrt
-from .training import (
-    DEFAULT_EPS_ONE,
-    DEFAULT_EPS_SAT,
-    OptimizerSettings,
-    TrainingTrace,
-    _layer_step,
-)
+from .symcore import SymmetricState, _check_integer, binomial_sqrt
+from .training import DEFAULT_EPS_ONE, DEFAULT_EPS_SAT, TrainingTrace, _layer_step
 
 
 @dataclass(frozen=True)
@@ -136,7 +130,7 @@ def trainability_probe(state: SymmetricState) -> tuple[float, float]:
     (0, 0).
     """
     overlap = symcore.overlap(state)
-    angles, g, _ = _layer_step(symcore.layer_terms(state), overlap, 1.0, OptimizerSettings(), None)
+    angles, g, _ = _layer_step(symcore.layer_terms(state), overlap, 1.0, None)
     gain = g**2 - overlap
     if angles.beta == 0.0 or gain <= 0.0:
         return 0.0, 0.0
@@ -152,8 +146,7 @@ def make_nontrainable_state(
     one QAOA layer whenever a2 <= a0 / sqrt(C(n,2)); moduli outside that bound
     are rejected, and SymmetricState refuses non-normalized pairs.
     """
-    if n < 2:
-        raise ValueError("the family needs n >= 2")
+    _check_integer("n", n, 2)
     if a0 < 0 or a2 < 0:
         raise ValueError("moduli must be nonnegative")
     c2 = binomial_sqrt(n)[2]

@@ -21,7 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .symcore import LayerTerms, SymmetricState, _as_angles, binomial_sqrt, checked_amplitudes, dft, mixer
+from .symcore import (
+    LayerTerms, SymmetricState, _as_angles, _check_integer, binomial_sqrt, checked_amplitudes, dft, mixer,
+)
 
 MAX_DENSE_QUBITS = 24
 
@@ -31,6 +33,7 @@ class ResourceCapError(RuntimeError):
 
 
 def _check_cap(n: int):
+    _check_integer("qubit count", n, 1)
     if n > MAX_DENSE_QUBITS:
         raise ResourceCapError(
             f"dense simulation capped at n <= {MAX_DENSE_QUBITS}, got n = {n}"
@@ -45,8 +48,6 @@ class DenseState:
     amps: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"qubit count must be >= 1, got {self.n}")
         _check_cap(self.n)
         object.__setattr__(self, "amps", checked_amplitudes(self.amps, 1 << self.n))
 

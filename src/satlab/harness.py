@@ -259,7 +259,7 @@ def run_compare_experiment(config: ExperimentConfig) -> ResultTable:
     got there first.
     """
     settings = OptimizerSettings(seed=config.seed)
-    layerwise = training.train_layerwise(config.n, config.depth, settings)
+    layerwise = training.train_layerwise(config.n, config.depth)
     global_trace = training.train_global(
         config.n, config.depth, settings, seed_schedules=[layerwise.schedule()]
     )

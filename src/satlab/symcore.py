@@ -29,8 +29,8 @@ NORM_TOL = 1e-8
 # Largest qubit count whose overlaps are trusted.  The depth-1 target amplitude
 # stays within 2.1e-13 (relative) of a 60-digit mpmath closed form up to here,
 # so float64's range binds: past n = 1022, 2^-n (|+>^n's overlap, r_0^2) is not
-# a normal float, and train_global's 2^n overflows at n = 1024.  ExperimentConfig
-# rejects larger n; the library functions and trainers do not check it.
+# a normal float, and train_global's 2^n overflows at n = 1024.  MixerGenerator
+# refuses larger n, and so every trainer; ExperimentConfig before any compute.
 MAX_SYMMETRIC_QUBITS = 1022
 # relative gap within which a smaller beta or gamma ties a larger one's value
 TIE_TOLERANCE = 1e-12
@@ -43,8 +43,6 @@ OVERLAP_EXCESS_TOL = 1e-12
 # within 6e-15 up to n = 109, and the end column is negated at n = 110, 114,
 # 115, ...; at the ceiling 2^(-50) = 8.9e-16.
 MAX_EIGENVECTOR_QUBITS = 100
-# Most entries of a cached DFT table (_dft_table): 2^16 complex, 1 MB.
-DFT_TABLE_ENTRIES = 1 << 16
 # Most rows of a cached DFT table, the most coefficients that dft multiplies
 # by one.  On one 2-vCPU VM, |B| on 2,048 points by the table against the FFT,
 # abs included, took 7.1 against 18.1 us at 5 coefficients, 17.3 against 18.1
@@ -66,17 +64,17 @@ def binomial_sqrt(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _dft_table(size: int, inverse: bool) -> np.ndarray:
-    """Rows l = 0..min(DFT_TABLE_ROWS, DFT_TABLE_ENTRIES // size, size) - 1 of
-    the size-point DFT matrix, entries exp(-2 pi i (l j mod size) / size), or
-    with inverse those of the inverse DFT, exp(2 pi i (l j mod size) / size) /
-    size: 32 rows and 1 MB at 2,048 points.  Read-only, and cached for the
-    last few (size, inverse).  The entries are indexed from one length-size
-    vector of roots of unity, so no temporary array is larger than the table."""
+    """Rows l = 0..min(DFT_TABLE_ROWS, size) - 1 of the size-point DFT matrix,
+    entries exp(-2 pi i (l j mod size) / size), or with inverse those of the
+    inverse DFT, exp(2 pi i (l j mod size) / size) / size: 32 rows and 1 MB at
+    2,048 points.  Read-only, and cached for the last few (size, inverse).
+    The entries are indexed from one length-size vector of roots of unity, so
+    no temporary array is larger than the table."""
     k = np.arange(size)
     roots = np.exp((2j if inverse else -2j) * np.pi * k / size)
     if inverse:
         roots /= size
-    table = roots[np.outer(k[: min(DFT_TABLE_ROWS, DFT_TABLE_ENTRIES // size)], k) % size]
+    table = roots[np.outer(k[:DFT_TABLE_ROWS], k) % size]
     table.setflags(write=False)
     return table
 
@@ -84,18 +82,16 @@ def _dft_table(size: int, inverse: bool) -> np.ndarray:
 def dft(coefs: np.ndarray, size: int, inverse: bool = False) -> np.ndarray:
     """The size-point DFT of coefs along the last axis, or with inverse the
     inverse DFT, as np.fft.fft(coefs, size) and np.fft.ifft(coefs, size) give
-    it, except that more coefficients than points are folded modulo size
-    rather than cut.  One product with the cached _dft_table(size, inverse)
-    when it has a row for every coefficient, and one FFT otherwise."""
+    it, for at most size coefficients (ValueError otherwise, where the FFT
+    would cut them): the beta grid has more points than any mixer's n + 1,
+    and the inverse DFTs take n + 1.  One product with the cached
+    _dft_table(size, inverse) up to DFT_TABLE_ROWS coefficients, and one FFT
+    past them."""
     count = coefs.shape[-1]
-    if count > size:  # fold the frequencies modulo size
-        padded = np.pad(coefs, [(0, 0)] * (coefs.ndim - 1) + [(0, -count % size)])
-        coefs = padded.reshape(*coefs.shape[:-1], -1, size).sum(axis=-2)
-        count = size
+    if count > size:
+        raise ValueError(f"dft takes at most size = {size} coefficients, got {count}")
     if count <= DFT_TABLE_ROWS:  # past it no table has a row for every coefficient
-        table = _dft_table(size, inverse)
-        if count <= len(table):
-            return coefs @ table[:count]
+        return coefs @ _dft_table(size, inverse)[:count]
     return np.fft.ifft(coefs, size) if inverse else np.fft.fft(coefs, size)
 
 
@@ -193,6 +189,8 @@ class MixerGenerator:
 
     def __init__(self, n: int):
         _check_integer("qubit count", n, 1)
+        if n > MAX_SYMMETRIC_QUBITS:
+            raise ValueError(f"qubit count must be <= MAX_SYMMETRIC_QUBITS = {MAX_SYMMETRIC_QUBITS}, got {n}")
         self.n = n
         self.eigenvalues = np.arange(-n, n + 1, 2, dtype=float)
         self.row = plus_state(n).amps.real.copy()
@@ -266,9 +264,9 @@ class MixerGenerator:
         return rows
 
     def bra_moduli(self, points: int, weight: int) -> np.ndarray:
-        """|cos(beta_j)|^{n-m} |sin(beta_j)|^m at beta_j = pi j / points, for
-        m = weight: the modulus of <0|mixer(beta_j)|x> for any bitstring x of
-        weight m.  Read-only and cached per (points, weight)."""
+        """|cos(beta_j)|^{n-m} |sin(beta_j)|^m at beta_j = pi j / points
+        (points > n), for m = weight: the modulus of <0|mixer(beta_j)|x> for
+        any bitstring x of weight m.  Read-only and cached per (points, weight)."""
         table = self._bra_moduli.get((points, weight))
         if table is None:
             betas = np.arange(points) * (np.pi / points)
@@ -582,8 +580,8 @@ class LayerTerms:
         return g, slope, curvature, f
 
     def grid(self, points: int) -> np.ndarray:
-        """The curve at beta_j = pi j / points for j = 0..points-1: |B| =
-        |dft(b, points)|, plus |a| times the mixer's cached bra_moduli table."""
+        """The curve at beta_j = pi j / points for j = 0..points-1, points > n:
+        |B| = |dft(b, points)|, plus |a| times the mixer's cached bra_moduli table."""
         vals = np.abs(dft(self.b, points))
         vals += abs(self.a) * mixer(self.n).bra_moduli(points, self.a_weight)
         vals[0] = abs(self.at_zero[0]) + abs(self.at_zero[1])

@@ -8,6 +8,7 @@ mixer angle.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -35,16 +36,21 @@ ARMIJO = 1e-4
 # trace status thresholds and analysis.detect_saturation's defaults.
 DEFAULT_EPS_ONE = 1e-9
 DEFAULT_EPS_SAT = 1e-8
+# Points of _layer_step's beta grid: a power of two, so 2048 cells of pi / 2048
+# end at pi exactly, and above n + 1 for every n a mixer is built for (n <=
+# MAX_SYMMETRIC_QUBITS = 1022), so B's n + 1 coefficients never outnumber them.
+BETA_GRID_POINTS = 2048
 
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    beta_grid_points: int = 2048
+    """train_global's multistart settings; no other trainer reads them."""
+
     global_restarts: int = 32
     seed: int = 0
 
     def __post_init__(self):
-        for name, minimum in (("beta_grid_points", 2), ("global_restarts", 1), ("seed", 0)):
+        for name, minimum in (("global_restarts", 1), ("seed", 0)):
             _check_integer(name, getattr(self, name), minimum)
 
 
@@ -196,12 +202,12 @@ def _layer_step(
     terms: symcore.LayerTerms,
     overlap: float,
     fraction: float,
-    settings: OptimizerSettings,
     rng: np.random.Generator | None,
 ) -> tuple[LayerAngles, float, int]:
     """Angles of one new layer: (angles, curve value at them, evaluations).
 
-    The curve is sampled once, on the grid beta_j = pi j / M, and two rules
+    The curve is sampled once, on the grid beta_j = pi j / M, M =
+    BETA_GRID_POINTS, whose last cell ends at pi exactly, and two rules
     read the sample.  Tie rule: the smallest beta within a relative
     TIE_TOLERANCE of the best value wins.  newton_bisect on h = g' refines the
     maximizer over the two cells around the first grid point tying the grid's
@@ -234,7 +240,7 @@ def _layer_step(
     grid and each search's evaluations, plus best_gamma's one unless a root
     search ended at the chosen beta.
     """
-    m = settings.beta_grid_points
+    m = BETA_GRID_POINTS
     cell = math.pi / m
     grid = terms.grid(m)
     peak = int(np.argmax(grid >= grid.max() * (1.0 - TIE_TOLERANCE)))
@@ -243,7 +249,7 @@ def _layer_step(
         bend = left - 2.0 * top + right
         offset = min(max(0.5 * (left - right) / bend, -0.5), 0.5) if bend < 0.0 else 0.0
         beta, g, evals = newton_bisect(
-            terms.jet, (peak + offset) * cell, (peak - 1) * cell, min((peak + 1) * cell, math.pi), peak=True
+            terms.jet, (peak + offset) * cell, (peak - 1) * cell, (peak + 1) * cell, peak=True
         )
     else:
         start = terms.kink_offset()
@@ -272,7 +278,7 @@ def _layer_step(
             # index m stands for pi, where g(pi) = g(0): reached exactly when index 0 is
             i = int(reached[split]) if split < reached.size else m
             lo, g_lo = ((i - 1) * cell, grid[i - 1]) if (i - 1) * cell > beta else (beta, g)
-            cells.append((-1.0, lo, min(i * cell, math.pi), g_lo, grid[i % m]))
+            cells.append((-1.0, lo, i * cell, g_lo, grid[i % m]))
         if cells:
             side, lo, hi, g_lo, g_hi = cells[rng.integers(len(cells))]
 
@@ -299,15 +305,15 @@ def _layer_step(
 
 
 def train_layerwise(n: int, max_depth: int, settings: OptimizerSettings | None = None) -> TrainingTrace:
-    """Greedy layerwise training: optimize one layer at a time, freeze the rest."""
-    return train_cutoff(n, max_depth, 1.0, settings)
+    """Greedy layerwise training: optimize one layer at a time, freeze the rest.
+    settings is not read; it stays for callers that pass train_global's to both."""
+    return train_cutoff(n, max_depth, 1.0)
 
 
 def train_cutoff(
     n: int,
     max_depth: int,
     fraction: float,
-    settings: OptimizerSettings | None = None,
     rng: np.random.Generator | None = None,
 ) -> TrainingTrace:
     """Layerwise training limited to a fraction of each layer's maximal gain.
@@ -318,11 +324,12 @@ def train_cutoff(
     required.
     """
     _check_sizes(n, max_depth)
+    if isinstance(fraction, bool) or not isinstance(fraction, numbers.Real):
+        raise ValueError(f"fraction must be a real number, got {fraction!r}")
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     if fraction < 1.0 and rng is None:
         raise ValueError("train_cutoff below fraction 1 draws from rng; pass a numpy Generator")
-    settings = settings or OptimizerSettings()
     gen = symcore.mixer(n)
     t = gen.plus
     head = t @ gen.row
@@ -330,7 +337,7 @@ def train_cutoff(
     trace = TrainingTrace(n)
     for _ in range(max_depth):
         t0 = time.perf_counter()
-        angles, _, evals = _layer_step(symcore.LayerTerms.from_eigen(t, head), overlap, fraction, settings, rng)
+        angles, _, evals = _layer_step(symcore.LayerTerms.from_eigen(t, head), overlap, fraction, rng)
         t, head = gen.layer(t, head, angles.gamma, angles.beta)
         overlap = symcore.reported_overlap(head)
         trace.records.append(LayerRecord(angles, overlap, time.perf_counter() - t0, evals))
@@ -544,7 +551,6 @@ def train_layerwise_noisy(
     n: int,
     max_depth: int,
     noise: NoiseConfig,
-    settings: OptimizerSettings | None = None,
     rng: np.random.Generator | None = None,
 ) -> TrainingTrace:
     """Greedy layerwise training with frozen coherent noise per layer.
@@ -567,7 +573,6 @@ def train_layerwise_noisy(
     _check_sizes(n, max_depth)
     if rng is None:
         raise ValueError("train_layerwise_noisy draws its noise from rng; pass a numpy Generator")
-    settings = settings or OptimizerSettings()
 
     state = densecore.ProductSum.plus(n)
     overlap = symcore.reported_overlap(state.head)
@@ -575,7 +580,7 @@ def train_layerwise_noisy(
     for _ in range(max_depth):
         t0 = time.perf_counter()
         layer = state.layer(densecore.sample_layer_noise(n, noise, rng))
-        angles, _, evals = _layer_step(layer.terms(), overlap, 1.0, settings, rng)
+        angles, _, evals = _layer_step(layer.terms(), overlap, 1.0, rng)
         state = layer.apply(angles.gamma, angles.beta)
         overlap = symcore.reported_overlap(state.head)
         trace.records.append(LayerRecord(angles, overlap, time.perf_counter() - t0, evals))

@@ -206,6 +206,10 @@ def test_family_rejects_bound_violation():
         make_nontrainable_state(n, a0, 1.5 * a0 / math.sqrt(6))
     with pytest.raises(ValueError):
         make_nontrainable_state(n, 0.9, 0.9)  # not normalized
+    # the qubit count is refused before math.comb sees it
+    for bad in (2.5, 4.0, True, 1):
+        with pytest.raises(ValueError, match="^n must be"):
+            make_nontrainable_state(bad, 1.0, 0.0)
 
 
 def test_family_curve_matches_closed_form():

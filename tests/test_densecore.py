@@ -360,7 +360,7 @@ def test_noisy_layer_fft_grid_matches_direct_curve(granularity, kind, random_pro
         frozen = sample_layer_noise(n, noise, rand)
         terms = state.layer(frozen).terms()
         mask = sum(1 << int(q) for q in np.flatnonzero(frozen.flips))
-        for m in (2, 3, 2048):
+        for m in (7, 2048):
             betas = np.linspace(0, np.pi, m, endpoint=False)
             assert np.max(np.abs(terms.grid(m) - terms.curve(betas))) < 1e-13
         a_term, b_term = terms.split(0.0)

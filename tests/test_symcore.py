@@ -174,6 +174,11 @@ def test_mixer_rejects_a_bad_qubit_count(n):
         plus_state(n)
     with pytest.raises(ValueError, match="qubit count"):
         SymmetricState(n, np.array([1.0, 0.0, 0.0]))
+    # the 2^n oracle takes the same check before its 1 << n
+    with pytest.raises(ValueError, match="qubit count"):
+        densecore.run_schedule_dense(n, [])
+    with pytest.raises(ValueError, match="qubit count"):
+        densecore.DenseState(n, np.array([1.0, 0.0]))
     assert MixerGenerator(np.int64(3)).n == 3
     assert plus_state(np.int64(3)).n == 3
 
@@ -438,10 +443,9 @@ def test_one_layer_amplitude_recursion():
 
 # ------------------------------------------------------------ spectral form
 
-# grid sizes on both sides of symcore.dft's choice between its DFT table and
-# the FFT: at most 32 coefficients up to m = 2048, 16 at m = 4096; m = 2, 3
-# fold the n + 1 frequencies modulo m once n + 1 > m
-GRID_SIZES = (2, 3, 64, 1000, 2048, 4096)
+# grid sizes above every n + 1 below, as LayerTerms.grid requires; symcore.dft
+# takes its DFT table up to 32 coefficients and the FFT past them
+GRID_SIZES = (64, 1000, 2048, 4096)
 
 
 @pytest.mark.parametrize("n", [1, 5, 31, 32, 40])
@@ -453,6 +457,10 @@ def test_fft_grid_matches_direct_curve(n):
         for m in GRID_SIZES:
             betas = np.linspace(0, np.pi, m, endpoint=False)
             assert np.max(np.abs(terms.grid(m) - terms.curve(betas))) < 1e-13
+        # a grid of n points or fewer cannot hold the n + 1 frequencies, and
+        # is refused rather than cut
+        with pytest.raises(ValueError, match="at most size"):
+            terms.grid(n)
         betas = rand.uniform(0, np.pi, 16)
         scalar = np.array([terms.value(b) for b in betas])
         assert np.max(np.abs(scalar - terms.curve(betas))) < 1e-14
@@ -475,24 +483,19 @@ def test_fft_grid_matches_direct_curve_at_every_a_weight(n):
     for m in GRID_SIZES:
         table = symcore._dft_table(m, False)
         assert symcore._dft_table(m, False) is table and not table.flags.writeable
-        assert table.size <= symcore.DFT_TABLE_ENTRIES
     assert symcore._dft_table(2048, False).shape == (32, 2048)
 
 
 @pytest.mark.parametrize("inverse", [False, True])
 @pytest.mark.parametrize("count, size", [(31, 31), (32, 32), (33, 33), (31, 2048), (32, 2048), (33, 2048),
-                                         (17, 4096), (5, 3), (70, 32), (100, 33)])
+                                         (17, 4096)])
 def test_dft_matches_numpy_fft(count, size, inverse):
-    # more coefficients than points fold modulo size, and then one product
-    # with the cached table takes up to min(32, 2^16 // size) of them and one
-    # FFT more; a 2-D input transforms each row
+    # one product with the cached table of min(32, size) rows takes up to 32
+    # coefficients, and one FFT more; a 2-D input transforms each row
     rand = np.random.default_rng(count * size)
     coefs = rand.normal(size=(3, count)) + 1j * rand.normal(size=(3, count))
-    assert symcore._dft_table(size, inverse).shape[0] == min(32, (1 << 16) // size, size)
-    folded = np.zeros((3, size), dtype=complex)
-    for j in range(count):
-        folded[:, j % size] += coefs[:, j]
-    expected = np.fft.ifft(folded) if inverse else np.fft.fft(folded)
+    assert symcore._dft_table(size, inverse).shape[0] == min(32, size)
+    expected = np.fft.ifft(coefs, size) if inverse else np.fft.fft(coefs, size)
     scale = np.max(np.abs(expected))
     assert np.max(np.abs(symcore.dft(coefs, size, inverse) - expected)) < 1e-14 * scale
     for row, want in zip(coefs, expected):

@@ -66,9 +66,10 @@ def test_gain_collapses_at_depth_n(n):
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
-def test_grid_sufficiency(n):
-    coarse = train_layerwise(n, n + 1, OptimizerSettings(beta_grid_points=2048))
-    fine = train_layerwise(n, n + 1, OptimizerSettings(beta_grid_points=4096))
+def test_grid_sufficiency(monkeypatch, n):
+    coarse = train_layerwise(n, n + 1)
+    monkeypatch.setattr(training, "BETA_GRID_POINTS", 4096)
+    fine = train_layerwise(n, n + 1)
     assert np.max(np.abs(coarse.betas() - fine.betas())) < 1e-6
 
 
@@ -184,7 +185,6 @@ def test_no_computing_path_reaches_the_pinned_shims(monkeypatch):
 def test_real_states_take_the_smaller_beta_of_the_mirror_pair(n):
     # real amplitudes give g(pi - beta) = g(beta); the maximizer is the one in
     # [0, pi/2], up to the refinement's resolution when the peak is at pi/2
-    settings = OptimizerSettings()
     rand = np.random.default_rng(40 + n)
     states = [symcore.plus_state(n)]
     for _ in range(4):
@@ -192,7 +192,7 @@ def test_real_states_take_the_smaller_beta_of_the_mirror_pair(n):
         states.append(symcore.SymmetricState(n, amps / np.linalg.norm(amps)))
     for state in states:
         terms = symcore.layer_terms(state)
-        angles, g, _ = training._layer_step(terms, symcore.overlap(state), 1.0, settings, None)
+        angles, g, _ = training._layer_step(terms, symcore.overlap(state), 1.0, None)
         assert terms.value(np.pi - angles.beta) == pytest.approx(g, abs=1e-12)
         assert angles.beta <= np.pi / 2 + 1e-7
 
@@ -201,27 +201,25 @@ def test_real_states_take_the_smaller_beta_of_the_mirror_pair(n):
 def test_complex_states_reach_the_fine_sampling_maximum(n):
     # for complex amplitudes the mirror cell is not a peak, and the one
     # refinement must still find the curve's maximum
-    settings = OptimizerSettings()
     reference = np.pi * np.arange(2**15) / 2**15
     rand = np.random.default_rng(90 + n)
     for _ in range(5):
         state = symcore.random_symmetric_state(n, rand)
         terms = symcore.layer_terms(state)
-        angles, g, _ = training._layer_step(terms, symcore.overlap(state), 1.0, settings, None)
+        angles, g, _ = training._layer_step(terms, symcore.overlap(state), 1.0, None)
         assert terms.value(angles.beta) >= terms.curve(reference).max() - 1e-9
 
 
 def test_maximizer_reaches_the_grid_maximum_at_tiny_overlaps():
     # at n = 100 the curve is about 1e-15: a tie tolerance on the absolute
     # scale would call every mirror cell a tie and refine around it
-    settings = OptimizerSettings()
     trace = train_cutoff(100, 100, 0.3, rng=np.random.default_rng(0))
     gen = symcore.mixer(100)
     states, heads = gen.forward(gen.plus, trace.gammas(), trace.betas())
     for t, head in zip(states[:-1], heads[:-1]):
         terms = symcore.LayerTerms.from_eigen(t, head)
-        _, g, _ = training._layer_step(terms, abs(gen.row @ t) ** 2, 1.0, settings, None)
-        assert g >= terms.grid(settings.beta_grid_points).max() * (1.0 - 1e-9)
+        _, g, _ = training._layer_step(terms, abs(gen.row @ t) ** 2, 1.0, None)
+        assert g >= terms.grid(training.BETA_GRID_POINTS).max() * (1.0 - 1e-9)
 
 
 def _greedy_layer_terms(n, depth):
@@ -237,11 +235,10 @@ def test_newton_refinement_is_stationary_on_greedy_layers(monkeypatch, n):
     # where Newton converges without bisecting, g'(beta*) is rounding: the
     # curve's slope scale is n g
     searches = _record_searches(monkeypatch)
-    settings = OptimizerSettings()
     converged = 0
     for terms, overlap in _greedy_layer_terms(n, n + 2):
         searches.clear()
-        angles, g, _ = training._layer_step(terms, overlap, 1.0, settings, None)
+        angles, g, _ = training._layer_step(terms, overlap, 1.0, None)
         if _bisected(searches[0][3]) or angles.beta == 0.0:
             continue
         converged += 1
@@ -271,11 +268,10 @@ def test_newton_falls_back_to_bisection_when_a_step_leaves_the_bracket(monkeypat
     # layer 17 of greedy n = 15 peaks at the beta = 0 kink, so the lobes on
     # both sides of it are searched, each from the kink's model peak; the
     # lobe left of it, just below pi, is higher, and the layer takes it
-    settings = OptimizerSettings()
-    cell = np.pi / settings.beta_grid_points
+    cell = np.pi / training.BETA_GRID_POINTS
     terms, overlap = _greedy_layer_terms(15, 17)[-1]
     searches.clear()
-    angles, g, _ = training._layer_step(terms, overlap, 1.0, settings, None)
+    angles, g, _ = training._layer_step(terms, overlap, 1.0, None)
     [(_, lo, hi, points), (_, mirror_lo, mirror_hi, mirror_points)] = searches
     offset = terms.kink_offset()
     assert 0.0 < offset < cell / 2
@@ -319,7 +315,7 @@ def test_greedy_layers_take_few_evaluations_after_the_grid(greedy_sweep):
     # searches start at the kink's model peak: measured 2.63 evaluations per
     # layer after the grid and before best_gamma's one (4.34 before both),
     # and at most 5 in a kink search (16 before)
-    m = OptimizerSettings().beta_grid_points
+    m = training.BETA_GRID_POINTS
     cell = np.pi / m
     searches, records = greedy_sweep
     assert np.mean([r.evaluations - m - 1 for r in records]) <= 2.65
@@ -343,12 +339,13 @@ def test_peak_search_returns_the_curve_value_at_its_beta(greedy_sweep):
 
 
 @pytest.mark.parametrize("n", [15, 16])
-def test_greedy_finds_the_lobe_left_of_the_kink(n):
+def test_greedy_finds_the_lobe_left_of_the_kink(monkeypatch, n):
     # at these n some saturated layers peak just below pi, left of the kink
     # at beta = 0; a grid eight times finer sees that lobe from its own grid
     # points, and the result must not depend on it
-    fine = train_layerwise(n, n + 2, OptimizerSettings(beta_grid_points=16384))
     coarse = train_layerwise(n, n + 2)
+    monkeypatch.setattr(training, "BETA_GRID_POINTS", 16384)
+    fine = train_layerwise(n, n + 2)
     assert np.allclose(coarse.overlaps(), fine.overlaps(), rtol=1e-12, atol=0.0)
 
 
@@ -367,10 +364,9 @@ def test_cutoff_hits_interpolated_target():
     fraction = 0.9
     trace = train_cutoff(4, 6, fraction, rng=rng)
     state = symcore.plus_state(4)
-    settings = OptimizerSettings()
     for record in trace.records:
         o_prev = symcore.overlap(state)
-        _, g_star, _ = training._layer_step(symcore.layer_terms(state), o_prev, 1.0, settings, None)
+        _, g_star, _ = training._layer_step(symcore.layer_terms(state), o_prev, 1.0, None)
         o_max = g_star**2
         target = o_prev + fraction * (o_max - o_prev)
         assert record.overlap == pytest.approx(target, abs=1e-8)
@@ -396,7 +392,6 @@ def test_layer_step_is_scale_equivariant(n):
     # scaling the amplitudes by 2^-100 scales every curve value exactly, so
     # every decision of the step, and so its angles, must stay bitwise the same;
     # |+>^n, random real states and random complex states
-    settings = OptimizerSettings()
     scale = 2.0**-100
     rand = np.random.default_rng(110 + n)
     states = [symcore.plus_state(n)]
@@ -411,7 +406,7 @@ def test_layer_step_is_scale_equivariant(n):
         for fraction, pick in ((1.0, None), (0.5, 0), (0.5, 1)):
             picks = RootPicks(pick, pick)  # one pick per call, none drawn at fraction 1
             angles = [
-                training._layer_step(t, o, fraction, settings, picks)[0]
+                training._layer_step(t, o, fraction, picks)[0]
                 for t, o in ((terms, overlap), (small, overlap * scale**2))
             ]
             assert angles[0] == angles[1]
@@ -422,20 +417,19 @@ def test_layer_step_is_scale_equivariant(n):
 def test_cutoff_takes_the_roots_nearest_the_maximizer(n, fraction):
     # noiselessly g(0)^2 is the current overlap, below every target, and
     # g(pi) = g(0), so a target is reached on both sides of the maximizer
-    settings = OptimizerSettings()
-    cell = np.pi / settings.beta_grid_points
+    cell = np.pi / training.BETA_GRID_POINTS
     reference = np.pi * np.arange(2**15 + 1) / 2**15
     rand = np.random.default_rng(70 + n)
     for _ in range(5):
         state = symcore.random_symmetric_state(n, rand)
         terms = symcore.layer_terms(state)
         overlap = symcore.overlap(state)
-        angles, g_star, _ = training._layer_step(terms, overlap, 1.0, settings, None)
+        angles, g_star, _ = training._layer_step(terms, overlap, 1.0, None)
         beta_star = angles.beta
         target = overlap + fraction * (g_star**2 - overlap)
         picks = RootPicks(0, 1)
         left, right = (
-            training._layer_step(terms, overlap, fraction, settings, picks)[0].beta for _ in range(2)
+            training._layer_step(terms, overlap, fraction, picks)[0].beta for _ in range(2)
         )
         for beta in (left, right):
             assert terms.value(beta) ** 2 == pytest.approx(target, abs=1e-12)
@@ -451,7 +445,6 @@ def test_cutoff_takes_the_roots_nearest_the_maximizer(n, fraction):
 def test_cutoff_roots_match_brentq_on_the_same_bracket(monkeypatch, fraction):
     # each root search's bracket holds one sign change of g^2 - target, which
     # scipy's brentq resolves as the reference
-    settings = OptimizerSettings()
     rand = np.random.default_rng(int(fraction * 10))
     searches = _record_searches(monkeypatch)
     checked = 0
@@ -460,11 +453,11 @@ def test_cutoff_roots_match_brentq_on_the_same_bracket(monkeypatch, fraction):
             state = symcore.random_symmetric_state(n, rand)
             terms = symcore.layer_terms(state)
             overlap = symcore.overlap(state)
-            _, g_star, _ = training._layer_step(terms, overlap, 1.0, settings, None)
+            _, g_star, _ = training._layer_step(terms, overlap, 1.0, None)
             target = overlap + fraction * (g_star**2 - overlap)
             for pick in (0, 1):
                 searches.clear()
-                beta = training._layer_step(terms, overlap, fraction, settings, RootPicks(pick))[0].beta
+                beta = training._layer_step(terms, overlap, fraction, RootPicks(pick))[0].beta
                 # the peak search, then only the drawn root's
                 assert len(searches) == 2
                 _, lo, hi, points = searches[1]
@@ -492,7 +485,7 @@ def test_cutoff_layers_take_few_evaluations_after_the_grid(monkeypatch):
     # root's search, the only one, at the grid's linear interpolation, by
     # Halley steps: measured 4.40 curve evaluations per layer after the grid
     # and before best_gamma's one (6.77 while both roots were searched)
-    m = OptimizerSettings().beta_grid_points
+    m = training.BETA_GRID_POINTS
     searches = _record_searches(monkeypatch)
     counts = [
         record.evaluations - m - 1
@@ -512,23 +505,22 @@ def test_cutoff_right_root_when_the_grid_ties_the_target():
     # a target equal to g^2 at a grid point past the maximizer: the scalar
     # path puts that point above the target about half the time, and the root
     # search must still end at the target, next to that grid point
-    settings = OptimizerSettings()
-    cell = np.pi / settings.beta_grid_points
+    cell = np.pi / training.BETA_GRID_POINTS
     rand = np.random.default_rng(3)
     ties = 0
     for _ in range(20):
         state = symcore.random_symmetric_state(int(rand.integers(3, 12)), rand)
         terms = symcore.layer_terms(state)
         overlap = symcore.overlap(state)
-        angles, g_star, _ = training._layer_step(terms, overlap, 1.0, settings, None)
+        angles, g_star, _ = training._layer_step(terms, overlap, 1.0, None)
         gain = g_star**2 - overlap
-        grid = terms.grid(settings.beta_grid_points)
+        grid = terms.grid(training.BETA_GRID_POINTS)
         after = int(angles.beta // cell) + 1
         j = after + np.flatnonzero(grid[after:] ** 2 <= overlap + gain / 2)[0]
         fraction = (grid[j] ** 2 - overlap) / gain
         target = overlap + fraction * gain
         ties += target == grid[j] ** 2 and terms.value(j * cell) ** 2 > target
-        right = training._layer_step(terms, overlap, fraction, settings, RootPicks(1))[0].beta
+        right = training._layer_step(terms, overlap, fraction, RootPicks(1))[0].beta
         assert terms.value(right) ** 2 == pytest.approx(target, abs=1e-12)
         assert abs(right - j * cell) <= cell
     assert ties > 0
@@ -538,8 +530,7 @@ def test_cutoff_right_root_in_the_last_cell_before_pi():
     # noiselessly g(pi) = g(0), so grid index M stands for pi and is reached
     # when index 0 is: a target between g(0)^2 and g(pi - cell)^2, above every
     # grid point past the maximizer, is reached only in (pi - cell, pi)
-    settings = OptimizerSettings()
-    m = settings.beta_grid_points
+    m = training.BETA_GRID_POINTS
     cell = np.pi / m
     rand = np.random.default_rng(5)
     checked = 0
@@ -548,12 +539,12 @@ def test_cutoff_right_root_in_the_last_cell_before_pi():
         terms = symcore.layer_terms(state)
         overlap = symcore.overlap(state)
         grid = terms.grid(m)
-        angles, g_star, _ = training._layer_step(terms, overlap, 1.0, settings, None)
+        angles, g_star, _ = training._layer_step(terms, overlap, 1.0, None)
         target = 0.5 * (grid[0] ** 2 + grid[m - 1] ** 2)
         if not np.all(grid[int(angles.beta // cell) + 1 :] ** 2 > target):
             continue
         fraction = (target - overlap) / (g_star**2 - overlap)
-        right = training._layer_step(terms, overlap, fraction, settings, RootPicks(1))[0].beta
+        right = training._layer_step(terms, overlap, fraction, RootPicks(1))[0].beta
         assert np.pi - cell < right < np.pi
         assert terms.value(right) ** 2 == pytest.approx(target, abs=1e-12)
         checked += 1
@@ -673,6 +664,11 @@ def test_cutoff_rejects_bad_fraction():
         train_cutoff(3, 3, 0.0)
     with pytest.raises(ValueError):
         train_cutoff(3, 3, 1.2)
+    # a flag would run as fraction 1, and a string or None would fail at the compare
+    for bad in (True, "0.5", None, 0.5j):
+        with pytest.raises(ValueError, match="fraction must be a real number"):
+            train_cutoff(3, 3, bad, rng=np.random.default_rng(0))
+    assert train_cutoff(3, 2, np.float64(0.5), rng=np.random.default_rng(0)).depth == 2
 
 
 def test_cutoff_reproducible_from_seed():
@@ -773,7 +769,7 @@ def test_greedy_seeded_global_reports_overlaps_at_most_one(n, depth, seed):
     # (4, 6) is the compare cell; at several of these seeds the winner's
     # forward reads an overlap a few ulps above 1, reported as 1.0
     settings = OptimizerSettings(seed=seed)
-    lw = train_layerwise(n, depth, settings)
+    lw = train_layerwise(n, depth)
     gl = train_global(n, depth, settings, seed_schedules=[lw.schedule()])
     assert gl.overlaps().max() <= 1.0
     assert gl.overlaps()[-1] >= lw.overlaps()[-1] - 1e-12
@@ -823,7 +819,7 @@ def test_global_rejects_seed_of_wrong_depth(seed_depth, monkeypatch):
 
 def test_every_start_records_why_it_stopped():
     settings = OptimizerSettings(seed=1)
-    lw = train_layerwise(4, 6, settings)
+    lw = train_layerwise(4, 6)
     starts = training._global_starts(6, settings, [lw.schedule()])
     result = training.lockstep_bfgs(training._global_objective(4), starts, -(2.0**4))
     assert len(result.reasons) == len(starts) == 33
@@ -853,7 +849,7 @@ def test_lockstep_stops_a_start_that_begins_stationary():
 def _greedy_seeded_runs(n, depth, settings):
     """train_global's starts at (n, depth), run with its bound -2^n and with
     no bound: (bounded, unbounded)."""
-    lw = train_layerwise(n, depth, settings)
+    lw = train_layerwise(n, depth)
     starts = training._global_starts(depth, settings, [lw.schedule()])
     objective = training._global_objective(n)
     return training.lockstep_bfgs(objective, starts, -(2.0**n)), training.lockstep_bfgs(objective, starts, -np.inf)
@@ -864,7 +860,7 @@ def test_global_stops_once_a_start_converges_at_overlap_one():
     # the first of them instead of the slowest
     settings = OptimizerSettings()
     bounded, unbounded = _greedy_seeded_runs(4, 6, settings)
-    lw = train_layerwise(4, 6, settings)
+    lw = train_layerwise(4, 6)
     assert train_global(4, 6, settings, [lw.schedule()]).records[-1].evaluations == bounded.evaluations
     assert bounded.evaluations < unbounded.evaluations
     assert -bounded.fun.min() / 2.0**4 >= -unbounded.fun.min() / 2.0**4 - training.DEFAULT_EPS_ONE
@@ -904,7 +900,7 @@ def test_global_seeded_at_overlap_one_evaluates_each_start_once():
 @pytest.mark.parametrize("n, depth", [(n, depth) for n in range(2, 9) for depth in range(n, n + 3)])
 def test_lockstep_matches_per_start_lbfgsb(n, depth):
     settings = OptimizerSettings(global_restarts=4, seed=0)
-    lw = train_layerwise(n, depth, settings)
+    lw = train_layerwise(n, depth)
     starts = training._global_starts(depth, settings, [lw.schedule()])
     objective = training._global_objective(n)
     result = training.lockstep_bfgs(objective, starts, -np.inf)
@@ -1108,18 +1104,18 @@ def test_noisy_layers_reach_dense_grid_maximum(p, granularity):
             )
 
 
-@pytest.mark.parametrize(
-    "train",
-    [
-        pytest.param(lambda n, depth: train_layerwise(n, depth), id="layerwise"),
-        pytest.param(lambda n, depth: train_cutoff(n, depth, 0.5, rng=np.random.default_rng(0)), id="cutoff"),
-        pytest.param(lambda n, depth: train_global(n, depth), id="global"),
-        pytest.param(
-            lambda n, depth: train_layerwise_noisy(n, depth, NoiseConfig(0.1), rng=np.random.default_rng(0)),
-            id="noisy",
-        ),
-    ],
-)
+TRAINERS = [
+    pytest.param(lambda n, depth: train_layerwise(n, depth), id="layerwise"),
+    pytest.param(lambda n, depth: train_cutoff(n, depth, 0.5, rng=np.random.default_rng(0)), id="cutoff"),
+    pytest.param(lambda n, depth: train_global(n, depth), id="global"),
+    pytest.param(
+        lambda n, depth: train_layerwise_noisy(n, depth, NoiseConfig(0.1), rng=np.random.default_rng(0)),
+        id="noisy",
+    ),
+]
+
+
+@pytest.mark.parametrize("train", TRAINERS)
 def test_trainers_reject_bad_sizes(train):
     # a flag, a float or a string is refused up front, as OptimizerSettings
     # refuses them: True as n would reach the mixer as 1 with plus = [1, 1],
@@ -1130,19 +1126,38 @@ def test_trainers_reject_bad_sizes(train):
     assert train(np.int64(2), np.int32(1)).depth == 1
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        *TRAINERS,
+        pytest.param(lambda n, depth: symcore.run_schedule(n, [(0.1, 0.2)] * depth), id="run_schedule"),
+        pytest.param(lambda n, depth: analysis.trainability_probe(symcore.plus_state(n)), id="probe"),
+    ],
+)
+def test_refused_past_the_validity_ceiling(run):
+    # past MAX_SYMMETRIC_QUBITS 2^-n is subnormal, and the mixer refuses the
+    # qubit count before any O(n^2) work
+    with pytest.raises(ValueError, match="MAX_SYMMETRIC_QUBITS"):
+        run(symcore.MAX_SYMMETRIC_QUBITS + 1, 2)
+
+
+def test_beta_grid_covers_every_mixer():
+    # a power of two, so the grid's last cell ends at pi exactly, and more
+    # points than the n + 1 Fourier coefficients of any mixer's curve
+    m = training.BETA_GRID_POINTS
+    assert m & (m - 1) == 0 and m * (np.pi / m) == np.pi
+    assert m > symcore.MAX_SYMMETRIC_QUBITS + 1
+
+
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        OptimizerSettings(beta_grid_points=1)
     with pytest.raises(ValueError):
         OptimizerSettings(global_restarts=0)
     # SeedSequence takes no negative entropy, so train_global would fail late
     with pytest.raises(ValueError, match="seed"):
         OptimizerSettings(seed=-1)
     # a float or a flag is refused up front, not inside range or numpy later
-    for bad in ({"beta_grid_points": 2048.5}, {"global_restarts": 1.5}, {"global_restarts": True},
-                {"beta_grid_points": False}, {"seed": 0.5}):
+    for bad in ({"global_restarts": 1.5}, {"global_restarts": True}, {"seed": 0.5}):
         with pytest.raises(ValueError, match="integer"):
             OptimizerSettings(**bad)
-    assert OptimizerSettings(beta_grid_points=np.int64(1024)).beta_grid_points == 1024
     with pytest.raises(ValueError):
         train_layerwise(0, 3)
