@@ -1,4 +1,5 @@
-"""Command line interface: one subcommand per experiment kind, built from harness.KINDS."""
+"""Command line interface: one subcommand per experiment kind, built from harness.KINDS and
+the ExperimentConfig field declarations."""
 
 from __future__ import annotations
 
@@ -9,32 +10,11 @@ import sys
 
 import click
 
-from .densecore import GRANULARITIES
 from .harness import (
-    COMMON_FIELDS, FORMATS, KINDS, RUNNERS, ConfigError, ExperimentConfig, run_experiment,
+    COMMON_FIELDS, KINDS, RUNNERS, ConfigError, ExperimentConfig, PerQubit, run_experiment,
 )
 
-# field -> (click type, help); tuple marks a comma-separated number list
-_OPTIONS = {
-    "n": (int, "Qubit count."),
-    "n_min": (int, "Smallest qubit count."),
-    "n_max": (int, "Largest qubit count."),
-    "depth": (int, "Circuit depth."),
-    "trials": (int, "Random trials per grid point."),
-    "eps_sat": (float, "Improvement threshold for saturation detection."),
-    "fractions": (tuple, "Comma-separated cutoff fractions in (0, 1]."),
-    "p_grid": (tuple, "Comma-separated noise probabilities in [0, 1]."),
-    "noise_stddev": (float, "Standard deviation of the noise phase."),
-    "noise_granularity": (click.Choice(GRANULARITIES), "Noise after each layer or after each gate."),
-    "bitflip_contrast": (bool, "Also run the bit-flip contrast at each probability."),
-    "seed": (int, "Master seed."),
-    "out": (click.Path(dir_okay=False), "Output file path."),
-    "fmt": (click.Choice(FORMATS), "Output format."),
-    "workers": (int, "Trial-level worker processes, capped at the trial count and the CPU count."),
-}
-_COMMON_DEFAULTS = {
-    f.name: f.default for f in dataclasses.fields(ExperimentConfig) if f.name in COMMON_FIELDS
-}
+_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _merge_config(ctx: click.Context, kind: str, flags: dict) -> ExperimentConfig:
@@ -71,23 +51,29 @@ def _number_list(ctx: click.Context, param: click.Parameter, text: str):
 
 
 def _option(name: str, default) -> click.Option:
-    type_, text = _OPTIONS[name]
+    """The option of one ExperimentConfig field, from its declaration and default."""
+    meta = _FIELDS[name].metadata
+    text = meta["help"]
     decls = ["--format" if name == "fmt" else "--" + name.replace("_", "-"), name]
-    if type_ is bool:
+    if isinstance(default, bool):
         return click.Option(decls, is_flag=True, help=text)
-    if callable(default):  # a multiple of n, which the config resolves
-        return click.Option(decls, type=type_, help=text, show_default=str(default))
-    if type_ is tuple:
+    if isinstance(default, PerQubit):  # a multiple of n, which the config resolves
+        return click.Option(decls, type=int, help=text, show_default=str(default))
+    if isinstance(default, tuple):
         return click.Option(
             decls, default=",".join(map(str, default)), callback=_number_list,
             show_default=True, help=text,
         )
-    return click.Option(decls, type=type_, default=default, show_default=True, help=text)
+    # any other option takes the type of its default (a string if None)
+    return click.Option(
+        decls, type=click.Choice(meta["choices"]) if "choices" in meta else None, default=default,
+        show_default=True, help=text, metavar=meta.get("metavar"),
+    )
 
 
 def _command(kind: str) -> click.Command:
     """The subcommand of one experiment: its KINDS fields, then the common flags."""
-    defaults = {**KINDS[kind], **_COMMON_DEFAULTS}
+    defaults = {**KINDS[kind], **{name: _FIELDS[name].default for name in COMMON_FIELDS}}
     params = [_option(name, default) for name, default in defaults.items()]
     params.append(click.Option(["--config"], type=click.Path(), help="JSON config overriding flags."))
     return click.Command(kind, params=params, help=inspect.getdoc(RUNNERS[kind]),

@@ -47,8 +47,9 @@ class PerQubit:
         return "n" if self.factor == 1 else f"{self.factor}n"
 
 
-# The one declaration of each experiment: the fields its runner reads, with
-# their defaults.  The config, the CLI options and the metadata echo read it.
+# Each experiment: the fields its runner reads, with their per-kind defaults.
+# A field's check and CLI help are declared on ExperimentConfig.  The config,
+# the CLI options and the metadata echo read both.
 KINDS = {
     "saturation": {"n_min": 3, "n_max": 10, "eps_sat": KNEE_EPS_SAT},
     "compare": {"n": 4, "depth": 6},
@@ -90,23 +91,16 @@ _QUBITS = (
     f"an integer in [1, {symcore.MAX_SYMMETRIC_QUBITS}], past which 2^-n is not a normal float64",
 )
 _NONNEGATIVE = (lambda v: _is_number(v) and math.isfinite(v) and v >= 0.0, "a finite number >= 0")
-# field -> (test of its value, what the value must be)
-_CHECKS = {
-    "n": _QUBITS,
-    "n_min": _POSITIVE,
-    "n_max": _QUBITS,
-    "depth": _POSITIVE,
-    "trials": _POSITIVE,
-    "eps_sat": _NONNEGATIVE,
-    "noise_stddev": _NONNEGATIVE,
-    "fractions": (_grid(lambda f: 0.0 < f <= 1.0), "a non-empty list of numbers in (0, 1]"),
-    "p_grid": (_grid(lambda p: 0.0 <= p <= 1.0), "a non-empty list of numbers in [0, 1]"),
-    "noise_granularity": (lambda v: v in densecore.GRANULARITIES, f"one of {densecore.GRANULARITIES}"),
-    "bitflip_contrast": (lambda v: type(v) is bool, "true or false"),
-    "seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
-    "fmt": (lambda v: v in FORMATS, f"one of {FORMATS}"),
-    "workers": _POSITIVE,
-}
+
+
+def _field(check, help: str, default=None, **cli):
+    """A config field declared once: check is (test of its value, what the
+    value must be), help its CLI help; cli holds its choices or metavar."""
+    return field(default=default, metadata={"check": check, "help": help, **cli})
+
+
+def _choice(values: tuple, help: str, default=None):
+    return _field((lambda v: v in values, f"one of {values}"), help, default, choices=values)
 
 
 @dataclass
@@ -114,21 +108,35 @@ class ExperimentConfig:
     """Settings of one experiment; a field its kind does not read stays None."""
 
     kind: str
-    n: int | None = None
-    n_min: int | None = None
-    n_max: int | None = None
-    depth: int | None = None
-    trials: int | None = None
-    p_grid: tuple[float, ...] | None = None
-    fractions: tuple[float, ...] | None = None
-    seed: int = 0
-    out: str | None = None
-    fmt: str = "csv"
-    workers: int = 1
-    eps_sat: float | None = None
-    noise_stddev: float | None = None
-    noise_granularity: str | None = None
-    bitflip_contrast: bool | None = None
+    n: int | None = _field(_QUBITS, "Qubit count.")
+    n_min: int | None = _field(_POSITIVE, "Smallest qubit count.")
+    n_max: int | None = _field(_QUBITS, "Largest qubit count.")
+    depth: int | None = _field(_POSITIVE, "Circuit depth.")
+    trials: int | None = _field(_POSITIVE, "Random trials per grid point.")
+    p_grid: tuple[float, ...] | None = _field(
+        (_grid(lambda p: 0.0 <= p <= 1.0), "a non-empty list of numbers in [0, 1]"),
+        "Comma-separated noise probabilities in [0, 1].",
+    )
+    fractions: tuple[float, ...] | None = _field(
+        (_grid(lambda f: 0.0 < f <= 1.0), "a non-empty list of numbers in (0, 1]"),
+        "Comma-separated cutoff fractions in (0, 1].",
+    )
+    seed: int = _field((lambda v: type(v) is int and v >= 0, "an integer >= 0"), "Master seed.", default=0)
+    out: str | None = _field(
+        (lambda v: v is None or isinstance(v, str), "a file path"), "Output file path.", metavar="FILE"
+    )
+    fmt: str = _choice(FORMATS, "Output format.", default="csv")
+    workers: int = _field(
+        _POSITIVE, "Trial-level worker processes, capped at the trial count and the CPU count.", default=1
+    )
+    eps_sat: float | None = _field(_NONNEGATIVE, "Improvement threshold for saturation detection.")
+    noise_stddev: float | None = _field(_NONNEGATIVE, "Standard deviation of the noise phase.")
+    noise_granularity: str | None = _choice(
+        densecore.GRANULARITIES, "Noise after each layer or after each gate."
+    )
+    bitflip_contrast: bool | None = _field(
+        (lambda v: type(v) is bool, "true or false"), "Also run the bit-flip contrast at each probability."
+    )
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -142,19 +150,17 @@ class ExperimentConfig:
             if getattr(self, name) is None:
                 setattr(self, name, default(self.n) if callable(default) else default)
             self._check(name)
-        for name in ("seed", "fmt", "workers"):
+        for name in COMMON_FIELDS:
             self._check(name)
         if "n_min" in reads and self.n_max < self.n_min:
             raise ConfigError(f"bad n range [{self.n_min}, {self.n_max}]")
-        if self.out is not None and not isinstance(self.out, str):
-            raise ConfigError(f"out must be a file path, got {self.out!r}")
         if self.out and os.path.isdir(self.out):
             raise ConfigError(f"out {self.out} is a directory, not a file")
         if self.out and not os.path.isdir(os.path.dirname(os.path.abspath(self.out))):
             raise ConfigError(f"output directory of {self.out} does not exist")
 
     def _check(self, name: str):
-        test, what = _CHECKS[name]
+        test, what = self.__dataclass_fields__[name].metadata["check"]
         value = getattr(self, name)
         if not test(value):
             raise ConfigError(f"{name} must be {what}, got {value!r}")

@@ -574,6 +574,7 @@ def train_layerwise_noisy(
     if rng is None:
         raise ValueError("train_layerwise_noisy draws its noise from rng; pass a numpy Generator")
 
+    symcore.mixer(n)  # refuses an n past MAX_SYMMETRIC_QUBITS before anything is drawn
     state = densecore.ProductSum.plus(n)
     overlap = symcore.reported_overlap(state.head)
     trace = TrainingTrace(n)

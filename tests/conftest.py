@@ -21,6 +21,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from satlab import densecore  # noqa: E402
+from satlab.symcore import LayerAngles, SymmetricState  # noqa: E402
 
 
 def _random_product_sum(n: int, rand: np.random.Generator, dense: bool = True):
@@ -42,3 +43,26 @@ def random_product_sum():
     """Make (ProductSum, its dense amplitudes or None) for n qubits from a
     generator: a random normalized sum of 1-4 random product states."""
     return _random_product_sum
+
+
+@pytest.fixture
+def basis_state():
+    """Make the Dicke basis state |e_k> of n qubits."""
+
+    def make(n, k):
+        amps = np.zeros(n + 1, dtype=complex)
+        amps[k] = 1.0
+        return SymmetricState(n, amps)
+
+    return make
+
+
+@pytest.fixture
+def random_schedule():
+    """Make depth layers of uniform random angles, gamma in [0, 2 pi) and
+    beta in [0, pi), drawn from a generator."""
+
+    def make(n, depth, rand):
+        return [LayerAngles(rand.uniform(0, 2 * np.pi), rand.uniform(0, np.pi)) for _ in range(depth)]
+
+    return make

@@ -24,12 +24,6 @@ from satlab.symcore import (
 from satlab.training import LayerRecord, TrainingTrace, train_layerwise
 
 
-def basis_state(n, k):
-    amps = np.zeros(n + 1, dtype=complex)
-    amps[k] = 1.0
-    return SymmetricState(n, amps)
-
-
 def synthetic_trace(n, overlaps, betas=None):
     trace = TrainingTrace(n)
     betas = betas if betas is not None else [0.1] * len(overlaps)
@@ -97,7 +91,7 @@ def test_report_carries_state_diagnostics():
 
 # ----------------------------------------------------------------- conditions
 
-def test_conditions_fail_on_single_excitation():
+def test_conditions_fail_on_single_excitation(basis_state):
     check = check_conditions(basis_state(4, 1))
     assert not check.condition1_pass
 
@@ -142,7 +136,7 @@ def test_condition2_bound_formula():
 
 # -------------------------------------------------------- trainability probe
 
-def test_probe_on_target_state():
+def test_probe_on_target_state(basis_state):
     gain, beta = trainability_probe(basis_state(5, 0))
     assert gain == 0.0 and beta == 0.0
 
@@ -206,6 +200,8 @@ def test_family_rejects_bound_violation():
         make_nontrainable_state(n, a0, 1.5 * a0 / math.sqrt(6))
     with pytest.raises(ValueError):
         make_nontrainable_state(n, 0.9, 0.9)  # not normalized
+    with pytest.raises(ValueError, match="nonnegative"):
+        make_nontrainable_state(n, 1.0, -0.1)
     # the qubit count is refused before math.comb sees it
     for bad in (2.5, 4.0, True, 1):
         with pytest.raises(ValueError, match="^n must be"):

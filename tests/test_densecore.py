@@ -21,22 +21,12 @@ from satlab.densecore import (
     sample_layer_noise,
     sample_noise_slot,
 )
-from satlab.symcore import LayerAngles, SymmetricState, plus_state, random_symmetric_state, run_schedule
-
-
-def basis_state(n, k):
-    amps = np.zeros(n + 1, dtype=complex)
-    amps[k] = 1.0
-    return SymmetricState(n, amps)
-
-
-def random_schedule(n, depth, rand):
-    return [LayerAngles(rand.uniform(0, 2 * np.pi), rand.uniform(0, np.pi)) for _ in range(depth)]
+from satlab.symcore import plus_state, random_symmetric_state, run_schedule
 
 
 # --------------------------------------------------------------------- lift
 
-def test_lift_target_state():
+def test_lift_target_state(basis_state):
     d = lift(basis_state(3, 0))
     assert d.amps[0] == 1.0
     assert np.all(d.amps[1:] == 0.0)
@@ -46,7 +36,7 @@ def test_lift_plus_two_qubits():
     assert np.allclose(lift(plus_state(2)).amps, [0.5, 0.5, 0.5, 0.5])
 
 
-def test_lift_single_excitation():
+def test_lift_single_excitation(basis_state):
     d = lift(basis_state(3, 1))
     expected = np.zeros(8, dtype=complex)
     expected[[1, 2, 4]] = 1 / np.sqrt(3)
@@ -79,7 +69,7 @@ def test_project_rejects_fully_asymmetric():
         project_symmetric(DenseState(2, amps))
 
 
-def test_noisy_run_leaves_symmetric_subspace():
+def test_noisy_run_leaves_symmetric_subspace(random_schedule):
     noise = NoiseConfig(p_noise=0.5)
     rand = np.random.default_rng(3)
     schedule = random_schedule(4, 4, np.random.default_rng(5))
@@ -91,14 +81,14 @@ def test_noisy_run_leaves_symmetric_subspace():
 # ------------------------------------------------------------ run schedule
 
 @pytest.mark.parametrize("n", [1, 3, 5])
-def test_noiseless_run_matches_lifted_symcore(n):
+def test_noiseless_run_matches_lifted_symcore(n, random_schedule):
     schedule = random_schedule(n, n + 1, np.random.default_rng(10 + n))
     dense = run_schedule_dense(n, schedule)
     ref = lift(run_schedule(n, schedule))
     assert np.max(np.abs(dense.amps - ref.amps)) < 1e-10
 
 
-def test_full_probability_zero_variance_noise_is_identity():
+def test_full_probability_zero_variance_noise_is_identity(random_schedule):
     schedule = random_schedule(3, 3, np.random.default_rng(11))
     noise = NoiseConfig(p_noise=1.0, phase_stddev=0.0)
     out = run_schedule_dense(3, schedule, noise, np.random.default_rng(1))
@@ -106,20 +96,20 @@ def test_full_probability_zero_variance_noise_is_identity():
     assert np.allclose(out.amps, ref.amps, atol=1e-12)
 
 
-def test_noiseless_symmetry_preservation():
+def test_noiseless_symmetry_preservation(random_schedule):
     schedule = random_schedule(5, 6, np.random.default_rng(12))
     _, residual = project_symmetric(run_schedule_dense(5, schedule))
     assert residual < 1e-10
 
 
-def test_noisy_run_stays_normalized():
+def test_noisy_run_stays_normalized(random_schedule):
     noise = NoiseConfig(p_noise=0.7)
     schedule = random_schedule(4, 5, np.random.default_rng(13))
     out = run_schedule_dense(4, schedule, noise, np.random.default_rng(2))
     assert np.linalg.norm(out.amps) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_single_qubit_granularity_runs_and_differs():
+def test_single_qubit_granularity_runs_and_differs(random_schedule):
     schedule = random_schedule(3, 3, np.random.default_rng(14))
     coarse = NoiseConfig(p_noise=0.8, granularity="layer")
     fine = NoiseConfig(p_noise=0.8, granularity="single_qubit")
@@ -182,7 +172,7 @@ def test_noise_slot_layout(kind):
         assert events > 0
 
 
-def test_determinism_bit_identical():
+def test_determinism_bit_identical(random_schedule):
     schedule = random_schedule(4, 4, np.random.default_rng(15))
     noise = NoiseConfig(p_noise=0.4)
     a = run_schedule_dense(4, schedule, noise, np.random.default_rng(9))
@@ -320,6 +310,8 @@ def test_noise_config_validation():
             NoiseConfig(p_noise=0.1, phase_stddev=stddev)
     with pytest.raises(ValueError):
         NoiseConfig(p_noise=0.1, granularity="per_gate")
+    with pytest.raises(ValueError, match="noise kind"):
+        NoiseConfig(p_noise=0.1, kind="amplitude")
 
 
 @pytest.mark.parametrize("field", ["p_noise", "phase_stddev"])

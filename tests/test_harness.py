@@ -285,6 +285,9 @@ def test_cli_exit_codes(tmp_path):
     assert main(["betas", "--config", str(cfg)]) == 1
     cfg.write_text(json.dumps({"no_such_field": 1}))
     assert main(["betas", "--config", str(cfg)]) == 1
+    cfg.write_text(json.dumps([1]))  # JSON, but not an object
+    assert main(["betas", "--config", str(cfg)]) == 1
+    assert main(["compare", "--n", "abc"]) == 1  # refused by the option's type
 
 
 def test_cli_noise_runs_past_the_dense_cap(tmp_path):
@@ -335,12 +338,13 @@ def test_cli_rejects_bad_eps_sat(eps, no_compute):
         ("cutoff", {"fractions": ["0.8"]}),
         ("noise", {"noise_granularity": "qubit", "trials": 1, "p_grid": [0.1]}),
         ("saturation", {"eps_sat": 10**400}),
+        ("saturation", {"out": 5}),
     ],
     ids=[
         "n-float", "n_max-float", "workers-float", "n-bool", "trials-string",
         "noise_stddev-bool", "bitflip_contrast-string", "eps_sat-string",
         "p_grid-bool", "fractions-string", "noise_granularity-unknown",
-        "eps_sat-past-float-range",
+        "eps_sat-past-float-range", "out-int",
     ],
 )
 def test_cli_rejects_non_integer_config_values(tmp_path, kind, values, no_compute, capsys):
@@ -361,7 +365,7 @@ def test_cli_rejects_bad_number_lists(args, no_compute, capsys):
 
 
 def test_cli_rejects_directory_out_in_config(tmp_path, no_compute, capsys):
-    # --out refuses a directory itself; a config file's out is checked here
+    # the config checks out, whether it comes from --out or a config file
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"out": str(tmp_path), "n_min": 3, "n_max": 3}))
     assert main(["saturation", "--config", str(cfg)]) == 1

@@ -25,16 +25,6 @@ from satlab.training import train_layerwise, train_layerwise_noisy
 rng = np.random.default_rng(20260810)
 
 
-def random_schedule(n, depth, rand):
-    return [LayerAngles(rand.uniform(0, 2 * np.pi), rand.uniform(0, np.pi)) for _ in range(depth)]
-
-
-def basis_state(n, k):
-    amps = np.zeros(n + 1, dtype=complex)
-    amps[k] = 1.0
-    return SymmetricState(n, amps)
-
-
 # ---------------------------------------------------------------- plus state
 
 def test_plus_state_n2():
@@ -203,7 +193,7 @@ def test_bra_coefs_are_cached_read_only_products_of_eigenvector_rows():
 
 
 @pytest.mark.parametrize("n", [1, 4, 40])
-def test_run_schedule_equals_layer_composition_exactly(n):
+def test_run_schedule_equals_layer_composition_exactly(n, random_schedule):
     # one forward call per layer makes the same floating-point operations in
     # the same order as one call for the whole schedule; the Dicke-basis
     # single-step helpers agree to rounding
@@ -221,7 +211,7 @@ def test_run_schedule_equals_layer_composition_exactly(n):
 
 
 @pytest.mark.parametrize("n", [1, 4, 40])
-def test_layer_carries_forward_heads_bitwise(n):
+def test_layer_carries_forward_heads_bitwise(n, random_schedule):
     # MixerGenerator.layer is forward's own update, so (t, head) carried one
     # layer at a time equals one forward call bitwise, and the carried head
     # that LayerTerms.from_eigen takes is r . t bitwise, also at gamma = 0,
@@ -350,7 +340,7 @@ def test_single_qubit_perfect_layer():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
-def test_run_schedule_matches_dense(n):
+def test_run_schedule_matches_dense(n, random_schedule):
     rand = np.random.default_rng(200 + n)
     schedule = random_schedule(n, n + 2, rand)
     got = overlap(run_schedule(n, schedule))
@@ -360,7 +350,7 @@ def test_run_schedule_matches_dense(n):
 
 # ------------------------------------------------------------------ overlap
 
-def test_overlap_examples():
+def test_overlap_examples(basis_state):
     assert overlap(plus_state(5)) == pytest.approx(2.0**-5)
     assert overlap(basis_state(4, 0)) == 1.0
     assert overlap(basis_state(4, 1)) == 0.0
@@ -449,7 +439,7 @@ GRID_SIZES = (64, 1000, 2048, 4096)
 
 
 @pytest.mark.parametrize("n", [1, 5, 31, 32, 40])
-def test_fft_grid_matches_direct_curve(n):
+def test_fft_grid_matches_direct_curve(n, random_schedule):
     rand = np.random.default_rng(40 + n)
     states = [plus_state(n), random_symmetric_state(n, rand), run_schedule(n, random_schedule(n, 3, rand))]
     for s in states:
@@ -606,7 +596,7 @@ def test_rounding_sized_term_takes_gamma_zero(theta):
 
 # ------------------------------------------------------------- derivatives
 
-def test_derivatives_on_target_state():
+def test_derivatives_on_target_state(basis_state):
     s = basis_state(4, 0)
     g1, g2 = saturation_derivatives(s)
     assert g1 == 0.0
@@ -700,7 +690,7 @@ def test_layer_terms_derivatives_approach_saturation_derivatives(trial):
 
 # --------------------------------------------------------------- invariants
 
-def test_norm_preserved_along_random_circuits():
+def test_norm_preserved_along_random_circuits(random_schedule):
     rand = np.random.default_rng(9)
     for n in (2, 5, 9):
         state = plus_state(n)
@@ -786,7 +776,7 @@ def _mp_target_amplitudes(n, schedule):
 
 
 @pytest.mark.parametrize("n", [40, 60, 80, 100])
-def test_forward_matches_mpmath_recursion(n):
+def test_forward_matches_mpmath_recursion(n, random_schedule):
     # a greedy depth-n schedule and random depth-1 to depth-3 angles
     mpmath = pytest.importorskip("mpmath")
     rand = np.random.default_rng(1100 + n)
@@ -825,7 +815,7 @@ def _mp_dicke_amplitudes(n, schedule):
 
 
 @pytest.mark.parametrize("n", [110, 200, 1022])
-def test_run_schedule_amplitudes_match_mpmath_kick_sum(n):
+def test_run_schedule_amplitudes_match_mpmath_kick_sum(n, random_schedule):
     # short random schedules everywhere, and a greedy depth-n one where the
     # eigenvector path gave the wrong signs (n = 110, 200); on it A_1 and A_2,
     # which the non-trainability conditions read, also keep relative accuracy

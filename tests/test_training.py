@@ -1141,6 +1141,15 @@ def test_refused_past_the_validity_ceiling(run):
         run(symcore.MAX_SYMMETRIC_QUBITS + 1, 2)
 
 
+def test_noisy_trainer_refuses_past_the_ceiling_before_drawing():
+    # the mixer refuses the qubit count before the first layer's noise is drawn
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="MAX_SYMMETRIC_QUBITS"):
+        train_layerwise_noisy(symcore.MAX_SYMMETRIC_QUBITS + 1, 2, NoiseConfig(0.1), rng=rng)
+    assert rng.bit_generator.state == state
+
+
 def test_beta_grid_covers_every_mixer():
     # a power of two, so the grid's last cell ends at pi exactly, and more
     # points than the n + 1 Fourier coefficients of any mixer's curve
