@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symcore
-from .symcore import SymmetricState, _check_integer, binomial_sqrt
+from .symcore import SymmetricState, _check_integer, _check_real, binomial_sqrt
 from .training import DEFAULT_EPS_ONE, DEFAULT_EPS_SAT, TrainingTrace, _layer_step
 
 
@@ -144,9 +144,12 @@ def make_nontrainable_state(
 
     The state a0*e^{i phase0}|e_0> + a2*e^{i phase2}|e_2> cannot be improved by
     one QAOA layer whenever a2 <= a0 / sqrt(C(n,2)); moduli outside that bound
-    are rejected, and SymmetricState refuses non-normalized pairs.
+    are rejected, like a modulus or phase that is not a real number, and
+    SymmetricState refuses non-normalized pairs.
     """
     _check_integer("n", n, 2)
+    for name, value in (("a0", a0), ("a2", a2), ("phase0", phases[0]), ("phase2", phases[1])):
+        _check_real(name, value)
     if a0 < 0 or a2 < 0:
         raise ValueError("moduli must be nonnegative")
     c2 = binomial_sqrt(n)[2]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -22,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .symcore import (
-    LayerTerms, SymmetricState, _as_angles, _check_integer, binomial_sqrt, checked_amplitudes, dft, mixer,
+    LayerTerms, SymmetricState, _check_integer, _check_real, binomial_sqrt, checked_amplitudes, dft, mixer,
+    schedule_angles,
 )
 
 MAX_DENSE_QUBITS = 24
@@ -96,10 +96,7 @@ class NoiseConfig:
 
     def __post_init__(self):
         for name in ("p_noise", "phase_stddev"):
-            value = getattr(self, name)
-            # bool is an int subclass, and a string raises TypeError at the compare below
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+            _check_real(name, getattr(self, name))
         if not 0.0 <= self.p_noise <= 1.0:
             raise ValueError(f"p_noise must be in [0, 1], got {self.p_noise}")
         if not 0.0 <= self.phase_stddev < math.inf:
@@ -350,16 +347,15 @@ def run_schedule_dense(
 ) -> DenseState:
     """Run the full circuit from |+>^n with optional coherent noise.
 
-    Noise events are drawn from rng in a fixed order, so identical
-    (schedule, noise, rng state) give bit-identical output.  rng is required
-    with noise.
+    Noise events are drawn from rng, required with noise, in a fixed order, so
+    identical (schedule, noise, rng state) give bit-identical output.  The
+    schedule is read whole first, so a bad layer is refused before any draw.
     """
     _check_cap(n)
     if noise is not None and rng is None:
         raise ValueError("noisy run_schedule_dense draws its noise from rng; pass a numpy Generator")
     amps = plus_state_dense(n)
-    for layer in schedule:
-        angles = _as_angles(layer)
+    for gamma, beta in zip(*schedule_angles(schedule)):
         frozen = None if noise is None else sample_layer_noise(n, noise, rng)
-        amps = apply_layer_dense(amps, n, angles.gamma, angles.beta, frozen)
+        amps = apply_layer_dense(amps, n, gamma, beta, frozen)
     return DenseState(n, amps)

@@ -330,6 +330,8 @@ def run_noise_experiment(config: ExperimentConfig) -> ResultTable:
         ["p", "top10_best", "top10_mean", "top10_worst", "noiseless_overlap", "bitflip_top10_best"],
         metadata=config.metadata(),
     )
+    # the bit-flip trials' grid indices start past every phase trial's
+    flip_base = max(1000, len(config.p_grid))
     for gi, p in enumerate(config.p_grid):
         noise = NoiseConfig(
             p_noise=p, phase_stddev=config.noise_stddev, granularity=config.noise_granularity
@@ -338,7 +340,7 @@ def run_noise_experiment(config: ExperimentConfig) -> ResultTable:
         flip_best = None
         if config.bitflip_contrast:
             flip = dataclasses.replace(noise, kind="bitflip")
-            flip_best = _top10(training.train_layerwise_noisy, config, flip, 1000 + gi)[0]
+            flip_best = _top10(training.train_layerwise_noisy, config, flip, flip_base + gi)[0]
         table.rows.append([float(p), best, mean, worst, noiseless, flip_best])
     return table
 

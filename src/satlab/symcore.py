@@ -20,6 +20,7 @@ MAX_EIGENVECTOR_QUBITS.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -105,6 +106,12 @@ def _check_integer(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
+def _check_real(name: str, value) -> None:
+    """Raise ValueError unless value is a real number, not a bool; a float skips the slower ABC test."""
+    if not isinstance(value, float) and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _principal(angle: float, period: float) -> float:
     """angle reduced into [0, period).  Python's % rounds a tiny negative
     angle up to period itself, which is the same angle as 0.0."""
@@ -154,17 +161,23 @@ class LayerAngles:
     beta: float
 
     def __post_init__(self):
+        _check_real("gamma", self.gamma)
+        _check_real("beta", self.beta)
         if not (math.isfinite(self.gamma) and math.isfinite(self.beta)):
             raise ValueError(f"angles must be finite, got ({self.gamma}, {self.beta})")
         object.__setattr__(self, "gamma", _principal(self.gamma, 2.0 * math.pi))
         object.__setattr__(self, "beta", _principal(self.beta, math.pi))
 
 
-def _as_angles(layer) -> LayerAngles:
-    if isinstance(layer, LayerAngles):
-        return layer
-    gamma, beta = layer
-    return LayerAngles(gamma, beta)
+def schedule_angles(schedule) -> tuple[np.ndarray, np.ndarray]:
+    """(gammas, betas) of LayerAngles or (gamma, beta) pairs, the pairs checked and reduced by LayerAngles."""
+    angles = []
+    for layer in schedule:
+        if not isinstance(layer, LayerAngles):
+            gamma, beta = layer
+            layer = LayerAngles(gamma, beta)
+        angles.append(layer)
+    return np.array([a.gamma for a in angles]), np.array([a.beta for a in angles])
 
 
 class MixerGenerator:
@@ -407,9 +420,7 @@ def run_schedule(n: int, schedule) -> SymmetricState:
     A_k = sqrt(C(n,k)) cos^{n-k}(B) (-i sin(B))^k.  A_0 is forward's last
     head, bitwise what the trainers report.
     """
-    angles = [_as_angles(layer) for layer in schedule]
-    gammas = np.array([a.gamma for a in angles])
-    betas = np.array([a.beta for a in angles])
+    gammas, betas = schedule_angles(schedule)
     gen = mixer(n)
     _, heads = gen.forward(gen.plus, gammas, betas)
     # exp(-i B_j) as products of unit phases, which round less than the cosine
@@ -418,7 +429,7 @@ def run_schedule(n: int, schedule) -> SymmetricState:
     k = np.arange(n + 1)
     bras = tails.real[:, None] ** (n - k) * (-tails.imag)[:, None] ** k * (-1j) ** (k % 4)
     kicks = (np.exp(-1j * gammas) - 1.0) * heads[:-1]
-    plus = (tails[0] ** n if angles else 1.0) * 2.0 ** (-n / 2.0)
+    plus = (tails[0] ** n if betas.size else 1.0) * 2.0 ** (-n / 2.0)
     amps = binomial_sqrt(n) * (plus + kicks @ bras)
     amps[0] = heads[-1]
     return SymmetricState(n, amps)

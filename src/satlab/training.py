@@ -8,7 +8,6 @@ mixer angle.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import densecore, symcore
 from .densecore import NoiseConfig
-from .symcore import TIE_TOLERANCE, LayerAngles, _check_integer
+from .symcore import TIE_TOLERANCE, LayerAngles, _check_integer, _check_real
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # step in beta at which newton_bisect has converged
@@ -131,7 +130,7 @@ def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, floa
     """Golden-section maximization on [lo, hi]; returns (x, f(x), evaluations).
 
     No satlab path calls it: the benchmark's tracer pins the name until
-    ROADMAP item 4's retarget deletes it, and the tests use it as a reference.
+    ROADMAP item 4's retarget deletes it.
     """
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
@@ -324,8 +323,7 @@ def train_cutoff(
     required.
     """
     _check_sizes(n, max_depth)
-    if isinstance(fraction, bool) or not isinstance(fraction, numbers.Real):
-        raise ValueError(f"fraction must be a real number, got {fraction!r}")
+    _check_real("fraction", fraction)
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     if fraction < 1.0 and rng is None:
@@ -345,11 +343,7 @@ def train_cutoff(
 
 
 def _schedule_to_params(schedule) -> np.ndarray:
-    out = []
-    for layer in schedule:
-        angles = symcore._as_angles(layer)
-        out.extend([angles.gamma, angles.beta])
-    return np.array(out)
+    return np.column_stack(symcore.schedule_angles(schedule)).ravel()
 
 
 @dataclass(frozen=True)
@@ -540,7 +534,7 @@ def train_global(
 
     angles = [LayerAngles(gamma, beta) for gamma, beta in result.x[best].reshape(depth, 2)]
     gen = symcore.mixer(n)
-    _, heads = gen.forward(gen.plus, [a.gamma for a in angles], [a.beta for a in angles])
+    _, heads = gen.forward(gen.plus, *symcore.schedule_angles(angles))
     overlaps = [symcore.reported_overlap(head) for head in heads[1:]]
     trace = TrainingTrace(n, [LayerRecord(a, o, 0.0, 0) for a, o in zip(angles[:-1], overlaps)])
     trace.records.append(LayerRecord(angles[-1], overlaps[-1], time.perf_counter() - t0, result.evaluations))

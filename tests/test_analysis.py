@@ -208,6 +208,21 @@ def test_family_rejects_bound_violation():
             make_nontrainable_state(bad, 1.0, 0.0)
 
 
+def test_family_takes_only_real_numbers():
+    # a string modulus fails only at the compare with 0, and flags would run
+    # as the moduli (1, 0); both are refused by type, and so are the phases
+    for bad in ("1", True, False, None, 1j):
+        cases = {"a0": (bad, 0.0, (0.0, 0.0)), "a2": (1.0, bad, (0.0, 0.0)),
+                 "phase0": (1.0, 0.0, (bad, 0.0)), "phase2": (1.0, 0.0, (0.0, bad))}
+        for name, (a0, a2, phases) in cases.items():
+            with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+                make_nontrainable_state(4, a0, a2, phases)
+    with pytest.raises(ValueError, match="a0 must be a real number"):
+        make_nontrainable_state(4, True, False)
+    state = make_nontrainable_state(4, np.float64(1.0), np.int64(0), (np.float32(0.5), 0))
+    assert state.amps[0] == pytest.approx(np.exp(0.5j))
+
+
 def test_family_curve_matches_closed_form():
     rand = np.random.default_rng(52)
     betas = np.linspace(0, np.pi / 2, 1024)

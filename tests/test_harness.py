@@ -162,6 +162,28 @@ def test_noise_bitflip_contrast_column():
     print(f"phase top10 best {row[1]:.4f} vs bitflip top10 best {row[5]:.4f}")
 
 
+def test_noise_trial_keys_are_unique_for_any_grid_length(monkeypatch):
+    # the trials are captured, not run; the bit-flip contrast's grid indices
+    # start at 1000 up to a 1,000-point grid, and past every phase trial's
+    # on a longer one
+    def capture(worker, args, workers):
+        for _, _, _, noise, seed, grid_index, trial_index in args:
+            keys[noise.kind].append((seed, grid_index, trial_index))
+        return [0.0] * len(args)
+
+    monkeypatch.setattr(harness, "_run_trials", capture)
+    for points in (3, 1000, 1001):
+        keys = {"phase": [], "bitflip": []}
+        grid = tuple(np.linspace(0.0, 1.0, points))
+        config = ExperimentConfig(kind="noise", n=1, depth=1, trials=2, p_grid=grid, bitflip_contrast=True)
+        run_noise_experiment(config)
+        phase, flip = keys["phase"], keys["bitflip"]
+        assert len(phase) == len(flip) == 2 * points
+        assert len(set(phase + flip)) == 4 * points, points
+        if points <= 1000:
+            assert [g for _, g, _ in flip] == [1000 + gi for gi in range(points) for _ in range(2)]
+
+
 def test_top_fraction_uses_ceil():
     from satlab.harness import _top_fraction
 

@@ -328,8 +328,12 @@ def test_batched_neg_overlap_keeps_leading_axes():
 
 
 def test_empty_schedule_is_plus_state():
+    gammas, betas = symcore.schedule_angles([])
+    assert gammas.shape == betas.shape == (0,)
     for n in (3, 110, 1022):
         assert np.array_equal(run_schedule(n, []).amps, plus_state(n).amps)
+    for n in (1, 4):
+        assert np.array_equal(densecore.run_schedule_dense(n, []).amps, densecore.plus_state_dense(n))
 
 
 def test_single_qubit_perfect_layer():
@@ -708,6 +712,76 @@ def test_layer_angles_reduced_to_principal_ranges():
     assert (tiny.gamma, tiny.beta) == (0.0, 0.0)
     with pytest.raises(ValueError):
         LayerAngles(np.nan, 0.0)
+
+
+@pytest.mark.parametrize("bad", ["x", None, 0.5j, True, False, np.bool_(True)])
+def test_layer_angles_take_only_real_numbers(bad):
+    # a string fails only inside math.isfinite, and a flag would run as the
+    # angle 1.0 or 0.0; both are refused by type, like a complex angle
+    with pytest.raises(ValueError, match="gamma must be a real number"):
+        LayerAngles(bad, 0.5)
+    with pytest.raises(ValueError, match="beta must be a real number"):
+        LayerAngles(0.5, bad)
+    # a schedule of pairs is refused by the same check, before any compute
+    with pytest.raises(ValueError, match="must be a real number"):
+        run_schedule(3, [(0.1, 0.2), (bad, 0.1)])
+    assert LayerAngles(np.float32(0.5), np.int64(1)) == LayerAngles(0.5, 1.0)
+
+
+def test_noisy_dense_replay_refuses_a_bad_layer_before_drawing():
+    # the whole schedule is read before the first layer's noise is drawn
+    rand, noise = np.random.default_rng(32), densecore.NoiseConfig(0.5)
+    state = rand.bit_generator.state
+    for bad in ("bad", True):
+        with pytest.raises(ValueError, match="gamma must be a real number"):
+            densecore.run_schedule_dense(3, [(0.1, 0.2), (0.3, 0.4), (bad, 0.1)], noise, rand)
+    with pytest.raises(ValueError):
+        densecore.run_schedule_dense(3, [(0.1, 0.2), (0.3, 0.4, 0.5)], noise, rand)
+    assert rand.bit_generator.state == state
+
+
+def test_schedule_forms_give_identical_states(random_schedule):
+    rand = np.random.default_rng(33)
+    n = 5
+    layers = random_schedule(n, 4, rand)
+    pairs = [(a.gamma, a.beta) for a in layers]
+    forms = {"angles": layers, "pairs": pairs, "array": np.array(pairs)}
+    gammas, betas = symcore.schedule_angles(layers)
+    assert gammas.shape == betas.shape == (4,)
+    noise = densecore.NoiseConfig(0.5, granularity="single_qubit")
+    ref = run_schedule(n, layers).amps
+    dense = densecore.run_schedule_dense(n, layers).amps
+    noisy = densecore.run_schedule_dense(n, layers, noise, np.random.default_rng(34)).amps
+    for name, schedule in forms.items():
+        got_gammas, got_betas = symcore.schedule_angles(schedule)
+        assert np.array_equal(got_gammas, gammas) and np.array_equal(got_betas, betas), name
+        assert np.array_equal(run_schedule(n, schedule).amps, ref), name
+        assert np.array_equal(densecore.run_schedule_dense(n, schedule).amps, dense), name
+        again = densecore.run_schedule_dense(n, schedule, noise, np.random.default_rng(34)).amps
+        assert np.array_equal(again, noisy), name
+
+
+@pytest.mark.parametrize("layer", [(0.1, 0.2, 0.3), (0.1,), ()])
+def test_schedule_angles_refuses_a_layer_that_is_not_a_pair(layer):
+    with pytest.raises(ValueError):
+        symcore.schedule_angles([(0.1, 0.2), layer])
+    with pytest.raises(ValueError):
+        run_schedule(3, [layer])
+    with pytest.raises(ValueError):
+        densecore.run_schedule_dense(3, [layer])
+
+
+def test_schedule_angles_reduces_as_layer_angles_does():
+    pairs = [(2 * np.pi + 0.5, np.pi + 0.25), (-1e-20, -1e-20), (-3.0, 7.0), (40.0, -np.pi),
+             (2 * np.pi, np.pi)]
+    gammas, betas = symcore.schedule_angles(pairs)
+    reduced = [LayerAngles(gamma, beta) for gamma, beta in pairs]
+    assert gammas.tolist() == [a.gamma for a in reduced]
+    assert betas.tolist() == [a.beta for a in reduced]
+    assert np.all((0.0 <= gammas) & (gammas < 2 * np.pi)) and np.all((0.0 <= betas) & (betas < np.pi))
+    assert np.array_equal(run_schedule(4, pairs).amps, run_schedule(4, reduced).amps)
+    dense = densecore.run_schedule_dense
+    assert np.array_equal(dense(4, pairs).amps, dense(4, reduced).amps)
 
 
 def test_state_validation():
