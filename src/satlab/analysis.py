@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symcore
-from .symcore import SymmetricState, _check_integer, _check_real, binomial_sqrt
+from .symcore import SymmetricState, _check_integer, _check_nonnegative, _check_real, binomial_sqrt
 from .training import DEFAULT_EPS_ONE, DEFAULT_EPS_SAT, TrainingTrace, _layer_step
 
 
@@ -83,6 +83,8 @@ def detect_saturation(
     Amplitude diagnostics come from replaying the recorded schedule without
     noise, so they describe the ideal circuit even on noisy traces.
     """
+    _check_nonnegative("eps_sat", eps_sat)
+    _check_nonnegative("eps_one", eps_one)
     if trace.depth < 2:
         raise ValueError("saturation detection needs a trace of depth >= 2")
     ovs = trace.overlaps()
@@ -107,6 +109,7 @@ def detect_saturation(
 
 def check_conditions(state: SymmetricState, tol: float = 1e-6) -> ConditionCheck:
     """Evaluate both necessary non-trainability conditions with tolerance."""
+    _check_nonnegative("tol", tol)
     n = state.n
     a0 = abs(state.amps[0])
     a1 = abs(state.amps[1])
@@ -144,11 +147,15 @@ def make_nontrainable_state(
 
     The state a0*e^{i phase0}|e_0> + a2*e^{i phase2}|e_2> cannot be improved by
     one QAOA layer whenever a2 <= a0 / sqrt(C(n,2)); moduli outside that bound
-    are rejected, like a modulus or phase that is not a real number, and
-    SymmetricState refuses non-normalized pairs.
+    are rejected, like a modulus or phase that is not a real number or phases
+    that are not a pair, and SymmetricState refuses non-normalized pairs.
     """
     _check_integer("n", n, 2)
-    for name, value in (("a0", a0), ("a2", a2), ("phase0", phases[0]), ("phase2", phases[1])):
+    try:
+        phase0, phase2 = phases
+    except (TypeError, ValueError):
+        raise ValueError(f"phases must be a pair of real numbers, got {phases!r}") from None
+    for name, value in (("a0", a0), ("a2", a2), ("phase0", phase0), ("phase2", phase2)):
         _check_real(name, value)
     if a0 < 0 or a2 < 0:
         raise ValueError("moduli must be nonnegative")
@@ -156,8 +163,8 @@ def make_nontrainable_state(
     if a2 > a0 / c2 * (1.0 + 1e-12) + 1e-15:
         raise ValueError(f"a2 = {a2} exceeds the non-trainability bound a0/sqrt(C(n,2)) = {a0 / c2}")
     amps = np.zeros(n + 1, dtype=complex)
-    amps[0] = a0 * np.exp(1j * phases[0])
-    amps[2] = a2 * np.exp(1j * phases[1])
+    amps[0] = a0 * np.exp(1j * phase0)
+    amps[2] = a2 * np.exp(1j * phase2)
     return SymmetricState(n, amps)
 
 

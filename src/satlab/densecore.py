@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .symcore import (
-    LayerTerms, SymmetricState, _check_integer, _check_real, binomial_sqrt, checked_amplitudes, dft, mixer,
-    schedule_angles,
+    LayerTerms, SymmetricState, _check_integer, _check_nonnegative, _check_real, binomial_sqrt,
+    checked_amplitudes, dft, mixer, schedule_angles,
 )
 
 MAX_DENSE_QUBITS = 24
@@ -95,12 +95,10 @@ class NoiseConfig:
     kind: str = "phase"
 
     def __post_init__(self):
-        for name in ("p_noise", "phase_stddev"):
-            _check_real(name, getattr(self, name))
+        _check_real("p_noise", self.p_noise)
+        _check_nonnegative("phase_stddev", self.phase_stddev)
         if not 0.0 <= self.p_noise <= 1.0:
             raise ValueError(f"p_noise must be in [0, 1], got {self.p_noise}")
-        if not 0.0 <= self.phase_stddev < math.inf:
-            raise ValueError(f"phase_stddev must be finite and >= 0, got {self.phase_stddev}")
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {self.granularity!r}")
         if self.kind not in ("phase", "bitflip"):

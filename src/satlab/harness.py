@@ -2,8 +2,9 @@
 
 Each experiment orchestrates the library modules and emits a ResultTable with
 a fixed column schema and a JSON metadata header.  Trials are embarrassingly
-parallel; per-trial generators are derived from (master seed, grid index,
-trial index), so results do not depend on worker count or scheduling.
+parallel: one pool, capped at the run's total trial count and the CPU count,
+serves the whole run, and per-trial generators are derived from (master seed,
+grid index, trial index), so results do not depend on worker count or scheduling.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ class ExperimentConfig:
     )
     fmt: str = _choice(FORMATS, "Output format.", default="csv")
     workers: int = _field(
-        _POSITIVE, "Trial-level worker processes, capped at the trial count and the CPU count.", default=1
+        _POSITIVE, "Processes of the one pool per run, capped at its total trial and CPU counts.", default=1
     )
     eps_sat: float | None = _field(_NONNEGATIVE, "Improvement threshold for saturation detection.")
     noise_stddev: float | None = _field(_NONNEGATIVE, "Standard deviation of the noise phase.")
@@ -222,17 +223,18 @@ def _fmt(value) -> str:
 
 
 def _run_trials(worker, args, workers: int) -> list:
-    # the pool starts all its processes at once, so never more than there is work or CPUs
+    # the pool starts all its processes at once, so never more than there is work or CPUs;
+    # each gets one contiguous chunk, as a round trip per trial costs about what the trial does
     workers = min(workers, len(args), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(a) for a in args]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, args))
+        return list(pool.map(worker, args, chunksize=math.ceil(len(args) / workers)))
 
 
-def _top_fraction(finals, trials: int, fraction: float = 0.1):
-    """Best/mean/worst of the ceil(fraction * trials) best trials."""
-    k = max(1, math.ceil(fraction * trials))
+def _top_fraction(finals):
+    """Best/mean/worst of the ceil(0.1 * len(finals)) best trials."""
+    k = max(1, math.ceil(0.1 * len(finals)))
     top = np.sort(np.asarray(finals))[-k:]
     return float(top[-1]), float(np.mean(top)), float(top[0])
 
@@ -285,11 +287,12 @@ def _trial(args) -> float:
     return float(trainer(n, depth, setting, rng=rng).overlaps()[-1])
 
 
-def _top10(trainer, config: ExperimentConfig, setting, grid_index: int):
-    """_top_fraction of config.trials runs of trainer at one setting."""
-    trials = range(config.trials)
-    args = [(trainer, config.n, config.depth, setting, config.seed, grid_index, t) for t in trials]
-    return _top_fraction(_run_trials(_trial, args, config.workers), config.trials)
+def _top10(trainer, config: ExperimentConfig, cells) -> list:
+    """_top_fraction of config.trials runs per (grid index, setting) cell, all in one _run_trials call."""
+    n, depth, seed, k = config.n, config.depth, config.seed, config.trials
+    args = [(trainer, n, depth, setting, seed, gi, t) for gi, setting in cells for t in range(k)]
+    finals = _run_trials(_trial, args, config.workers)
+    return [_top_fraction(finals[i:i + k]) for i in range(0, len(finals), k)]
 
 
 def run_cutoff_experiment(config: ExperimentConfig) -> ResultTable:
@@ -309,11 +312,10 @@ def run_cutoff_experiment(config: ExperimentConfig) -> ResultTable:
         ["fraction", "top10_best", "top10_mean", "top10_worst", "baseline_final"],
         metadata=meta,
     )
-    for gi, fraction in enumerate(config.fractions):
-        if fraction >= 1.0:
-            best, mean, worst = _top_fraction([baseline] * config.trials, config.trials)
-        else:
-            best, mean, worst = _top10(training.train_cutoff, config, fraction, gi)
+    cells = [(gi, fraction) for gi, fraction in enumerate(config.fractions) if fraction < 1.0]
+    tops = iter(_top10(training.train_cutoff, config, cells))
+    for fraction in config.fractions:
+        best, mean, worst = next(tops) if fraction < 1.0 else _top_fraction([baseline] * config.trials)
         table.rows.append([float(fraction), best, mean, worst, baseline])
     return table
 
@@ -330,17 +332,14 @@ def run_noise_experiment(config: ExperimentConfig) -> ResultTable:
         ["p", "top10_best", "top10_mean", "top10_worst", "noiseless_overlap", "bitflip_top10_best"],
         metadata=config.metadata(),
     )
+    points = len(config.p_grid)
+    phase = [NoiseConfig(p, config.noise_stddev, config.noise_granularity) for p in config.p_grid]
     # the bit-flip trials' grid indices start past every phase trial's
-    flip_base = max(1000, len(config.p_grid))
-    for gi, p in enumerate(config.p_grid):
-        noise = NoiseConfig(
-            p_noise=p, phase_stddev=config.noise_stddev, granularity=config.noise_granularity
-        )
-        best, mean, worst = _top10(training.train_layerwise_noisy, config, noise, gi)
-        flip_best = None
-        if config.bitflip_contrast:
-            flip = dataclasses.replace(noise, kind="bitflip")
-            flip_best = _top10(training.train_layerwise_noisy, config, flip, flip_base + gi)[0]
+    flips = [dataclasses.replace(noise, kind="bitflip") for noise in phase] if config.bitflip_contrast else []
+    cells = [*enumerate(phase), *((max(1000, points) + gi, flip) for gi, flip in enumerate(flips))]
+    tops = _top10(training.train_layerwise_noisy, config, cells)
+    flip_bests = [top[0] for top in tops[points:]] or [None] * points
+    for p, (best, mean, worst), flip_best in zip(config.p_grid, tops[:points], flip_bests):
         table.rows.append([float(p), best, mean, worst, noiseless, flip_best])
     return table
 

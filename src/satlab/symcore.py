@@ -107,9 +107,26 @@ def _check_integer(name: str, value, minimum: int) -> None:
 
 
 def _check_real(name: str, value) -> None:
-    """Raise ValueError unless value is a real number, not a bool; a float skips the slower ABC test."""
-    if not isinstance(value, float) and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+    """Raise ValueError unless value is a real number that a float can hold, not a bool.
+
+    A float returns at the first test, since LayerAngles checks two angles on every trained layer.
+    """
+    if isinstance(value, float):
+        return
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            float(value)  # an int past the float range raises OverflowError
+            return
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _check_nonnegative(name: str, value) -> None:
+    """Raise ValueError unless value is a finite real number >= 0, the rule of the config's _NONNEGATIVE."""
+    _check_real(name, value)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def _principal(angle: float, period: float) -> float:

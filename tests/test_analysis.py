@@ -221,6 +221,23 @@ def test_family_takes_only_real_numbers():
         make_nontrainable_state(4, True, False)
     state = make_nontrainable_state(4, np.float64(1.0), np.int64(0), (np.float32(0.5), 0))
     assert state.amps[0] == pytest.approx(np.exp(0.5j))
+    # a scalar was indexed into a TypeError, and a third phase was dropped
+    for phases in (0.5, (0.0, 0.0, 9.0)):
+        with pytest.raises(ValueError, match="^phases must be a pair of real numbers"):
+            make_nontrainable_state(4, 1.0, 0.0, phases)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), math.inf, -1e-3, "x", True, None])
+def test_thresholds_take_only_finite_numbers_at_least_zero(bad):
+    # NaN found no saturation and failed both conditions without a word, and
+    # a string raised TypeError; the config's eps_sat has the same rule
+    trace = train_layerwise(4, 6)
+    for name in ("eps_sat", "eps_one"):
+        with pytest.raises(ValueError, match=f"^{name} must be a"):
+            detect_saturation(trace, **{name: bad})
+    with pytest.raises(ValueError, match="^tol must be a"):
+        check_conditions(plus_state(4), tol=bad)
+    assert detect_saturation(trace, eps_sat=0, eps_one=0.0).eps_sat == 0
 
 
 def test_family_curve_matches_closed_form():

@@ -184,11 +184,29 @@ def test_noise_trial_keys_are_unique_for_any_grid_length(monkeypatch):
             assert [g for _, g, _ in flip] == [1000 + gi for gi in range(points) for _ in range(2)]
 
 
+def test_each_run_makes_one_run_trials_call(monkeypatch):
+    # the trials are counted, not run: the fraction-1 cell runs none, and the
+    # bit-flip contrast's trials join the phase trials' call
+    def count(worker, args, workers):
+        calls.append(len(args))
+        return [0.5] * len(args)
+
+    monkeypatch.setattr(harness, "_run_trials", count)
+    calls = []
+    run_cutoff_experiment(ExperimentConfig(kind="cutoff", n=2, trials=3, fractions=(0.6, 0.9, 1.0)))
+    assert calls == [2 * 3]
+    calls = []
+    run_noise_experiment(
+        ExperimentConfig(kind="noise", n=2, trials=3, p_grid=(0.0, 0.2, 0.4), bitflip_contrast=True)
+    )
+    assert calls == [2 * 3 * 3]
+
+
 def test_top_fraction_uses_ceil():
     from satlab.harness import _top_fraction
 
     finals = list(range(15))  # ceil(0.1 * 15) = 2 -> best two trials
-    best, mean, worst = _top_fraction(finals, 15)
+    best, mean, worst = _top_fraction(finals)
     assert (best, mean, worst) == (14.0, 13.5, 13.0)
 
 
@@ -226,13 +244,23 @@ def test_rerun_is_byte_identical(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_worker_count_does_not_change_output(tmp_path):
-    base = dict(kind="cutoff", n=3, depth=4, trials=6, fractions=(0.85,), seed=8)
-    serial = ExperimentConfig(out=str(tmp_path / "serial.csv"), workers=1, **base)
-    parallel = ExperimentConfig(out=str(tmp_path / "parallel.csv"), workers=3, **base)
-    run_experiment(serial)
-    run_experiment(parallel)
-    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "parallel.csv").read_bytes()
+def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
+    # three processes on any machine: the pool's contiguous chunks of 4 trials
+    # then cross from one cell's trials into the next in the two-cell cutoff
+    # and the four-cell noise runs
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    cases = [
+        dict(kind="cutoff", n=3, depth=4, trials=6, fractions=(0.85,), seed=8),
+        dict(kind="cutoff", n=3, depth=4, trials=5, fractions=(0.7, 0.85), seed=8),
+        dict(kind="noise", n=3, trials=3, p_grid=(0.1, 0.4), noise_granularity="single_qubit",
+             bitflip_contrast=True, seed=8),
+    ]
+    for i, base in enumerate(cases):
+        serial = ExperimentConfig(out=str(tmp_path / f"serial{i}.csv"), workers=1, **base)
+        parallel = ExperimentConfig(out=str(tmp_path / f"parallel{i}.csv"), workers=3, **base)
+        run_experiment(serial)
+        run_experiment(parallel)
+        assert (tmp_path / f"serial{i}.csv").read_bytes() == (tmp_path / f"parallel{i}.csv").read_bytes()
 
 
 def test_json_output_deterministic(tmp_path):
@@ -509,7 +537,7 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, args):
+    def map(self, fn, args, chunksize=1):
         return map(fn, args)
 
 
@@ -526,6 +554,21 @@ def test_worker_pool_is_bounded_by_trials_and_cpus(tmp_path, monkeypatch, cpus, 
     assert started == sizes
     run_experiment(ExperimentConfig(out=str(tmp_path / "serial.csv"), **base))
     assert (tmp_path / "wide.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+def test_one_pool_serves_a_whole_contrast_run(tmp_path, monkeypatch):
+    # the stand-in maps in process; a pool per grid point and noise kind
+    # started six here
+    started = []
+    monkeypatch.setattr(
+        harness, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(started, max_workers)
+    )
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    argv = ["noise", "--n", "2", "--trials", "2", "--p-grid", "0.0,0.2,0.4", "--bitflip-contrast"]
+    assert main([*argv, "--workers", "2", "--out", str(tmp_path / "pool.csv")]) == 0
+    assert started == [2]
+    assert main([*argv, "--out", str(tmp_path / "serial.csv")]) == 0
+    assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 _README_COMMANDS = [

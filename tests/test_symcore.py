@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from satlab import densecore, symcore
+from satlab import analysis, densecore, symcore
 from satlab.symcore import (
     LayerAngles,
     MixerGenerator,
@@ -726,6 +726,21 @@ def test_layer_angles_take_only_real_numbers(bad):
     with pytest.raises(ValueError, match="must be a real number"):
         run_schedule(3, [(0.1, 0.2), (bad, 0.1)])
     assert LayerAngles(np.float32(0.5), np.int64(1)) == LayerAngles(0.5, 1.0)
+
+
+def test_real_number_check_refuses_an_int_no_float_can_hold():
+    # each of these raised OverflowError, and the noise config was accepted
+    # only to overflow in its first noise draw
+    huge = 10**400
+    cases = [
+        ("gamma", lambda: LayerAngles(huge, 0)),
+        ("gamma", lambda: run_schedule(3, [(huge, 0.0)])),
+        ("a0", lambda: analysis.make_nontrainable_state(4, huge, 0.0)),
+        ("phase_stddev", lambda: densecore.NoiseConfig(0.1, phase_stddev=huge)),
+    ]
+    for name, make in cases:
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            make()
 
 
 def test_noisy_dense_replay_refuses_a_bad_layer_before_drawing():
