@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symcore
-from .symcore import SymmetricState, _check_integer, _check_nonnegative, _check_real, binomial_sqrt
+from .symcore import SymmetricState, _check_integer, _check_nonnegative, _check_real
 from .training import DEFAULT_EPS_ONE, DEFAULT_EPS_SAT, TrainingTrace, _layer_step
 
 
@@ -159,7 +159,7 @@ def make_nontrainable_state(
         _check_real(name, value)
     if a0 < 0 or a2 < 0:
         raise ValueError("moduli must be nonnegative")
-    c2 = binomial_sqrt(n)[2]
+    c2 = math.sqrt(float(math.comb(n, 2)))
     if a2 > a0 / c2 * (1.0 + 1e-12) + 1e-15:
         raise ValueError(f"a2 = {a2} exceeds the non-trainability bound a0/sqrt(C(n,2)) = {a0 / c2}")
     amps = np.zeros(n + 1, dtype=complex)

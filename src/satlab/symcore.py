@@ -50,14 +50,16 @@ MAX_EIGENVECTOR_QUBITS = 100
 # at 32 and 22.3 against 18.1 at 41; an inverse DFT of n + 1 points by the
 # table against ifft took 0.8 against 3.8 us at n = 31.
 DFT_TABLE_ROWS = 32
+# Largest n whose binomials all fit a float64: C(1030, 515) overflows.
+MAX_BINOMIAL_QUBITS = 1029
 
 
 @lru_cache(maxsize=None)
 def binomial_sqrt(n: int) -> np.ndarray:
-    """sqrt(C(n, k)) for k = 0..n from the exact integers (cached, read-only).
-
-    C(n, n // 2) overflows float64 past n = 1029, beyond MAX_SYMMETRIC_QUBITS.
-    """
+    """sqrt(C(n, k)) for k = 0..n from the exact integers (cached, read-only);
+    an n past MAX_BINOMIAL_QUBITS, beyond MAX_SYMMETRIC_QUBITS, is refused."""
+    if n > MAX_BINOMIAL_QUBITS:
+        raise ValueError(f"C(n, k) overflows float64 past MAX_BINOMIAL_QUBITS = {MAX_BINOMIAL_QUBITS}, got n = {n}")
     out = np.sqrt(np.array([float(math.comb(n, k)) for k in range(n + 1)]))
     out.setflags(write=False)
     return out
@@ -682,7 +684,7 @@ def saturation_derivatives(state: SymmetricState) -> tuple[float, float]:
     """
     n = state.n
     a0, a1, a2 = abs(state.amps[0]), abs(state.amps[1]), state.amps[2] if n >= 2 else 0.0
-    c2 = binomial_sqrt(n)[2] if n >= 2 else 0.0
+    c2 = math.sqrt(float(math.comb(n, 2)))
     g1 = math.sqrt(n) * a1
     if a1 > 0.0:
         cross = float(np.imag(np.conj(state.amps[1]) * a2))

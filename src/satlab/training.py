@@ -17,7 +17,6 @@ from . import densecore, symcore
 from .densecore import NoiseConfig
 from .symcore import TIE_TOLERANCE, LayerAngles, _check_integer, _check_real
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # step in beta at which newton_bisect has converged
 NEWTON_TOLERANCE = 1e-15
 # largest gradient norm of log|A_0|^2 accepted at train_global's winning end point
@@ -110,45 +109,14 @@ class TrainingTrace:
         return np.diff(np.concatenate([[2.0 ** (-self.n)], ovs]))
 
 
-def brentq(*args, **kwargs):
-    """scipy.optimize.brentq, imported on first call.  No satlab path calls it:
-    the benchmark's tracer pins the name until ROADMAP item 4's retarget."""
-    from scipy.optimize import brentq
-
-    return brentq(*args, **kwargs)
-
-
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first call.  No satlab path calls
-    it: the benchmark's tracer pins the name until ROADMAP item 4's retarget."""
-    from scipy.optimize import minimize
-
-    return minimize(*args, **kwargs)
+def _pinned(*args, **kwargs):
+    """golden_section_max, brentq and minimize: benchmark pins that no satlab
+    path calls.  perfbench's tracer swaps them by name, so the names stay until
+    ROADMAP item 4's retarget deletes them; calling one raises."""
+    raise RuntimeError("golden_section_max, brentq and minimize are benchmark pins that no satlab path calls")
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float, int]:
-    """Golden-section maximization on [lo, hi]; returns (x, f(x), evaluations).
-
-    No satlab path calls it: the benchmark's tracer pins the name until
-    ROADMAP item 4's retarget deletes it.
-    """
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    evals = 2
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-        evals += 1
-    x = (a + b) / 2.0
-    return x, f(x), evals + 1
+golden_section_max = brentq = minimize = _pinned
 
 
 def newton_bisect(f, beta: float, lo: float, hi: float, peak: bool = False) -> tuple[float, float, int]:

@@ -1,7 +1,9 @@
 """satlab runs without scipy: importing it loads none, and no computing path
 needs it.  scipy is a test-only dependency."""
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -73,3 +75,18 @@ def test_every_trainer_and_subcommand_runs_without_scipy(tmp_path):
     assert sorted(os.listdir(tmp_path)) == sorted(
         f"{kind}.csv" for kind in ("saturation", "compare", "cutoff", "noise", "betas", "conditions")
     )
+
+
+def test_no_satlab_module_imports_scipy():
+    # read from the source, so a lazy import on a path no test runs counts too
+    imported = []
+    for path in sorted(pathlib.Path(satlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] if node.level == 0 else []
+            else:
+                continue
+            imported += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert imported == []

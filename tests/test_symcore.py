@@ -644,6 +644,25 @@ def test_second_derivative_zero_a1_branch():
     assert g2 == pytest.approx(_fd_second(f, 1e-4), rel=1e-3)
 
 
+def test_binomials_past_float64_range():
+    # C(1030, 515) overflows float64: each call raised OverflowError, though
+    # the last two need only sqrt(C(n, 2))
+    limit = symcore.MAX_BINOMIAL_QUBITS
+    assert plus_state(limit).n == limit
+    with pytest.raises(ValueError, match=f"MAX_BINOMIAL_QUBITS = {limit}, got n = {limit + 1}"):
+        plus_state(limit + 1)
+    family = analysis.make_nontrainable_state(limit + 1, 1.0, 0.0)
+    assert analysis.check_conditions(family).condition2_pass
+    s = random_symmetric_state(1300, np.random.default_rng(34))
+    g1, g2 = saturation_derivatives(s)
+    assert g1 == math.sqrt(1300) * abs(s.amps[1]) and math.isfinite(g2)
+    # at the limit sqrt(C(n, 2)) is the binomial table's entry, bitwise
+    amps = np.zeros(limit + 1, dtype=complex)
+    amps[0], amps[2] = 0.6, 0.8
+    _, g2 = saturation_derivatives(SymmetricState(limit, amps))
+    assert g2 == -limit * 0.6 + 2.0 * symcore.binomial_sqrt(limit)[2] * 0.8
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 12, 40])
 def test_layer_terms_derivatives_match_central_differences(n, random_product_sum):
     # noiseless terms along a random circuit and, up to n = 12, noisy terms

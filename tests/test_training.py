@@ -181,6 +181,13 @@ def test_no_computing_path_reaches_the_pinned_shims(monkeypatch):
     analysis.trainability_probe(symcore.random_symmetric_state(5, rng))
 
 
+def test_pinned_shims_raise_when_called():
+    # the names stay for the benchmark's tracer, but carry no search
+    for name in ("golden_section_max", "brentq", "minimize"):
+        with pytest.raises(RuntimeError, match="benchmark pins that no satlab path calls"):
+            getattr(training, name)(lambda x: -x * x, -1.0, 1.0, 1e-8)
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 def test_real_states_take_the_smaller_beta_of_the_mirror_pair(n):
     # real amplitudes give g(pi - beta) = g(beta); the maximizer is the one in
